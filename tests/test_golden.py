@@ -1,0 +1,66 @@
+"""The ``verify`` report, pinned byte for byte by committed golden files.
+
+``tests/golden/verify-<reading>.<format>`` is the standard output of
+``octo-so8 verify --beta-variant <reading> --format <format>``.  The one
+exception to byte equality is the float fields of the ``exp-action``
+claim: they are compared within that claim's own ``tolerance_bound``,
+and everything else, the rest of that claim included, must match
+exactly.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from octo_so8.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+EXP_FLOATS = ("diagonal_oracle_max_error", "hermiticity_defect",
+              "unitarity_defect")
+MD_EXP_BLOCK = re.compile(r"(### exp-action\n.*?```json\n)(.*?)(\n```)", re.S)
+
+
+def _pin_exp_floats(got: dict, want: dict) -> dict:
+    """got with want's exp-action floats, after checking each is within
+    want's tolerance_bound of want's value."""
+    bound = want["tolerance_bound"]
+    for key in EXP_FLOATS:
+        assert abs(got[key] - want[key]) <= bound, (key, got[key], want[key])
+    return {k: want[k] if k in EXP_FLOATS else v for k, v in got.items()}
+
+
+def _pin_json(got: str, want: str) -> str:
+    got_doc, want_doc = json.loads(got), json.loads(want)
+    for g, w in zip(got_doc["claims"], want_doc["claims"]):
+        if g["id"] == w["id"] == "exp-action":
+            g["details"] = _pin_exp_floats(g["details"], w["details"])
+    return json.dumps(got_doc, indent=2) + "\n"
+
+
+def _pin_md(got: str, want: str) -> str:
+    g, w = MD_EXP_BLOCK.search(got), MD_EXP_BLOCK.search(want)
+    assert g and w, "exp-action details block not found"
+    pinned = _pin_exp_floats(json.loads(g.group(2)), json.loads(w.group(2)))
+    return got[:g.start(2)] + json.dumps(pinned, indent=2) + got[g.end(2):]
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+@pytest.mark.parametrize("reading", ["sigma", "tensor"])
+def test_verify_matches_golden(reading, fmt, capsys):
+    want = (GOLDEN / f"verify-{reading}.{fmt}").read_bytes().decode("utf-8")
+    assert main(["verify", "--beta-variant", reading, "--format", fmt]) == 0
+    got = capsys.readouterr().out
+    if got != want:
+        got = (_pin_json if fmt == "json" else _pin_md)(got, want)
+    assert got.encode("utf-8") == want.encode("utf-8")
+
+
+def test_float_pinning_rejects_drift_beyond_bound():
+    want = json.loads((GOLDEN / "verify-sigma.json").read_text("utf-8"))
+    exp = next(c for c in want["claims"] if c["id"] == "exp-action")
+    drifted = dict(exp["details"])
+    drifted["hermiticity_defect"] += 2 * drifted["tolerance_bound"]
+    with pytest.raises(AssertionError):
+        _pin_exp_floats(drifted, exp["details"])
