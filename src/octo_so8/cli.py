@@ -23,10 +23,10 @@ from .claims import REFUTED, render_markdown, run_all, to_json
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, build_E, compare_tables, signed_table
-from .rotations import (DEFAULT_MAX_TERMS, DEFAULT_TOL, assemble_X,
-                        extract_components, numeric_X, plane_product,
-                        rotate_exact, rotation_component_map, spinor_transform,
-                        standard_spinor, substitute_matrix)
+from .rotations import (DEFAULT_MAX_TERMS, DEFAULT_TOL, NonFiniteInput,
+                        assemble_X, extract_components, numeric_X,
+                        plane_product, rotate_exact, rotation_component_map,
+                        spinor_transform, standard_spinor, substitute_matrix)
 from .splitrep import split_transform
 from .symbolic import render_linear_form
 
@@ -238,7 +238,7 @@ def cmd_rotate(args) -> int:
     theta = parse_dyadic(args.theta)
     fvals = _parse_f_exact(args.f)
     first = cm.apply(fvals, theta)
-    first_residual = float(theta) * _max_abs_cells(cm.residual, fvals)
+    first_residual = abs(float(theta)) * _max_abs_cells(cm.residual, fvals)
     rotated = rotate_exact(substitute_matrix(assemble_X(bs), fvals),
                            k, l, theta, bs)
     forms, residual = extract_components(rotated, bs)
@@ -285,6 +285,15 @@ def _render_octonion_line(label: str, terms) -> str:
 
 def cmd_spinor(args) -> int:
     fvals = _parse_f_numeric(args.f)
+    try:
+        return _spinor(args, fvals)
+    except NonFiniteInput as exc:
+        raise NonFiniteInput(f"--f={args.f}: {exc}") from None
+
+
+def _spinor(args, fvals) -> int:
+    """Transform and print; raises NonFiniteInput when e^X or e^Y
+    overflows."""
     bs = beta_set(args.beta_variant)
     psi_out = spinor_transform(standard_spinor(), numeric_X(fvals, bs),
                                tol=args.tol, max_terms=DEFAULT_MAX_TERMS)
@@ -372,3 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main_entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

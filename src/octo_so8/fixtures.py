@@ -223,13 +223,21 @@ def _read_raw(directory: Optional[str]) -> dict:
     return raw
 
 
+def _decode(name: str, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(name, data.count(b"\n", 0, exc.start) + 1,
+              f"not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
     """Parse the full fixture set from *directory*, or from the bundled
     package data when *directory* is None."""
     raw = _read_raw(directory)
     digests = {name: hashlib.sha256(raw[name]).hexdigest()
                for name in FIXTURE_FILES}
-    text = {name: raw[name].decode("utf-8") for name in FIXTURE_FILES}
+    text = {name: _decode(name, raw[name]) for name in FIXTURE_FILES}
 
     eq12_const, eq12_theta = parse_theta_grid(text["eq12_R12.txt"],
                                               "eq12_R12.txt")

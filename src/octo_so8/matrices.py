@@ -1,11 +1,15 @@
-"""Dense square matrices over exact entries, and the eight 8x8 generators.
+"""Dense and monomial square matrices, and the eight 8x8 generators.
 
 ``SquareMatrix`` is entry-type agnostic: anything supporting +, -, *,
 unary -, ==, ``conj()`` and ``is_zero()`` works (CDyadic, CRational,
 LinearForm).  Mixed entry types rely on the scalar promotion ladder.
 
-On top of it: Pauli and Dirac 4x4 matrices, Kronecker products, matrix
-units, the two transcribed variants of the eight generator matrices
+``Monomial`` is a signed permutation matrix with phases in {1, i, -1,
+-i}.  Every generator is one, and so is every product of generators, so
+the generator algebra runs on permutations and phases mod 4.
+
+On top of them: Pauli and Dirac 4x4 matrices, Kronecker products, the
+two transcribed variants of the eight generator matrices
 (beta_1..beta_8), their Gram matrix, the derived E-matrix family, and
 signed multiplication tables with a diff operation.
 """
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .exact import CDyadic, CD_ZERO, CD_ONE, CD_I, Dyadic
+from .exact import CDyadic, CD_ZERO, CD_ONE, CD_I
 
 
 class SquareMatrix:
@@ -77,9 +81,6 @@ class SquareMatrix:
 
     def map(self, fn: Callable) -> "SquareMatrix":
         return SquareMatrix([[fn(e) for e in row] for row in self.rows])
-
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(list(zip(*self.rows)))
 
     def conj_transpose(self) -> "SquareMatrix":
         return SquareMatrix([[self.rows[j][i].conj() for j in range(self.n)]
@@ -155,64 +156,146 @@ def diff_cells(a: SquareMatrix, b: SquareMatrix, renderer: Callable = str):
 
 
 # ---------------------------------------------------------------------------
+# monomial matrices
+
+_PHASES = (CD_ONE, CD_I, -CD_ONE, -CD_I)    # i**q for q = 0..3
+
+
+def _times_phase(e, q: int):
+    """e * i**q for an exact entry e (a scalar or a LinearForm)."""
+    if q == 0:
+        return e
+    if q == 2:
+        return -e
+    return _PHASES[q] * e
+
+
+class Monomial:
+    """Immutable n x n matrix with one nonzero entry per row and per
+    column: row r holds i**phase[r] in column perm[r].
+
+    A product of two is a composed permutation with added phases, O(n)
+    integer operations.  ``@`` with a dense SquareMatrix, on either
+    side, permutes its entries and scales them by phases.  ``==``
+    against a SquareMatrix compares entries.
+    """
+
+    __slots__ = ("perm", "phase", "n")
+
+    def __init__(self, perm: Sequence[int], phase: Sequence[int]):
+        perm, phase = tuple(perm), tuple(q % 4 for q in phase)
+        if sorted(perm) != list(range(len(perm))) or len(phase) != len(perm):
+            raise ValueError("monomial needs a permutation and one phase per row")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "n", len(perm))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Monomial is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "Monomial":
+        return cls(range(n), (0,) * n)
+
+    def at(self, i: int, j: int) -> CDyadic:
+        """0-indexed entry access."""
+        return _PHASES[self.phase[i]] if self.perm[i] == j else CD_ZERO
+
+    def __matmul__(self, other):
+        if isinstance(other, Monomial) and other.n == self.n:
+            return Monomial([other.perm[p] for p in self.perm],
+                            [q + other.phase[p]
+                             for p, q in zip(self.perm, self.phase)])
+        if isinstance(other, SquareMatrix) and other.n == self.n:
+            # (N X)[r][j] = i**phase[r] * X[perm[r]][j]
+            return SquareMatrix([[_times_phase(e, q) for e in other.rows[p]]
+                                 for p, q in zip(self.perm, self.phase)])
+        return NotImplemented
+
+    def __rmatmul__(self, other):
+        if isinstance(other, SquareMatrix) and other.n == self.n:
+            # (X N)[i][perm[r]] = X[i][r] * i**phase[r]
+            inv = [0] * self.n
+            for r, c in enumerate(self.perm):
+                inv[c] = r
+            return SquareMatrix([[_times_phase(row[r], self.phase[r])
+                                  for r in inv] for row in other.rows])
+        return NotImplemented
+
+    def __neg__(self) -> "Monomial":
+        return Monomial(self.perm, [q + 2 for q in self.phase])
+
+    def __eq__(self, other):
+        if isinstance(other, Monomial):
+            return self.perm == other.perm and self.phase == other.phase
+        if isinstance(other, SquareMatrix):
+            return self.to_dense() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.perm, self.phase))
+
+    def trace(self) -> CDyadic:
+        return sum((_PHASES[q] for r, (c, q) in
+                    enumerate(zip(self.perm, self.phase)) if r == c), CD_ZERO)
+
+    def trace_with(self, m: SquareMatrix):
+        """Tr(self @ m) = sum_r i**phase[r] * m[perm[r]][r], without
+        forming the product."""
+        terms = [_times_phase(m.rows[c][r], q)
+                 for r, (c, q) in enumerate(zip(self.perm, self.phase))]
+        return functools.reduce(lambda s, t: s + t, terms)
+
+    def to_dense(self) -> SquareMatrix:
+        return SquareMatrix([[self.at(i, j) for j in range(self.n)]
+                             for i in range(self.n)])
+
+    def render(self, entry_renderer: Callable = str):
+        return self.to_dense().render(entry_renderer)
+
+    def __repr__(self):
+        return f"Monomial(perm={self.perm}, phase={self.phase})"
+
+
+# ---------------------------------------------------------------------------
 # Pauli / Dirac building blocks
 
-_ONE, _ZERO, _I = CD_ONE, CD_ZERO, CD_I
-_NEG_ONE, _NEG_I = -CD_ONE, -CD_I
+# (perm, phase) of each Pauli matrix, standard convention
+_PAULI = {1: ((1, 0), (0, 0)), 2: ((1, 0), (3, 1)), 3: ((0, 1), (0, 2))}
 
 
-def pauli(j: int) -> SquareMatrix:
+def pauli(j: int) -> Monomial:
     """2x2 Pauli matrix, standard convention, 1-indexed."""
-    if j == 1:
-        return SquareMatrix([[_ZERO, _ONE], [_ONE, _ZERO]])
-    if j == 2:
-        return SquareMatrix([[_ZERO, _NEG_I], [_I, _ZERO]])
-    if j == 3:
-        return SquareMatrix([[_ONE, _ZERO], [_ZERO, _NEG_ONE]])
-    raise ValueError(f"pauli index {j} out of range 1..3")
+    if j not in _PAULI:
+        raise ValueError(f"pauli index {j} out of range 1..3")
+    return Monomial(*_PAULI[j])
 
 
-def gamma(j: int) -> SquareMatrix:
-    """4x4 Dirac matrix: for j in 1..3 the off-diagonal -i*sigma / i*sigma
-    block form; gamma(4) = diag(I2, -I2)."""
+def gamma(j: int) -> Monomial:
+    """4x4 Dirac matrix: for j in 1..3 the off-diagonal block form
+    [[0, -i*sigma_j], [i*sigma_j, 0]] = sigma_2 (x) sigma_j;
+    gamma(4) = diag(I2, -I2) = sigma_3 (x) I2."""
     if j in (1, 2, 3):
-        s = pauli(j)
-        z = SquareMatrix.zeros(2)
-        return from_blocks(z, s.scale(_NEG_I), s.scale(_I), z)
+        return kron(pauli(2), pauli(j))
     if j == 4:
-        i2 = SquareMatrix.identity(2)
-        return from_blocks(i2, SquareMatrix.zeros(2),
-                           SquareMatrix.zeros(2), -i2)
+        return kron(pauli(3), Monomial.identity(2))
     raise ValueError(f"gamma index {j} out of range 1..4")
 
 
-def kron(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+def kron(a: Monomial, b: Monomial) -> Monomial:
     """Kronecker product; a's indices select the coarse blocks."""
-    n = a.n * b.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(a.at(i // b.n, j // b.n) * b.at(i % b.n, j % b.n))
-        rows.append(row)
-    return SquareMatrix(rows)
-
-
-def matrix_unit(m: int, n: int, size: int = 8) -> SquareMatrix:
-    """Elementary matrix with a single 1 at (m, n), 1-indexed."""
-    if not (1 <= m <= size and 1 <= n <= size):
-        raise ValueError(f"matrix unit ({m},{n}) out of range 1..{size}")
-    return SquareMatrix([[_ONE if (i == m - 1 and j == n - 1) else _ZERO
-                          for j in range(size)] for i in range(size)])
+    return Monomial([pa * b.n + pb for pa in a.perm for pb in b.perm],
+                    [qa + qb for qa in a.phase for qb in b.phase])
 
 
 # ---------------------------------------------------------------------------
 # the eight generator matrices, in both transcribed variants
 #
 # SIGMA_TERMS[A] = (prefactor_is_i, ((sign, m, n), ...)) gives
-# beta_A = pref * sum sign * matrix_unit(m, n).  TENSOR_ASSIGNMENTS[A]
-# gives the sigma (x) gamma reading of the same lines.  The two variants
-# are kept independent so they can be diffed against each other.
+# beta_A = pref * sum sign * E_mn, with E_mn the (m, n) matrix unit.
+# TENSOR_ASSIGNMENTS[A] gives the sigma (x) gamma reading of the same
+# lines.  The two variants are kept independent so they can be diffed
+# against each other.
 
 SIGMA_TERMS = {
     1: (True, ((+1, 3, 6), (+1, 4, 5), (+1, 7, 2), (+1, 8, 1),
@@ -241,17 +324,15 @@ TENSOR_ASSIGNMENTS = {
 }
 
 
-def beta_sigma_expansion(a: int) -> SquareMatrix:
+def beta_sigma_expansion(a: int) -> Monomial:
     """Generator beta_a from its matrix-unit expansion."""
     pref_i, terms = SIGMA_TERMS[a]
-    acc = SquareMatrix.zeros(8)
-    for sign, m, n in terms:
-        u = matrix_unit(m, n)
-        acc = acc + (u if sign > 0 else -u)
-    return acc.scale(_I) if pref_i else acc
+    cells = {m - 1: (n - 1, (sign < 0) * 2 + pref_i) for sign, m, n in terms}
+    return Monomial([cells[r][0] for r in range(8)],
+                    [cells[r][1] for r in range(8)])
 
 
-def beta_tensor_text(a: int) -> SquareMatrix:
+def beta_tensor_text(a: int) -> Monomial:
     """Generator beta_a from its sigma (x) gamma tensor reading."""
     p, g = TENSOR_ASSIGNMENTS[a]
     return kron(pauli(p), gamma(g))
@@ -263,7 +344,7 @@ class BetaSet:
     variant: str            # "sigma" | "tensor"
     mats: tuple
 
-    def beta(self, a: int) -> SquareMatrix:
+    def beta(self, a: int) -> Monomial:
         return self.mats[a - 1]
 
 
@@ -290,7 +371,7 @@ def anticommutator_audit(bs: BetaSet):
     out = []
     for a in range(8):
         for b in range(a + 1, 8):
-            if (bs.mats[a] @ bs.mats[b] + bs.mats[b] @ bs.mats[a]).is_zero():
+            if bs.mats[a] @ bs.mats[b] == -(bs.mats[b] @ bs.mats[a]):
                 out.append((a + 1, b + 1))
     return out
 
@@ -320,8 +401,8 @@ E_ALTERNATES = {
 }
 
 
-def _beta_product(bs: BetaSet, idxs) -> SquareMatrix:
-    acc = SquareMatrix.identity(8)
+def _beta_product(bs: BetaSet, idxs) -> Monomial:
+    acc = Monomial.identity(8)
     for a in idxs:
         acc = acc @ bs.beta(a)
     return acc
@@ -332,7 +413,7 @@ class EMatrixSet:
     variant: str
     mats: tuple   # E_0 .. E_7
 
-    def e(self, k: int) -> SquareMatrix:
+    def e(self, k: int) -> Monomial:
         return self.mats[k]
 
 
@@ -385,23 +466,14 @@ class SignedTable:
 
 
 def signed_table(ems: EMatrixSet) -> SignedTable:
-    """Multiplication table of the E family, matched against +/-E_k."""
-    cells = []
-    for a in range(8):
-        row = []
-        for b in range(8):
-            p = ems.mats[a] @ ems.mats[b]
-            found = None
-            for k in range(8):
-                if p == ems.mats[k]:
-                    found = (1, k)
-                    break
-                if p == -ems.mats[k]:
-                    found = (-1, k)
-                    break
-            row.append(found)
-        cells.append(tuple(row))
-    return SignedTable(tuple(cells))
+    """Multiplication table of the E family, matched against +/-E_k
+    (the first match in the order +E_0, -E_0, +E_1, ...)."""
+    lookup: dict = {}
+    for k, e in enumerate(ems.mats):
+        lookup.setdefault(e, (1, k))
+        lookup.setdefault(-e, (-1, k))
+    return SignedTable(tuple(tuple(lookup.get(a @ b) for b in ems.mats)
+                             for a in ems.mats))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import CDyadic, CRational, CR_ONE, CR_ZERO, Dyadic
-from .matrices import BetaSet, SquareMatrix, beta_set, gram
+from .matrices import BetaSet, Monomial, SquareMatrix, beta_set, gram
 from .octonion import Octonion
 from .symbolic import LinearForm
 
@@ -94,7 +94,7 @@ def block_decompose(x: SquareMatrix) -> BlockDecomp:
 # ---------------------------------------------------------------------------
 # rotation operators
 
-def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> SquareMatrix:
+def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Monomial:
     """beta_k beta_l for a rotation plane (k, l), 1-indexed, k != l."""
     if k == l:
         raise ValueError("rotation plane needs two distinct indices")
@@ -108,7 +108,7 @@ def rotation_operator(k: int, l: int, theta: Dyadic,
                       betas: Optional[BetaSet] = None) -> SquareMatrix:
     """R_kl = I + theta * beta_k beta_l, exact CDyadic entries."""
     n = plane_product(k, l, betas)
-    return SquareMatrix.identity(8) + n.scale(CDyadic(theta))
+    return SquareMatrix.identity(8) + n.to_dense().scale(CDyadic(theta))
 
 
 def invert_exact(m: SquareMatrix) -> SquareMatrix:
@@ -174,7 +174,7 @@ def extract_components(m: SquareMatrix, betas: Optional[BetaSet] = None):
         g_inv = invert_exact(g)
     except SingularRotation as exc:
         raise DegenerateBasis("generator Gram matrix is singular") from exc
-    traces = [(bs.mats[a] @ m).trace() for a in range(8)]
+    traces = [bs.mats[a].trace_with(m) for a in range(8)]
     forms = []
     for a in range(8):
         acc = LinearForm.zero()
@@ -250,9 +250,9 @@ def duplicate_rotation_scan(betas: Optional[BetaSet] = None):
 # ---------------------------------------------------------------------------
 # numeric exponential and spinor transport
 
-def to_complex_array(m: SquareMatrix) -> np.ndarray:
-    """Exact CDyadic matrix -> complex128; raises when any entry is not
-    exactly representable in binary64."""
+def to_complex_array(m) -> np.ndarray:
+    """Exact CDyadic matrix (dense or Monomial) -> complex128; raises when
+    any entry is not exactly representable in binary64."""
     out = np.empty((m.n, m.n), dtype=np.complex128)
     for i in range(m.n):
         for j in range(m.n):
@@ -266,12 +266,22 @@ def substitute_matrix(x: SquareMatrix, fvals: Sequence) -> SquareMatrix:
     return x.map(lambda form: form.substitute(fvals))
 
 
+@functools.lru_cache(maxsize=2)
+def _generator_arrays(bs: BetaSet) -> tuple:
+    """beta_1..beta_8 as read-only complex arrays, converted once per
+    reading."""
+    arrays = tuple(to_complex_array(m) for m in bs.mats)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> np.ndarray:
     """sum_A f_A beta_A as a complex array; fvals may be floats."""
-    bs = betas or beta_set()
+    arrays = _generator_arrays(betas or beta_set())
     acc = np.zeros((8, 8), dtype=np.complex128)
     for a in range(8):
-        acc = acc + complex(fvals[a]) * to_complex_array(bs.mats[a])
+        acc = acc + complex(fvals[a]) * arrays[a]
     return acc
 
 
@@ -285,7 +295,9 @@ def matrix_exp(m: np.ndarray, tol: float = DEFAULT_TOL,
 
     Scales by 2**-s until the max-row-sum norm is <= 1/2, sums the
     Taylor series until the next term's max-entry magnitude drops below
-    tol, then squares s times.  Raises NonFiniteInput / ToleranceNotMet.
+    tol, then squares s times.  Raises NonFiniteInput when the input or
+    the result holds NaN or infinity, ToleranceNotMet when the series
+    does not converge.
     """
     a = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(a)):
@@ -309,8 +321,11 @@ def matrix_exp(m: np.ndarray, tol: float = DEFAULT_TOL,
     if not converged:
         raise ToleranceNotMet(
             f"exponential series above tol {tol} after {max_terms} terms")
-    for _ in range(s):
-        result = result @ result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            result = result @ result
+    if not np.all(np.isfinite(result)):
+        raise NonFiniteInput("exponential overflows binary64")
     return result
 
 

@@ -40,7 +40,7 @@ from octo_so8 import (
     to_json,
     verify_split_relations,
 )
-from octo_so8.matrices import build_E, kron, pauli
+from octo_so8.matrices import Monomial, build_E, kron, pauli
 from octo_so8.rotations import (
     DEFAULT_TOL,
     hermiticity_defect,
@@ -155,7 +155,8 @@ def test_criterion_06_duplicate_rotation_planes(report):
     classes = duplicate_rotation_scan()
     cls = next(c for c in classes if (1, 2) in c)
     ok = (5, 6) in cls and (7, 8) in cls
-    target = kron(pauli(2).scale(CDyadic(0, -1)), SquareMatrix.identity(4))
+    # sigma1 sigma3 = -i sigma2, so the target is -i sigma2 (x) I4
+    target = kron(pauli(1) @ pauli(3), Monomial.identity(4))
     ok &= set(cls) == {(k, l) for k in range(1, 9) for l in range(k + 1, 9)
                        if plane_product(k, l) == target}
     ok &= sum(len(c) for c in classes) == 28

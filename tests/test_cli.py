@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import octo_so8
 from octo_so8.cli import main
 
 
@@ -127,6 +132,14 @@ class TestRotate:
                          "--f", "1,2,3")
         assert rc == 2
 
+    def test_negative_theta_residual_is_a_magnitude(self, capsys):
+        argv = ("rotate", "1", "2", "--theta=-1/4", "--f=1,0,0,1,0,0,0,0")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert "  first-order residual max-entry: 0.5\n" in out
+        payload = run_json(capsys, *argv)
+        assert payload["first_order"]["residual_max"] == 0.5
+
     def test_non_dyadic_theta(self, capsys):
         rc, _, err = run(capsys, "rotate", "1", "2", "--theta", "1/3",
                          "--f", "1,0,0,0,0,0,0,0")
@@ -162,6 +175,16 @@ class TestSpinor:
                            "--split")
         assert payload["split"]["y_source"] == "fixture sum (eq21_Y1 + eq21_Y2)"
 
+    @pytest.mark.parametrize("argv", [
+        ("--f=1000,0,0,0,0,0,0,0",),
+        ("--f=0,0,0,0,0,0,0,-1500", "--split", "--beta-variant", "tensor"),
+    ])
+    def test_overflow_exits_2_naming_the_input(self, capsys, argv):
+        rc, out, err = run(capsys, "spinor", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {argv[0]}: exponential overflows binary64\n"
+
 
 class TestGramAndDump:
     def test_gram_markdown(self, capsys):
@@ -191,3 +214,12 @@ class TestGramAndDump:
         with pytest.raises(SystemExit) as exc:
             main(["dump-beta", "9"])
         assert exc.value.code == 2
+
+
+def test_module_runs_as_script():
+    src = str(Path(octo_so8.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    p = subprocess.run([sys.executable, "-m", "octo_so8.cli", "dump-beta", "8"],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("beta8, sigma reading:")

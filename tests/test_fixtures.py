@@ -51,6 +51,12 @@ class TestLoading:
         with pytest.raises(FixtureError, match=r"table2\.txt:1:"):
             load_fixtures(str(data_copy))
 
+    def test_non_utf8_file_is_named(self, data_copy):
+        p = data_copy / "table1.txt"
+        p.write_bytes(b"E0 E1\n\xff" + p.read_bytes())
+        with pytest.raises(FixtureError, match=r"table1\.txt:2: not UTF-8"):
+            load_fixtures(str(data_copy))
+
 
 GOOD_GRID = "\n".join(["e0 e1 e2 e3 e4 e5 e6 e7"] * 8)
 
