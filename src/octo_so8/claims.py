@@ -18,14 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import CDyadic
+from .exact import CRational
 from .fixtures import FixtureStore
 from .matrices import (SIGMA_TERMS, SquareMatrix, anticommutator_audit,
                        audit_E_alternates, beta_set, beta_sigma_expansion,
                        beta_tensor_text, build_E, compare_tables, diff_cells,
                        gram, signed_table)
-from .octonion import (TABLE, Octonion, build_split_basis,
-                       verify_split_relations)
+from .octonion import TABLE, Octonion, verify_split_relations
 from .rotations import (DEFAULT_TOL, DegenerateBasis, SingularRotation,
                         StructureMismatch, assemble_X, block_decompose,
                         duplicate_rotation_scan, hermiticity_defect,
@@ -157,9 +156,9 @@ def _check_eq19_split_spinor(fx, ctx):
         u, us = comps[m], comps[m + 4]
         records.append({
             "pair": [a, b],
-            "sum_recovers_unit": (u + us) == Octonion.unit(a, CDyadic(1)),
+            "sum_recovers_unit": (u + us) == Octonion.unit(a, CRational(1)),
             "difference_recovers_i_unit":
-                (u - us) == Octonion.unit(b, CDyadic(0, 1)),
+                (u - us) == Octonion.unit(b, CRational(0, 1)),
             "starred_is_conjugate":
                 us == Octonion([c.conj() for c in u.coeffs]),
         })
@@ -247,7 +246,7 @@ def _check_exp_action(fx, ctx):
 
 def _check_gram_orthogonality(fx, ctx):
     g = gram(ctx.bs)
-    target = SquareMatrix.identity(8).scale(CDyadic(8))
+    target = SquareMatrix.identity(8).scale(CRational(8))
     cells = diff_cells(g, target)
     details = {
         "variant": ctx.variant,

@@ -85,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="8 comma-separated numeric components "
                         "(decimals allowed)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="series truncation tolerance")
+                   help="stop the Taylor series of the 2^-s-scaled "
+                        "exponent at a term below this (bounds that term, "
+                        "not the error of exp(X))")
     p.add_argument("--split", action="store_true",
                    help="also transform the split spinor by exp(Y) "
                         "(Y from the bundled fixture)")
@@ -202,10 +204,12 @@ def cmd_rotate(args) -> int:
     bs = beta_set(args.beta_variant)
     k, l = args.k, args.l
     cm = rotation_component_map(k, l, bs)   # validates the plane
-    fx = load_fixtures(_fixture_dir(args))
-    comparable = plane_product(k, l, bs) == plane_product(1, 2, bs)
 
     if args.f is None:
+        # eq14 states the map of plane (1,2); any plane with the same
+        # product is compared against it
+        comparable = plane_product(k, l, bs) == plane_product(1, 2, bs)
+        fx = load_fixtures(_fixture_dir(args)) if comparable else None
         lines = []
         for a in range(8):
             rec = {"component": a + 1,

@@ -1,25 +1,27 @@
 """Exact scalar arithmetic.
 
-Three scalar types cover everything the toolkit computes with:
+One scalar type covers everything the toolkit computes with:
+``CRational``, the complex rational (a + b*i)/d held as three ints with
+d > 0 and gcd(a, b, d) == 1, so that equal values have equal fields.
+Every constant in the transcribed source material is dyadic (d a power
+of two); exact conjugation leaves the dyadics once it divides by
+1 + theta**2, and the same type carries on.
 
-* ``Dyadic`` -- rationals with power-of-two denominators, stored as
-  ``numerator / 2**exponent`` in normalized form (exponent 0 or odd
-  numerator).  Every constant in the transcribed source material lives
-  in this ring.
-* ``CDyadic`` -- complex numbers with dyadic real and imaginary parts.
-* ``CRational`` -- complex numbers over ``fractions.Fraction``.  The
-  field of fractions of the dyadics; needed once matrix inverses enter
-  (``1/(1+theta^2)`` is not dyadic).
+Dyadic values are checked only at the edges: ``parse_cdyadic`` rejects
+denominators that are not powers of two, and ``to_complex_exact``
+refuses values that binary64 cannot hold.  ``CDyadic`` is a second
+name for ``CRational``, and ``Dyadic(num, exp)`` builds num / 2**exp
+with no arithmetic of its own.
 
-All three are immutable value types.  Mixed arithmetic promotes up the
-ladder int -> Dyadic -> CDyadic -> CRational via the reflected dunder
-protocol, so e.g. ``CDyadic + CRational`` lands in ``CRational``.
+Arithmetic coerces int and Fraction operands; a real value hashes like
+the equal Fraction, so equal scalars of any of these types hash alike.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class InexactFloatError(ValueError):
@@ -30,384 +32,208 @@ class ScalarParseError(ValueError):
     """Raised on malformed scalar text."""
 
 
-class Dyadic:
-    """num / 2**exp with exp >= 0, normalized so exp == 0 or num is odd."""
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
-            # negative exponent means multiplying by 2**(-exp)
-            num <<= -exp
-            exp = 0
-        while num != 0 and exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Dyadic is immutable")
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Dyadic):
-            return other
-        if isinstance(other, int):
-            return Dyadic(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dyadic(self.num * o.num, self.exp + o.exp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.exp == o.exp
-
-    def __hash__(self):
-        return hash((self.num, self.exp))
-
-    def __bool__(self):
-        return self.num != 0
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __float__(self):
-        # correctly rounded, possibly inexact; use to_float_exact when
-        # exactness matters
-        return float(self.to_fraction())
-
-    def to_float_exact(self) -> float:
-        f = self.to_fraction()
-        x = float(f)
-        if Fraction(x) != f:
-            raise InexactFloatError(f"{self} not representable in binary64")
-        return x
-
-    def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-
-D_ZERO = Dyadic(0)
-D_ONE = Dyadic(1)
-D_HALF = Dyadic(1, 1)
-
-
-class CDyadic:
-    """Complex number with Dyadic real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        if isinstance(re, int):
-            re = Dyadic(re)
-        if isinstance(im, int):
-            im = Dyadic(im)
-        if not (isinstance(re, Dyadic) and isinstance(im, Dyadic)):
-            raise TypeError("CDyadic parts must be Dyadic or int")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CDyadic is immutable")
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, CDyadic):
-            return other
-        if isinstance(other, (int, Dyadic)):
-            return CDyadic(other if isinstance(other, Dyadic) else Dyadic(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CDyadic(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CDyadic(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CDyadic(self.re * o.re - self.im * o.im,
-                       self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return CDyadic(-self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
-
-    def conj(self) -> "CDyadic":
-        return CDyadic(self.re, -self.im)
-
-    def abs2(self) -> Dyadic:
-        return self.re * self.re + self.im * self.im
-
-    def to_crational(self) -> "CRational":
-        return CRational(self.re.to_fraction(), self.im.to_fraction())
-
-    def to_complex_exact(self) -> complex:
-        return complex(self.re.to_float_exact(), self.im.to_float_exact())
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self):
-        return render_cdyadic(self)
-
-    def __repr__(self):
-        return f"CDyadic({self.re!r}, {self.im!r})"
-
-
-CD_ZERO = CDyadic(0)
-CD_ONE = CDyadic(1)
-CD_I = CDyadic(0, 1)
-CD_HALF = CDyadic(D_HALF)
-CD_HALF_I = CDyadic(D_ZERO, D_HALF)
+def _ratio(x) -> tuple:
+    """A real int, Fraction or CRational as (numerator, denominator)."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, CRational) and x.b == 0:
+        return x.a, x.d
+    raise TypeError(f"expected a real int, Fraction or CRational, got {x!r}")
 
 
 class CRational:
-    """Complex number over Fraction; the field the exact eliminations run in."""
+    """Immutable complex rational (a + b*i)/d; d > 0, gcd(a, b, d) == 1.
 
-    __slots__ = ("re", "im")
+    ``CRational(re, im, den)`` is (re + im*i)/den for real int,
+    Fraction or CRational arguments.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0, den=1):
+        if type(re) is not int or type(im) is not int or type(den) is not int:
+            (p, q), (r, s), (u, v) = _ratio(re), _ratio(im), _ratio(den)
+            re, im, den = p * s * v, r * q * v, q * s * u
+        if den <= 0:
+            if den == 0:
+                raise ZeroDivisionError("CRational with denominator 0")
+            re, im, den = -re, -im, -den
+        if den != 1:
+            g = gcd(re, im, den)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        object.__setattr__(self, "a", re)
+        object.__setattr__(self, "b", im)
+        object.__setattr__(self, "d", den)
 
     def __setattr__(self, *_):
         raise AttributeError("CRational is immutable")
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, CRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CRational(other)
-        if isinstance(other, Dyadic):
-            return CRational(other.to_fraction())
-        if isinstance(other, CDyadic):
-            return other.to_crational()
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return CRational(self.re + o.re, self.im + o.im)
+        d, f = self.d, o.d
+        return CRational(self.a * f + o.a * d, self.b * f + o.b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return CRational(self.re - o.re, self.im - o.im)
+        d, f = self.d, o.d
+        return CRational(self.a * f - o.a * d, self.b * f - o.b * d, d * f)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return CRational(self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return CRational(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return o * self.inv()
 
     def inv(self) -> "CRational":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        a, b = self.a, self.b
+        if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero")
-        return CRational(self.re / d, -self.im / d)
+        return CRational(self.d * a, -self.d * b, a * a + b * b)
 
     def __neg__(self):
-        return CRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return CRational(-self.a, -self.b, self.d)
 
     def conj(self) -> "CRational":
-        return CRational(self.re, -self.im)
+        return CRational(self.a, -self.b, self.d)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+    def __eq__(self, other):
+        o = as_scalar(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.d == o.d
+
+    def __hash__(self):
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def is_real(self) -> bool:
+        return self.b == 0
+
+    def __float__(self):
+        if self.b:
+            raise TypeError(f"{self} is not real")
+        return self.a / self.d
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded
+        return complex(self.a / self.d, self.b / self.d)
+
+    def to_complex_exact(self) -> complex:
+        z = complex(self)
+        if (Fraction(z.real) * self.d != self.a
+                or Fraction(z.imag) * self.d != self.b):
+            raise InexactFloatError(f"{self} not representable in binary64")
+        return z
 
     def __str__(self):
-        return _render_complex_parts(str(self.re), self.re != 0,
-                                     self.im, str(self.im), str(-self.im))
+        """The canonical token: "0", "3", "-1/2", "i", "-i", "2i",
+        "1/2i", "-1/2+1/2i", "1-i"; never any whitespace."""
+        re_tok = _ratio_token(self.a, self.d)
+        if self.b == 0:
+            return re_tok
+        im_tok = _ratio_token(self.b, self.d)
+        im_tok = (im_tok[:-1] if im_tok in ("1", "-1") else im_tok) + "i"
+        if self.a == 0:
+            return im_tok
+        return re_tok + ("" if im_tok[0] == "-" else "+") + im_tok
 
     def __repr__(self):
-        return f"CRational({self.re!r}, {self.im!r})"
+        return f"CRational({self.a}, {self.b}, {self.d})"
 
 
-CR_ZERO = CRational(0)
-CR_ONE = CRational(1)
+def _ratio_token(n: int, d: int) -> str:
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def as_scalar(value):
+    """``value`` as a CRational when it is an int, a Fraction or a
+    CRational; None for anything else."""
+    if isinstance(value, CRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return CRational(value)
+    return None
+
+
+CDyadic = CRational
+
+
+class Dyadic(CRational):
+    """num / 2**exp as a CRational; a constructor only."""
+
+    __slots__ = ()
+
+    def __init__(self, num: int, exp: int = 0):
+        if exp < 0:
+            super().__init__(num << -exp)
+        else:
+            super().__init__(num, 0, 1 << exp)
 
 
 # ---------------------------------------------------------------------------
 # text rendering / parsing
 #
-# Canonical scalar tokens: "0", "3", "-1/2", "i", "-i", "2i", "1/2i",
-# "-1/2+1/2i", "1-i".  Denominators are printed as plain integers (always
-# powers of two).  Tokens never contain whitespace.
+# A token is one or two signed atoms, at most one real and one imaginary,
+# each an integer or integer/power-of-two with an optional trailing "i".
 
-def render_dyadic(d: Dyadic) -> str:
-    return str(d)
-
-
-def _render_complex_parts(re_str, re_nonzero, im, im_pos_str, im_neg_str):
-    if im == 0:
-        return re_str if re_nonzero else "0"
-    if im == 1:
-        imtok = "i"
-    elif im == -1:
-        imtok = "-i"
-    elif im > 0:
-        imtok = im_pos_str + "i"
-    else:
-        imtok = "-" + im_neg_str + "i"
-    if not re_nonzero:
-        return imtok
-    sep = "" if imtok.startswith("-") else "+"
-    return re_str + sep + imtok
+def render_cdyadic(z: CRational) -> str:
+    return str(z)
 
 
-def render_cdyadic(z: CDyadic) -> str:
-    im = z.im
-    if im.is_zero():
-        return str(z.re) if not z.re.is_zero() else "0"
-    return _render_complex_parts(str(z.re), not z.re.is_zero(),
-                                 im.to_fraction(), str(im), str(-im))
-
+render_dyadic = render_cdyadic
 
 _ATOM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?(i?)$")
 
 
-def _den_to_exp(den: int) -> int:
-    exp = den.bit_length() - 1
-    if den <= 0 or (1 << exp) != den:
-        raise ScalarParseError(f"denominator {den} is not a power of two")
-    return exp
-
-
-def parse_dyadic(tok: str) -> Dyadic:
+def parse_dyadic(tok: str) -> CRational:
     z = parse_cdyadic(tok)
-    if not z.im.is_zero():
+    if not z.is_real():
         raise ScalarParseError(f"expected a real dyadic, got {tok!r}")
-    return z.re
+    return z
 
 
-def parse_cdyadic(tok: str) -> CDyadic:
-    """Parse one canonical scalar token (no whitespace)."""
+def parse_cdyadic(tok: str) -> CRational:
+    """Parse one scalar token (no whitespace); denominators must be
+    powers of two."""
     s = tok.strip()
     if not s:
         raise ScalarParseError("empty scalar token")
@@ -415,25 +241,17 @@ def parse_cdyadic(tok: str) -> CDyadic:
     atoms = re.findall(r"[+-]?[^+-]+", s)
     if not atoms or "".join(atoms) != s:
         raise ScalarParseError(f"bad scalar token {tok!r}")
-    re_part = None
-    im_part = None
+    parts = {}
     for atom in atoms:
         m = _ATOM.match(atom)
         if not m or (m.group(2) is None and m.group(4) != "i"):
             raise ScalarParseError(f"bad scalar atom {atom!r} in {tok!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        if m.group(2) is None:
-            val = Dyadic(sign)
-        else:
-            num = sign * int(m.group(2))
-            exp = _den_to_exp(int(m.group(3))) if m.group(3) else 0
-            val = Dyadic(num, exp)
-        if m.group(4) == "i":
-            if im_part is not None:
-                raise ScalarParseError(f"duplicate imaginary part in {tok!r}")
-            im_part = val
-        else:
-            if re_part is not None:
-                raise ScalarParseError(f"duplicate real part in {tok!r}")
-            re_part = val
-    return CDyadic(re_part or D_ZERO, im_part or D_ZERO)
+        num = int(m.group(2) or 1) * (-1 if m.group(1) == "-" else 1)
+        den = int(m.group(3) or 1)
+        if den <= 0 or den & (den - 1):
+            raise ScalarParseError(f"denominator {den} is not a power of two")
+        kind = "imaginary" if m.group(4) else "real"
+        if kind in parts:
+            raise ScalarParseError(f"duplicate {kind} part in {tok!r}")
+        parts[kind] = Fraction(num, den)
+    return CRational(parts.get("real", 0), parts.get("imaginary", 0))

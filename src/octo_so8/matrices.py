@@ -1,8 +1,8 @@
 """Dense and monomial square matrices, and the eight 8x8 generators.
 
 ``SquareMatrix`` is entry-type agnostic: anything supporting +, -, *,
-unary -, ==, ``conj()`` and ``is_zero()`` works (CDyadic, CRational,
-LinearForm).  Mixed entry types rely on the scalar promotion ladder.
+unary -, ==, ``conj()`` and ``is_zero()`` works (CRational scalars and
+LinearForm).  A scalar times a LinearForm is a LinearForm.
 
 ``Monomial`` is a signed permutation matrix with phases in {1, i, -1,
 -i}.  Every generator is one, and so is every product of generators, so
@@ -20,7 +20,9 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .exact import CDyadic, CD_ZERO, CD_ONE, CD_I
+from .exact import CRational
+
+_ZERO, _ONE = CRational(0), CRational(1)
 
 
 class SquareMatrix:
@@ -40,11 +42,11 @@ class SquareMatrix:
         raise AttributeError("SquareMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int, one=CD_ONE, zero=CD_ZERO) -> "SquareMatrix":
+    def identity(cls, n: int, one=_ONE, zero=_ZERO) -> "SquareMatrix":
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, n: int, zero=CD_ZERO) -> "SquareMatrix":
+    def zeros(cls, n: int, zero=_ZERO) -> "SquareMatrix":
         return cls([[zero] * n for _ in range(n)])
 
     def at(self, i: int, j: int):
@@ -158,7 +160,8 @@ def diff_cells(a: SquareMatrix, b: SquareMatrix, renderer: Callable = str):
 # ---------------------------------------------------------------------------
 # monomial matrices
 
-_PHASES = (CD_ONE, CD_I, -CD_ONE, -CD_I)    # i**q for q = 0..3
+# i**q for q = 0..3
+_PHASES = (_ONE, CRational(0, 1), CRational(-1), CRational(0, -1))
 
 
 def _times_phase(e, q: int):
@@ -197,9 +200,9 @@ class Monomial:
     def identity(cls, n: int) -> "Monomial":
         return cls(range(n), (0,) * n)
 
-    def at(self, i: int, j: int) -> CDyadic:
+    def at(self, i: int, j: int) -> CRational:
         """0-indexed entry access."""
-        return _PHASES[self.phase[i]] if self.perm[i] == j else CD_ZERO
+        return _PHASES[self.phase[i]] if self.perm[i] == j else _ZERO
 
     def __matmul__(self, other):
         if isinstance(other, Monomial) and other.n == self.n:
@@ -235,9 +238,9 @@ class Monomial:
     def __hash__(self):
         return hash((self.perm, self.phase))
 
-    def trace(self) -> CDyadic:
+    def trace(self) -> CRational:
         return sum((_PHASES[q] for r, (c, q) in
-                    enumerate(zip(self.perm, self.phase)) if r == c), CD_ZERO)
+                    enumerate(zip(self.perm, self.phase)) if r == c), _ZERO)
 
     def trace_with(self, m: SquareMatrix):
         """Tr(self @ m) = sum_r i**phase[r] * m[perm[r]][r], without

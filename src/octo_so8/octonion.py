@@ -5,9 +5,9 @@ identity) is entered verbatim as data -- it is ground truth here, never
 regenerated from a Fano-plane convention, because the whole point is to
 audit derived objects against this exact table.
 
-``Octonion`` is coefficient-ring agnostic: plain ints, Dyadic, CDyadic
-(bioctonions) and even floats/complex all work, since multiplication
-only needs +, * and unary - on the coefficients.
+``Octonion`` is coefficient-ring agnostic: plain ints, exact complex
+``CRational`` scalars (bioctonions) and even floats/complex all work,
+since multiplication only needs +, * and unary - on the coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import CDyadic, CD_HALF, CD_HALF_I, Dyadic
+from .exact import CRational
 from .matrices import SignedTable
 
 # cell (i, j) = (sign, k) meaning e_i * e_j = sign * e_k
@@ -192,9 +192,9 @@ def build_split_basis() -> SplitBasis:
     pairs = [(0, 7), (1, 4), (2, 5), (3, 6)]
     u, us = [], []
     for a, b in pairs:
-        coeffs = [CDyadic(0)] * 8
-        coeffs[a] = CD_HALF
-        coeffs[b] = CD_HALF_I
+        coeffs = [CRational(0)] * 8
+        coeffs[a] = CRational(1, 0, 2)
+        coeffs[b] = CRational(0, 1, 2)
         u.append(Octonion(coeffs))
         us.append(Octonion([c.conj() for c in coeffs]))
     return SplitBasis(tuple(u), tuple(us))
@@ -217,7 +217,7 @@ def verify_split_relations(basis: SplitBasis = None):
     identity instance, exact verdicts."""
     b = basis or build_split_basis()
     u, us = b.u, b.u_star
-    zero = Octonion.zero(CDyadic(0))
+    zero = Octonion.zero(CRational(0))
     checks = []
 
     def rec(name, lhs, rhs):

@@ -11,14 +11,10 @@ transcription.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
 
 from .matrices import SquareMatrix, from_blocks, diff_cells
-from .octonion import Octonion, SplitBasis, build_split_basis
-from .rotations import (DEFAULT_MAX_TERMS, DEFAULT_TOL, BlockDecomp,
-                        matrix_exp)
+from .octonion import build_split_basis
+from .rotations import BlockDecomp, spinor_transform
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,5 @@ def block_sum_oracle(a: SquareMatrix, b: SquareMatrix,
     return lhs == rhs
 
 
-def split_transform(phi: Sequence[Octonion], y_num: np.ndarray,
-                    tol: float = DEFAULT_TOL,
-                    max_terms: int = DEFAULT_MAX_TERMS) -> list:
-    """phi'_i = sum_j exp(Y)_{ij} phi_j, coefficients as complex."""
-    if len(phi) != y_num.shape[0]:
-        raise ValueError("spinor length does not match the matrix")
-    e = matrix_exp(y_num, tol, max_terms)
-    numeric = [Octonion([complex(c) for c in o.coeffs]) for o in phi]
-    out = []
-    for i in range(len(phi)):
-        acc = Octonion.zero(0j)
-        for j in range(len(phi)):
-            acc = acc + complex(e[i, j]) * numeric[j]
-        out.append(acc)
-    return out
+# The split spinor is transported exactly like the standard one.
+split_transform = spinor_transform

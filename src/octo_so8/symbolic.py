@@ -1,9 +1,11 @@
 """Formal linear combinations of the eight real component symbols f1..f8.
 
-A ``LinearForm`` is ``const + sum_k c_k * f_k`` with exact complex
-coefficients (``CDyadic`` or ``CRational``; the f symbols themselves are
-treated as real, so conjugation only conjugates coefficients).  Forms
-add, negate, and scale by exact scalars; two forms never multiply.
+A ``LinearForm`` is ``const + sum_k c_k * f_k`` with exact ``CRational``
+coefficients (the f symbols themselves are treated as real, so
+conjugation only conjugates coefficients).  Forms add, negate, and
+scale by exact scalars; two forms never multiply.  A scalar stands for
+the constant form, so it adds to, subtracts from and compares with a
+form.
 
 The token grammar (used by fixture files and the CLI) writes a form as
 sign-joined terms with ``*`` separators and no whitespace:
@@ -15,18 +17,17 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .exact import (CDyadic, CRational, CD_ZERO, CD_ONE, Dyadic,
-                    ScalarParseError, parse_cdyadic, render_cdyadic)
-
-_SCALARS = (int, Dyadic, CDyadic, CRational)
+from .exact import (CRational, ScalarParseError, as_scalar,
+                    parse_cdyadic)
 
 
-def _as_coeff(v):
-    if isinstance(v, (CDyadic, CRational)):
-        return v
-    if isinstance(v, (int, Dyadic)):
-        return CDyadic(v if isinstance(v, Dyadic) else Dyadic(v))
-    raise TypeError(f"bad coefficient {v!r}")
+def _as_form(value):
+    """``value`` as a LinearForm (a scalar becomes a constant form);
+    None for anything else."""
+    if isinstance(value, LinearForm):
+        return value
+    c = as_scalar(value)
+    return None if c is None else LinearForm.const(c)
 
 
 class LinearForm:
@@ -38,7 +39,10 @@ class LinearForm:
         # coeffs[0] is the constant term, coeffs[k] multiplies f_k
         if len(coeffs) != 9:
             raise ValueError("need 9 coefficients (const + f1..f8)")
-        object.__setattr__(self, "coeffs", tuple(_as_coeff(c) for c in coeffs))
+        coeffs = tuple(map(as_scalar, coeffs))
+        if any(c is None for c in coeffs):
+            raise TypeError("coefficients must be int, Fraction or CRational")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("LinearForm is immutable")
@@ -68,24 +72,24 @@ class LinearForm:
         return self.coeffs[k]
 
     def __add__(self, other):
-        if isinstance(other, LinearForm):
-            return LinearForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        if isinstance(other, _SCALARS):
-            return self + LinearForm.const(other)
-        return NotImplemented
+        o = _as_form(other)
+        if o is None:
+            return NotImplemented
+        return LinearForm([a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (LinearForm,) + _SCALARS):
-            return self + (-other if isinstance(other, LinearForm)
-                           else LinearForm.const(other) * -1)
-        return NotImplemented
+        o = _as_form(other)
+        if o is None:
+            return NotImplemented
+        return LinearForm([a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return LinearForm.const(other) - self
-        return NotImplemented
+        o = _as_form(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __neg__(self):
         return LinearForm([-c for c in self.coeffs])
@@ -93,24 +97,27 @@ class LinearForm:
     def __mul__(self, other):
         if isinstance(other, LinearForm):
             raise TypeError("product of two linear forms is not linear")
-        if isinstance(other, _SCALARS):
-            return LinearForm([c * other for c in self.coeffs])
-        return NotImplemented
+        c = as_scalar(other)
+        if c is None:
+            return NotImplemented
+        return LinearForm([x * c for x in self.coeffs])
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = LinearForm.const(other)
-        if not isinstance(other, LinearForm):
+        o = _as_form(other)
+        if o is None:
             return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant form equals its scalar, so it hashes like it
+        if all(c.is_zero() for c in self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def conj(self) -> "LinearForm":
         return LinearForm([c.conj() for c in self.coeffs])
@@ -118,8 +125,7 @@ class LinearForm:
     def has_imaginary_coeff(self) -> bool:
         """True when any symbol coefficient (or the constant) has an
         imaginary part."""
-        return any(c.im != 0 if isinstance(c, CRational) else not c.im.is_zero()
-                   for c in self.coeffs)
+        return any(not c.is_real() for c in self.coeffs)
 
     def substitute(self, fvals: Sequence):
         """Evaluate at f = fvals (8 scalars); returns a scalar."""
@@ -137,54 +143,31 @@ class LinearForm:
         return f"LinearForm({self})"
 
 
-def _is_zero(c) -> bool:
-    return c.is_zero()
-
-
 _ZERO = LinearForm([0] * 9)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-def _coeff_token(c) -> str:
-    """Render a coefficient for use in front of '*fk'.
+def _wrap_mixed(token: str) -> str:
+    """Parenthesize a token with both a real and an imaginary part."""
+    return "(" + token + ")" if "+" in token[1:] or "-" in token[1:] else token
 
-    Returns '' for 1, '-' for -1, 'i*'/' -i*' style otherwise; mixed
-    complex coefficients come back parenthesized.
+
+def _coeff_token(c) -> str:
+    """Render a coefficient for use in front of 'fk'.
+
+    Returns None for 0, '' for 1, '-' for -1, and otherwise the scalar
+    token and '*' ('i*', '-1/2*'); mixed complex coefficients come back
+    parenthesized.
     """
-    if isinstance(c, CRational):
-        re_zero, im = c.re == 0, c.im
-        if re_zero and im == 0:
-            return None
-        if re_zero:
-            if im == 1:
-                return "i*"
-            if im == -1:
-                return "-i*"
-            return str(CRational(0, im)) + "*"
-        if im == 0:
-            if c.re == 1:
-                return ""
-            if c.re == -1:
-                return "-"
-            return str(c.re) + "*"
-        return "(" + str(c) + ")*"
     if c.is_zero():
         return None
-    if c.is_real():
-        if c == 1:
-            return ""
-        if c == -1:
-            return "-"
-        return str(c.re) + "*"
-    if c.re.is_zero():
-        if c == CDyadic(0, 1):
-            return "i*"
-        if c == CDyadic(0, -1):
-            return "-i*"
-        return render_cdyadic(c) + "*"
-    return "(" + render_cdyadic(c) + ")*"
+    if c == 1:
+        return ""
+    if c == -1:
+        return "-"
+    return _wrap_mixed(str(c)) + "*"
 
 
 def render_linear_form(form: LinearForm) -> str:
@@ -195,11 +178,8 @@ def render_linear_form(form: LinearForm) -> str:
             continue
         parts.append(tok + f"f{k}")
     c0 = form.coeffs[0]
-    if not _is_zero(c0):
-        s = str(c0)
-        if "+" in s[1:] or "-" in s[1:]:
-            s = "(" + s + ")"
-        parts.append(s)
+    if not c0.is_zero():
+        parts.append(_wrap_mixed(str(c0)))
     if not parts:
         return "0"
     out = parts[0]
@@ -273,21 +253,22 @@ def _split_factors(term: str):
 
 
 def parse_linear_expr(text: str, symbols: Sequence[str]) -> dict:
-    """Parse an expression into {symbol_name: CDyadic}; '' keys the constant.
+    """Parse an expression into {symbol_name: CRational}; '' keys the
+    constant.
 
     ``symbols`` lists the symbol names allowed (e.g. f1..f8, or theta).
     """
     s = "".join(text.split())
     if not s:
         raise FormParseError("empty expression")
-    out = {name: CD_ZERO for name in symbols}
-    out[""] = CD_ZERO
+    out = {name: CRational(0) for name in symbols}
+    out[""] = CRational(0)
     for term in _split_terms(s):
         sign = 1
         if term[0] in "+-":
             sign = -1 if term[0] == "-" else 1
             term = term[1:]
-        coeff = CD_ONE if sign == 1 else -CD_ONE
+        coeff = CRational(sign)
         sym = None
         for factor in _split_factors(term):
             if factor in symbols:
@@ -315,6 +296,6 @@ def parse_linear_form(text: str) -> LinearForm:
 
 
 def parse_theta_affine(text: str) -> tuple:
-    """Parse a token over {1, theta} into (const, theta_coeff) CDyadics."""
+    """Parse a token over {1, theta} into (const, theta_coeff) scalars."""
     d = parse_linear_expr(text, ["theta"])
     return d[""], d["theta"]

@@ -146,6 +146,30 @@ class TestRotate:
         assert rc == 2
         assert "error:" in err
 
+    def test_singular_rotation_names_plane_and_theta(self, capsys):
+        rc, out, err = run(capsys, "rotate", "3", "7", "--theta", "1",
+                           "--f", "1,0,0,0,0,0,0,0")
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: rotation of plane (3,7) with theta=1 is "
+                       "singular at column 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"),   # numeric
+        ("3", "7"),              # symbolic, product differs from beta1 beta2
+    ])
+    def test_fixtures_read_only_where_needed(self, capsys, argv):
+        rc, out, err = run(capsys, "rotate", *argv,
+                           "--fixtures", "/nonexistent/dir")
+        assert (rc, err) == (0, "")
+        assert out == run(capsys, "rotate", *argv)[1]
+
+    def test_eq14_plane_still_needs_fixtures(self, capsys):
+        rc, _, err = run(capsys, "rotate", "5", "6",
+                         "--fixtures", "/nonexistent/dir")
+        assert rc == 2
+        assert err.startswith("error: fixture directory not found")
+
 
 class TestSpinor:
     def test_zero_action_is_identity(self, capsys):

@@ -1,5 +1,6 @@
-"""Exact scalar tower: dyadics, complex dyadics, complex rationals."""
+"""The one exact scalar type: normalized complex rationals (a + b*i)/d."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from octo_so8 import (
     CRational,
     Dyadic,
     InexactFloatError,
+    LinearForm,
     ScalarParseError,
     parse_cdyadic,
     parse_dyadic,
@@ -18,20 +20,27 @@ from octo_so8 import (
 
 dyadics = st.builds(Dyadic, st.integers(-64, 64), st.integers(0, 6))
 cdyadics = st.builds(CDyadic, dyadics, dyadics)
-crationals = st.builds(
-    CRational,
-    st.fractions(min_value=-8, max_value=8, max_denominator=64),
-    st.fractions(min_value=-8, max_value=8, max_denominator=64),
-)
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+crationals = st.builds(CRational, rationals, rationals)
+# one type, drawn both inside and outside the dyadics
+scalars = st.one_of(cdyadics, crationals)
+
+
+def is_power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
 
 
 class TestDyadicNormalization:
+    """Dyadic(num, exp) and every other scalar land in the one normal
+    form: (a + b*i)/d with d > 0 and gcd(a, b, d) == 1."""
+
     def test_reduced_form(self):
         d = Dyadic(12, 4)
-        assert (d.num, d.exp) == (3, 2)
+        assert (d.a, d.b, d.d) == (3, 0, 4)
 
     def test_zero_collapses_exponent(self):
-        assert (Dyadic(0, 7).num, Dyadic(0, 7).exp) == (0, 0)
+        for z in (Dyadic(0, 7), CRational(0, 0, 12)):
+            assert (z.a, z.b, z.d) == (0, 0, 1)
 
     def test_negative_exponent_shifts_numerator(self):
         assert Dyadic(3, -2) == Dyadic(12)
@@ -39,13 +48,34 @@ class TestDyadicNormalization:
     @given(st.integers(-200, 200), st.integers(-5, 10))
     def test_invariant(self, num, exp):
         d = Dyadic(num, exp)
-        assert d.exp >= 0
-        assert d.exp == 0 or d.num % 2 == 1
-        assert d.to_fraction() == Fraction(num, 1) * Fraction(2) ** -exp
+        assert d.b == 0 and is_power_of_two(d.d)
+        assert math.gcd(d.a, d.d) == 1
+        assert Fraction(d.a, d.d) == num * Fraction(2) ** -exp
+
+    @given(st.integers(-200, 200), st.integers(-200, 200),
+           st.integers(-50, 50).filter(bool))
+    def test_crational_invariant(self, a, b, d):
+        z = CRational(a, b, d)
+        assert z.d > 0
+        assert math.gcd(z.a, z.b, z.d) == 1
+        assert Fraction(z.a, z.d) == Fraction(a, d)
+        assert Fraction(z.b, z.d) == Fraction(b, d)
+
+    def test_negative_denominator_moves_the_sign(self):
+        z = CRational(2, -4, -6)
+        assert (z.a, z.b, z.d) == (-1, 2, 3)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            CRational(1, 0, 0)
+
+    def test_parts_may_be_fractions(self):
+        z = CRational(Fraction(1, 2), Fraction(-1, 3))
+        assert (z.a, z.b, z.d) == (3, -2, 6)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
-            Dyadic(1).num = 2
+            Dyadic(1).a = 2
 
 
 class TestRingAxioms:
@@ -58,19 +88,28 @@ class TestRingAxioms:
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == CDyadic(0)
         assert a * CDyadic(1) == a
+        # the dyadics are closed under the ring operations
+        for z in (a + b, a - b, a * b, -a, a.conj()):
+            assert is_power_of_two(z.d)
 
-    @given(crationals, crationals, crationals)
+    @given(scalars, scalars, scalars)
     def test_crational_ring(self, a, b, c):
         assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
         assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-b)
+        assert a + (-a) == CRational(0)
+        assert a * CRational(1) == a
 
-    @given(cdyadics, cdyadics)
+    @given(scalars, scalars)
     def test_conjugation_is_multiplicative(self, a, b):
         assert (a * b).conj() == a.conj() * b.conj()
-        assert a.abs2() == (a * a.conj()).re
+        n = a * a.conj()
+        assert n.is_real() and n.a >= 0
 
-    @given(crationals)
+    @given(scalars)
     def test_field_inverse(self, a):
         if a.is_zero():
             with pytest.raises(ZeroDivisionError):
@@ -78,12 +117,17 @@ class TestRingAxioms:
         else:
             assert a * a.inv() == CRational(1)
             assert CRational(1) / a == a.inv()
+            assert 1 / a == a.inv()
 
 
 class TestPromotion:
+    """The names of the former promotion ladder all build the one type;
+    int and Fraction operands are coerced into it."""
+
     def test_int_into_dyadic(self):
         assert 1 + Dyadic(1, 1) == Dyadic(3, 1)
         assert 2 * Dyadic(1, 1) == Dyadic(1)
+        assert 1 - CRational(0, 1) == CRational(1, -1)
 
     def test_dyadic_into_cdyadic(self):
         z = Dyadic(1, 1) + CDyadic(0, 1)
@@ -94,30 +138,112 @@ class TestPromotion:
         assert isinstance(z, CRational)
         assert z == CRational(Fraction(1, 3), Fraction(1, 3))
 
+    def test_fraction_operands(self):
+        third = Fraction(1, 3)
+        assert CDyadic(1, 1) * third == CRational(third, third)
+        assert third + CRational(0, 1) == CRational(1, 3, 3)
+
     def test_cross_type_equality(self):
         assert CRational(Fraction(1, 2)) == CDyadic(Dyadic(1, 1))
         assert CDyadic(Dyadic(1, 1)) == CRational(Fraction(1, 2))
 
+    def test_one_type_behind_three_names(self):
+        assert CDyadic is CRational
+        assert type(Dyadic(1, 1) + Dyadic(1, 1)) is CRational
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             CDyadic(1) * 0.5
+        with pytest.raises(TypeError):
+            CRational(0.5)
+        with pytest.raises(TypeError):
+            CRational(CRational(0, 1))      # a part must be real
+        assert CRational(1) != "1"
+
+
+def _as(kind: str, re: Fraction, im: Fraction):
+    """The value re + im*i written as one of the scalar types, or None
+    when that type cannot hold it."""
+    if kind == "int":
+        return int(re) if im == 0 and re.denominator == 1 else None
+    if kind == "Fraction":
+        return re if im == 0 else None
+    if kind == "Dyadic":
+        exp = re.denominator.bit_length() - 1
+        ok = im == 0 and is_power_of_two(re.denominator)
+        return Dyadic(re.numerator, exp) if ok else None
+    return {"CDyadic": CDyadic, "CRational": CRational}[kind](re, im)
+
+
+KINDS = ("int", "Fraction", "Dyadic", "CDyadic", "CRational")
+small = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                         Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3)])
+written = st.builds(_as, st.sampled_from(KINDS), small,
+                    st.sampled_from([Fraction(0), Fraction(0), Fraction(1)])
+                    ).filter(lambda v: v is not None)
+
+
+class TestHash:
+    """x == y must imply hash(x) == hash(y), across every way of writing
+    a scalar and the linear forms built from them."""
+
+    @given(written, written)
+    def test_scalars(self, x, y):
+        assert (x == y) == (y == x)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @given(written, written, st.integers(1, 8))
+    def test_linear_forms(self, x, y, k):
+        pairs = [(LinearForm.const(x), LinearForm.const(y)),
+                 (LinearForm.symbol(k, x), LinearForm.symbol(k, y)),
+                 (LinearForm.const(x), y)]
+        for p, q in pairs:
+            assert (p == q) == (q == p)
+            if p == q:
+                assert hash(p) == hash(q)
+
+    def test_known_cases(self):
+        assert hash(Dyadic(1)) == hash(1)
+        assert hash(Dyadic(-3, 2)) == hash(Fraction(-3, 4))
+        assert len({LinearForm.const(CDyadic(1)),
+                    LinearForm.const(CRational(1))}) == 1
 
 
 class TestFloatConversion:
     def test_exact_value(self):
-        assert Dyadic(3, 2).to_float_exact() == 0.75
+        assert Dyadic(3, 2).to_complex_exact() == 0.75
+        assert float(Dyadic(3, 2)) == 0.75
 
     def test_inexact_raises(self):
-        with pytest.raises(InexactFloatError):
-            Dyadic(2**60 + 1).to_float_exact()
+        for z in (Dyadic(2**60 + 1), CRational(1, 0, 3), CRational(0, 1, 3)):
+            with pytest.raises(InexactFloatError):
+                z.to_complex_exact()
 
     def test_complex_protocol(self):
         assert complex(CDyadic(Dyadic(1, 1), Dyadic(-1))) == 0.5 - 1j
         assert complex(CRational(Fraction(1, 4), Fraction(-3))) == 0.25 - 3j
+        assert float(CRational(1, 0, 3)) == 1 / 3
+
+    def test_float_of_non_real_rejected(self):
+        with pytest.raises(TypeError):
+            float(CRational(0, 1))
 
 
 CANONICAL_TOKENS = ["0", "1", "-3", "1/2", "-1/2", "i", "-i", "2i", "1/2i",
                     "-1/2+1/2i", "1-i", "-3/4-5/8i"]
+
+
+def read_token(tok: str) -> CRational:
+    """Test-side reader of any rendered token, dyadic or not."""
+    if not tok.endswith("i"):
+        return CRational(Fraction(tok))
+    body = tok[:-1]
+    k = max(body.rfind("+"), body.rfind("-"))
+    re_tok, im_tok = (body[:k], body[k:]) if k > 0 else ("0", body)
+    if im_tok in ("", "+", "-"):
+        im_tok += "1"
+    return CRational(Fraction(re_tok), Fraction(im_tok))
 
 
 class TestTokenGrammar:
@@ -125,16 +251,28 @@ class TestTokenGrammar:
     def test_render_parse_roundtrip(self, tok):
         assert render_cdyadic(parse_cdyadic(tok)) == tok
 
-    @given(cdyadics)
+    @given(scalars)
     def test_parse_render_roundtrip(self, z):
-        assert parse_cdyadic(render_cdyadic(z)) == z
+        tok = str(z)
+        assert " " not in tok
+        assert read_token(tok) == z
+        if is_power_of_two(z.d):
+            assert parse_cdyadic(tok) == z
+        else:
+            with pytest.raises(ScalarParseError):
+                parse_cdyadic(tok)
+
+    def test_non_dyadic_tokens(self):
+        assert str(CRational(15, 0, 17)) == "15/17"
+        assert str(CRational(-3, 2, 6)) == "-1/2+1/3i"
+        assert str(CRational(0, -2, 3)) == "-2/3i"
 
     def test_parse_values(self):
         assert parse_cdyadic("-1/2+1/2i") == CDyadic(Dyadic(-1, 1), Dyadic(1, 1))
         assert parse_dyadic("-12/16") == Dyadic(-3, 2)
 
     @pytest.mark.parametrize("tok", ["", "1/3", "0.25", "i+i", "2+3", "x",
-                                     "1//2", "+-1", "1/2j"])
+                                     "1//2", "+-1", "1/2j", "1/0"])
     def test_rejects_malformed(self, tok):
         with pytest.raises(ScalarParseError):
             parse_cdyadic(tok)

@@ -93,9 +93,11 @@ class TestRotationOperator:
             plane_product(0, 2)
 
     def test_exact_inverse(self):
+        # R's entries are already exact scalars: no conversion before
+        # the elimination
         r = rotation_operator(1, 2, Dyadic(1, 1))
-        r_q = r.map(CRational._coerce)
-        assert r_q @ invert_exact(r_q) == SquareMatrix.identity(8)
+        assert all(type(e) is CRational for row in r.rows for e in row)
+        assert r @ invert_exact(r) == SquareMatrix.identity(8)
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularRotation):
@@ -216,6 +218,21 @@ class TestNumericExponential:
             a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             a *= 0.8
             assert np.max(np.abs(matrix_exp(a) - scipy.linalg.expm(a))) < 1e-9
+
+    @pytest.mark.parametrize("reading", ["sigma", "tensor"])
+    def test_relative_error_on_generator_sums(self, reading):
+        # tol bounds only the last Taylor term of the scaled series; the
+        # error of e^X itself stays under the spinor bound of 1e-9
+        rng = np.random.default_rng(20261018)
+        bs = beta_set(reading)
+        worst = 0.0
+        for _ in range(300):
+            f = rng.standard_normal(8) * rng.uniform(0.01, 30, 8)
+            x = numeric_X(list(f), bs)
+            ref = scipy.linalg.expm(x)
+            err = np.max(np.abs(matrix_exp(x) - ref)) / np.max(np.abs(ref))
+            worst = max(worst, err)
+        assert worst < 1e-9
 
     def test_diagonal_oracle(self):
         d = np.diag([0.5, -1.0, 2.0, 0.0]).astype(np.complex128)
