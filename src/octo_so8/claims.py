@@ -6,6 +6,9 @@ deterministic ClaimReport.  Refutations are report content, never
 exceptions; only operational failures (missing files, parse errors)
 raise.  Checkers return (status, details) with status one of
 "confirmed", "refuted", "degenerate".
+
+Every checker is exact except exp-action, the only one that uses
+numpy; it imports numpy on its first call.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .exact import CRational
 from .fixtures import FixtureStore
@@ -212,6 +213,7 @@ def _check_eq8_eq9_blocks(fx, ctx):
 def _check_exp_action(fx, ctx):
     # Always run on the canonical sigma reading: a duplicated beta8
     # would test the generator text again, not the exponential.
+    import numpy as np
     bs = beta_set("sigma")
     zero = np.zeros((8, 8), dtype=np.complex128)
     identity_exact = bool(np.array_equal(matrix_exp(zero),

@@ -17,8 +17,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .claims import REFUTED, render_markdown, run_all, to_json
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
@@ -26,7 +24,8 @@ from .matrices import beta_set, build_E, compare_tables, signed_table
 from .rotations import (DEFAULT_MAX_TERMS, DEFAULT_TOL, NonFiniteInput,
                         assemble_X, extract_components, numeric_X,
                         plane_product, rotate_exact, rotation_component_map,
-                        spinor_transform, standard_spinor, substitute_matrix)
+                        spinor_transform, standard_spinor, substitute_matrix,
+                        substitute_numeric)
 from .splitrep import split_transform
 from .symbolic import render_linear_form
 
@@ -174,6 +173,14 @@ def _parse_f_exact(text: str) -> list:
     return [parse_dyadic(p.strip()) for p in parts]
 
 
+def _flag_value(flag: str, text: str, parse):
+    """parse(text); a ScalarParseError names the flag and its value."""
+    try:
+        return parse(text)
+    except ScalarParseError as exc:
+        raise ScalarParseError(f"{flag}={text}: {exc}") from None
+
+
 def _parse_f_numeric(text: str) -> list:
     parts = text.split(",")
     if len(parts) != 8:
@@ -239,8 +246,8 @@ def cmd_rotate(args) -> int:
         print("\n".join(out))
         return 0
 
-    theta = parse_dyadic(args.theta)
-    fvals = _parse_f_exact(args.f)
+    theta = _flag_value("--theta", args.theta, parse_dyadic)
+    fvals = _flag_value("--f", args.f, _parse_f_exact)
     first = cm.apply(fvals, theta)
     first_residual = abs(float(theta)) * _max_abs_cells(cm.residual, fvals)
     rotated = rotate_exact(substitute_matrix(assemble_X(bs), fvals),
@@ -310,10 +317,7 @@ def _spinor(args, fvals) -> int:
     if args.split:
         from .splitrep import build_split_spinor
         fx = load_fixtures(_fixture_dir(args))
-        y_total = fx.eq21_y1 + fx.eq21_y2
-        y_num = np.array(
-            [[_eval_form(y_total.at(i, j), fvals) for j in range(8)]
-             for i in range(8)], dtype=np.complex128)
+        y_num = substitute_numeric(fx.eq21_y1 + fx.eq21_y2, fvals)
         phi_out = split_transform(build_split_spinor().components, y_num,
                                   tol=args.tol,
                                   max_terms=DEFAULT_MAX_TERMS)
@@ -330,13 +334,6 @@ def _spinor(args, fvals) -> int:
     else:
         print("\n".join(lines))
     return 0
-
-
-def _eval_form(form, fvals) -> complex:
-    acc = complex(form.constant)
-    for a in range(8):
-        acc += complex(form.coeff(a + 1)) * fvals[a]
-    return acc
 
 
 def cmd_gram(args) -> int:

@@ -7,20 +7,25 @@ elimination over the rational-complex field, f symbols carried
 linearly), the first-order commutator approximation, component
 extraction by trace projection, the duplicate-plane scan, and the
 numeric matrix exponential used for spinor transport.
+
+Only the numeric section uses floats.  Its functions import numpy on
+their first call, so the exact layers, and the subcommands built on
+them alone, never load it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exact import CRational
 from .matrices import BetaSet, Monomial, SquareMatrix, beta_set, gram
 from .octonion import Octonion
 from .symbolic import LinearForm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StructureMismatch(ValueError):
@@ -222,12 +227,18 @@ class ComponentMap:
 
 def rotation_component_map(k: int, l: int,
                            betas: Optional[BetaSet] = None) -> ComponentMap:
-    """Trace-projected first-order action of the (k, l) rotation."""
+    """Trace-projected first-order action of the (k, l) rotation.
+    Raises DegenerateBasis, naming the plane and the reading, when the
+    generator Gram matrix is singular."""
     bs = betas or beta_set()
     x = assemble_X(bs)
     n = plane_product(k, l, bs)
     comm = (n @ x) - (x @ n)
-    forms, residual = extract_components(comm, bs)
+    try:
+        forms, residual = extract_components(comm, bs)
+    except DegenerateBasis as exc:
+        raise DegenerateBasis(
+            f"plane ({k},{l}) under the {bs.variant} reading: {exc}") from None
     return ComponentMap(k, l, forms, residual)
 
 
@@ -257,6 +268,7 @@ def to_complex_array(m) -> np.ndarray:
     """Exact scalar matrix (dense or Monomial) -> complex128; raises
     InexactFloatError when an entry is not exactly representable in
     binary64."""
+    import numpy as np
     out = np.empty((m.n, m.n), dtype=np.complex128)
     for i in range(m.n):
         for j in range(m.n):
@@ -281,11 +293,27 @@ def _generator_arrays(bs: BetaSet) -> tuple:
 
 def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> np.ndarray:
     """sum_A f_A beta_A as a complex array; fvals may be floats."""
+    import numpy as np
     arrays = _generator_arrays(betas or beta_set())
     acc = np.zeros((8, 8), dtype=np.complex128)
     for a in range(8):
         acc = acc + complex(fvals[a]) * arrays[a]
     return acc
+
+
+def substitute_numeric(x: SquareMatrix, fvals: Sequence) -> np.ndarray:
+    """Every linear-form entry evaluated at float f = fvals, as a
+    complex array: the numeric twin of substitute_matrix."""
+    import numpy as np
+    out = np.empty((x.n, x.n), dtype=np.complex128)
+    for i in range(x.n):
+        for j in range(x.n):
+            form = x.at(i, j)
+            acc = complex(form.constant)
+            for a in range(8):
+                acc += complex(form.coeff(a + 1)) * fvals[a]
+            out[i, j] = acc
+    return out
 
 
 DEFAULT_TOL = 2.0 ** -40
@@ -306,6 +334,7 @@ def matrix_exp(m: np.ndarray, tol: float = DEFAULT_TOL,
     NonFiniteInput when the input or the result holds NaN or infinity,
     ToleranceNotMet when the series does not converge.
     """
+    import numpy as np
     a = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput("matrix contains NaN or infinity")
@@ -359,9 +388,11 @@ def standard_spinor() -> list:
 
 
 def hermiticity_defect(e: np.ndarray) -> float:
+    import numpy as np
     return float(np.max(np.abs(e - e.conj().T)))
 
 
 def unitarity_defect(e: np.ndarray) -> float:
+    import numpy as np
     n = e.shape[0]
     return float(np.max(np.abs(e.conj().T @ e - np.eye(n))))

@@ -131,6 +131,15 @@ class TestRotate:
         rc, _, err = run(capsys, "rotate", "1", "2", "--theta", "1/4",
                          "--f", "1,2,3")
         assert rc == 2
+        assert err == ("error: --f=1,2,3: need exactly 8 comma-separated "
+                       "f values\n")
+
+    def test_non_dyadic_f_entry(self, capsys):
+        rc, out, err = run(capsys, "rotate", "1", "2", "--theta=1/4",
+                           "--f=1,0,0,0,0,0,0,1/3")
+        assert (rc, out) == (2, "")
+        assert err == ("error: --f=1,0,0,0,0,0,0,1/3: denominator 3 is not "
+                       "a power of two\n")
 
     def test_negative_theta_residual_is_a_magnitude(self, capsys):
         argv = ("rotate", "1", "2", "--theta=-1/4", "--f=1,0,0,1,0,0,0,0")
@@ -144,7 +153,7 @@ class TestRotate:
         rc, _, err = run(capsys, "rotate", "1", "2", "--theta", "1/3",
                          "--f", "1,0,0,0,0,0,0,0")
         assert rc == 2
-        assert "error:" in err
+        assert err == "error: --theta=1/3: denominator 3 is not a power of two\n"
 
     def test_singular_rotation_names_plane_and_theta(self, capsys):
         rc, out, err = run(capsys, "rotate", "3", "7", "--theta", "1",
@@ -153,6 +162,16 @@ class TestRotate:
         assert out == ""
         assert err == ("error: rotation of plane (3,7) with theta=1 is "
                        "singular at column 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("3", "7"),                                         # symbolic
+        ("3", "7", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"),   # exact
+    ])
+    def test_tensor_degenerate_names_plane_and_reading(self, capsys, argv):
+        rc, out, err = run(capsys, "rotate", *argv, "--beta-variant", "tensor")
+        assert (rc, out) == (2, "")
+        assert err == ("error: plane (3,7) under the tensor reading: "
+                       "generator Gram matrix is singular\n")
 
     @pytest.mark.parametrize("argv", [
         ("1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"),   # numeric
