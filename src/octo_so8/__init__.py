@@ -5,8 +5,7 @@ transcription fixtures."""
 from .claims import (ClaimReport, ClaimResult, TOOLKIT_VERSION,
                      render_markdown, run_all, to_json)
 from .exact import (CDyadic, CRational, Dyadic, InexactFloatError,
-                    ScalarParseError, parse_cdyadic, parse_dyadic,
-                    render_cdyadic, render_dyadic)
+                    ScalarParseError, parse_cdyadic, parse_dyadic)
 from .fixtures import FixtureError, FixtureStore, load_fixtures
 from .matrices import (BetaSet, EMatrixSet, SignedTable, SquareMatrix,
                        TableDiff, anticommutator_audit, audit_E_alternates,
@@ -18,8 +17,8 @@ from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
                         block_decompose, duplicate_rotation_scan,
                         extract_components, invert_exact, matrix_exp,
                         plane_product, rotate_exact, rotate_first_order,
-                        rotation_component_map, rotation_operator,
-                        spinor_transform, standard_spinor, substitute_matrix)
+                        rotation_component_map, spinor_transform,
+                        standard_spinor, substitute_matrix)
 from .splitrep import YFixture, audit_Y_blocks, build_split_spinor, \
     split_transform
 from .symbolic import FormParseError, LinearForm, parse_linear_form, \

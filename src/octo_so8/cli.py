@@ -6,13 +6,15 @@ subcommand also emits canonical JSON with ``--format json``.
 
 Exit codes: 0 on success; 1 when ``verify --strict`` finds refuted
 claims; 2 on operational errors (missing fixtures, malformed tokens,
-degenerate inputs).
+degenerate inputs); 141 (128 + SIGPIPE), with nothing on stderr, when
+stdout is closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -22,9 +24,10 @@ from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, build_E, compare_tables, signed_table
 from .rotations import (DEFAULT_MAX_TERMS, DEFAULT_TOL, NonFiniteInput,
-                        assemble_X, extract_components, numeric_X,
-                        plane_product, rotate_exact, rotation_component_map,
-                        spinor_transform, standard_spinor, substitute_matrix,
+                        ToleranceNotMet, assemble_X, extract_components,
+                        numeric_X, plane_product, rotate_exact,
+                        rotation_component_map, spinor_transform,
+                        standard_spinor, substitute_matrix,
                         substitute_numeric)
 from .splitrep import split_transform
 from .symbolic import render_linear_form
@@ -84,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="8 comma-separated numeric components "
                         "(decimals allowed)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="stop the Taylor series of the 2^-s-scaled "
-                        "exponent at a term below this (bounds that term, "
-                        "not the error of exp(X))")
+                   help="positive and finite; stop the Taylor series of "
+                        "the 2^-s-scaled exponent at a term below this "
+                        "(bounds that term, not the error of exp(X))")
     p.add_argument("--split", action="store_true",
                    help="also transform the split spinor by exp(Y) "
                         "(Y from the bundled fixture)")
@@ -166,11 +169,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _parse_f_exact(text: str) -> list:
-    parts = text.split(",")
+def _f_parts(text: str) -> list:
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != 8:
         raise ScalarParseError("need exactly 8 comma-separated f values")
-    return [parse_dyadic(p.strip()) for p in parts]
+    return parts
+
+
+def _parse_f_exact(text: str) -> list:
+    return [parse_dyadic(p) for p in _f_parts(text)]
 
 
 def _flag_value(flag: str, text: str, parse):
@@ -182,12 +189,8 @@ def _flag_value(flag: str, text: str, parse):
 
 
 def _parse_f_numeric(text: str) -> list:
-    parts = text.split(",")
-    if len(parts) != 8:
-        raise ScalarParseError("need exactly 8 comma-separated f values")
     out = []
-    for p in parts:
-        p = p.strip()
+    for p in _f_parts(text):
         try:
             out.append(float(p))
         except ValueError:
@@ -295,16 +298,20 @@ def _render_octonion_line(label: str, terms) -> str:
 
 
 def cmd_spinor(args) -> int:
-    fvals = _parse_f_numeric(args.f)
+    fvals = _flag_value("--f", args.f, _parse_f_numeric)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol={args.tol:g}: must be positive and finite")
     try:
         return _spinor(args, fvals)
     except NonFiniteInput as exc:
         raise NonFiniteInput(f"--f={args.f}: {exc}") from None
+    except ToleranceNotMet as exc:
+        raise ToleranceNotMet(f"--tol={args.tol:g}: {exc}") from None
 
 
 def _spinor(args, fvals) -> int:
     """Transform and print; raises NonFiniteInput when e^X or e^Y
-    overflows."""
+    overflows, ToleranceNotMet when a series misses tol."""
     bs = beta_set(args.beta_variant)
     psi_out = spinor_transform(standard_spinor(), numeric_X(fvals, bs),
                                tol=args.tol, max_terms=DEFAULT_MAX_TERMS)
@@ -373,7 +380,15 @@ def cmd_dump_beta(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader went away.  Send what is still buffered to devnull,
+        # so the flush at exit cannot fail again, and exit quietly as
+        # SIGPIPE would (see the SIGPIPE note in the signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FixtureError, ScalarParseError, ValueError, ArithmeticError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

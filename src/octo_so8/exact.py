@@ -215,12 +215,6 @@ class Dyadic(CRational):
 # A token is one or two signed atoms, at most one real and one imaginary,
 # each an integer or integer/power-of-two with an optional trailing "i".
 
-def render_cdyadic(z: CRational) -> str:
-    return str(z)
-
-
-render_dyadic = render_cdyadic
-
 _ATOM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?(i?)$")
 
 

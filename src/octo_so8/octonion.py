@@ -37,10 +37,6 @@ class StructureTable:
     def __init__(self, cells=_T):
         self.cells = tuple(tuple(row) for row in cells)
 
-    def mul_basis(self, i: int, j: int):
-        """(sign, k) with e_i e_j = sign e_k."""
-        return self.cells[i][j]
-
     def to_signed_table(self) -> SignedTable:
         return SignedTable(self.cells)
 
@@ -159,10 +155,6 @@ def _zeroish(a) -> bool:
     return a == 0
 
 
-def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
-    return (x * y) * z - x * (y * z)
-
-
 def commutator(x: Octonion, y: Octonion) -> Octonion:
     return x * y - y * x
 
@@ -177,11 +169,6 @@ def commutator(x: Octonion, y: Octonion) -> Octonion:
 class SplitBasis:
     u: tuple        # u_0..u_3
     u_star: tuple   # u_0*..u_3*
-
-    def element(self, name: str) -> Octonion:
-        star = name.endswith("*")
-        k = int(name[1])
-        return (self.u_star if star else self.u)[k]
 
     def ordered(self):
         """(u0, u1, u2, u3, u0*, u1*, u2*, u3*)"""

@@ -2,11 +2,17 @@
 
 The symbolic object of interest is X = sum_A f_A beta_A, an 8x8 matrix
 of linear forms.  Rotations act by conjugation with R_kl = I + theta *
-beta_k beta_l; this module provides the exact conjugation (Gaussian
-elimination over the rational-complex field, f symbols carried
+N, where N = beta_k beta_l is a signed permutation (a ``Monomial``)
+with N^2 = s*I, s = +1 or -1, for every plane of both readings.  So
+R (I - theta N) = (1 - s theta^2) I and
+
+    R X R^-1 = (X + theta (N X - X N) - theta^2 N X N) / (1 - s theta^2),
+
+three permutations of X's entries and no dense product or elimination.
+The module provides that exact conjugation (f symbols carried
 linearly), the first-order commutator approximation, component
-extraction by trace projection, the duplicate-plane scan, and the
-numeric matrix exponential used for spinor transport.
+extraction by the trace projection Tr(beta_A M) / 8, the duplicate-plane
+scan, and the numeric matrix exponential used for spinor transport.
 
 Only the numeric section uses floats.  Its functions import numpy on
 their first call, so the exact layers, and the subcommands built on
@@ -38,7 +44,8 @@ class StructureMismatch(ValueError):
 
 
 class SingularRotation(ValueError):
-    """Exact elimination met a singular matrix."""
+    """A matrix to be inverted is singular: a rotation operator
+    I + theta N, or the input of invert_exact."""
 
 
 class DegenerateBasis(ValueError):
@@ -75,10 +82,6 @@ class BlockDecomp:
     a: SquareMatrix
     b: SquareMatrix
 
-    def reassemble(self) -> SquareMatrix:
-        from .matrices import from_blocks
-        return from_blocks(self.a, self.b.conj_transpose(), self.b, -self.a)
-
 
 def block_decompose(x: SquareMatrix) -> BlockDecomp:
     tl, tr = x.block(0, 0, 4), x.block(0, 1, 4)
@@ -109,15 +112,10 @@ def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Monomial:
     return bs.beta(k) @ bs.beta(l)
 
 
-def rotation_operator(k: int, l: int, theta: CRational,
-                      betas: Optional[BetaSet] = None) -> SquareMatrix:
-    """R_kl = I + theta * beta_k beta_l, exact scalar entries."""
-    n = plane_product(k, l, betas)
-    return SquareMatrix.identity(8) + n.to_dense().scale(theta)
-
-
 def invert_exact(m: SquareMatrix) -> SquareMatrix:
-    """Gauss-Jordan inverse over exact scalar entries."""
+    """Gauss-Jordan inverse over exact scalar entries.  Rotations and
+    component extraction do not need it; the gram-orthogonality claim
+    does, for its singular flags."""
     n = m.n
     a = [list(row) + list(unit)
          for row, unit in zip(m.rows, SquareMatrix.identity(n).rows)]
@@ -138,16 +136,28 @@ def invert_exact(m: SquareMatrix) -> SquareMatrix:
 
 def rotate_exact(x: SquareMatrix, k: int, l: int, theta: CRational,
                  betas: Optional[BetaSet] = None) -> SquareMatrix:
-    """R x R^-1 exactly; resulting form coefficients leave the dyadics
-    (denominators like 1 + theta^2 appear).  Raises SingularRotation,
-    naming the plane and theta, when R has no inverse."""
-    r = rotation_operator(k, l, theta, betas)
-    try:
-        r_inv = invert_exact(r)
-    except SingularRotation as exc:
+    """R x R^-1 exactly, with R = I + theta N and N = beta_k beta_l.
+
+    N^2 = s*I, so R^-1 = (I - theta N) / (1 - s theta^2) and the result
+    is (x + theta (N x - x N) - theta^2 N x N) / (1 - s theta^2); form
+    coefficients leave the dyadics there.  R is singular exactly when
+    1 - s theta^2 = 0, except for a scalar N = c*I (plane (1,8) of the
+    tensor reading, N = I): then R = (1 + c theta) I, singular only at
+    1 + c theta = 0, and x comes back unchanged.  Raises
+    SingularRotation, naming the plane and theta, when R has no inverse.
+    """
+    n = plane_product(k, l, betas)
+    scalar = n.perm == tuple(range(8)) and len(set(n.phase)) == 1
+    det = (1 + n.at(0, 0) * theta if scalar
+           else 1 - (n @ n).at(0, 0) * theta * theta)
+    if det.is_zero():
         raise SingularRotation(
-            f"rotation of plane ({k},{l}) with theta={theta} is {exc}") from None
-    return (r @ x) @ r_inv
+            f"rotation of plane ({k},{l}) with theta={theta} is singular")
+    if scalar:
+        return x
+    nx = n @ x
+    num = x + (nx - x @ n).scale(theta) - (nx @ n).scale(theta * theta)
+    return num.scale(det.inv())
 
 
 @dataclass(frozen=True)
@@ -172,42 +182,24 @@ def rotate_first_order(x: SquareMatrix, k: int, l: int, theta: CRational,
 def extract_components(m: SquareMatrix, betas: Optional[BetaSet] = None):
     """Project a symbolic matrix onto the generator span.
 
-    Returns (forms, residual): forms[A] is the coefficient of beta_A as
-    a LinearForm, residual = m - sum_A forms[A] * beta_A (exact).
-    Raises DegenerateBasis when the Gram matrix is singular.
+    Returns (forms, residual): forms[A] = Tr(beta_A m) / 8, the
+    coefficient of beta_A as a LinearForm, and residual = m - sum_A
+    forms[A] * beta_A (exact).  That projection needs the Gram matrix
+    G[A][B] = Tr(beta_A beta_B) to be 8*I, as it is under the sigma
+    reading; otherwise raises DegenerateBasis.  The only other reading,
+    tensor, has a singular G (beta_8 repeats beta_1).
     """
     bs = betas or beta_set()
-    g = gram(bs)
-    try:
-        g_inv = invert_exact(g)
-    except SingularRotation as exc:
-        raise DegenerateBasis("generator Gram matrix is singular") from exc
-    traces = [bs.mats[a].trace_with(m) for a in range(8)]
-    forms = []
-    for a in range(8):
-        acc = LinearForm.zero()
-        for b in range(8):
-            c = g_inv.at(a, b)
-            if not c.is_zero():
-                acc = acc + c * traces[b]
-        forms.append(acc)
-    recon = _span_combination(forms, bs)
-    return tuple(forms), m - recon
-
-
-def _span_combination(forms: Sequence[LinearForm], bs: BetaSet) -> SquareMatrix:
-    rows = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            acc = LinearForm.zero()
-            for a in range(8):
-                c = bs.mats[a].at(i, j)
-                if not c.is_zero():
-                    acc = acc + c * forms[a]
-            row.append(acc)
-        rows.append(row)
-    return SquareMatrix(rows)
+    if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
+        raise DegenerateBasis("generator Gram matrix is singular")
+    eighth = CRational(1, 0, 8)
+    forms = tuple(LinearForm.zero() + eighth * b.trace_with(m)
+                  for b in bs.mats)
+    rows = [[LinearForm.zero() + e for e in row] for row in m.rows]
+    for form, b in zip(forms, bs.mats):
+        for r, c in enumerate(b.perm):
+            rows[r][c] = rows[r][c] - b.at(r, c) * form
+    return forms, SquareMatrix(rows)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,6 @@ from .rotations import BlockDecomp, spinor_transform
 class SplitSpinor:
     components: tuple   # 8 bioctonions
 
-    def __iter__(self):
-        return iter(self.components)
-
 
 def build_split_spinor() -> SplitSpinor:
     """phi = (u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
@@ -37,9 +34,6 @@ class YFixture:
     second: SquareMatrix   # claimed [[C, -C], [D, -D]]
     c_block: SquareMatrix  # 4x4
     d_block: SquareMatrix  # 4x4
-
-    def total(self) -> SquareMatrix:
-        return self.first + self.second
 
 
 @dataclass(frozen=True)
@@ -74,22 +68,6 @@ def audit_Y_blocks(fix: YFixture, decomp: BlockDecomp):
         BlockAudit("stated-sum-top-left", not d3, tuple(d3)),
     )
     return audits, b - fix.c_block
-
-
-def reconstructed_Y(decomp: BlockDecomp, fix: YFixture) -> SquareMatrix:
-    """Formal block sum [[A+C, A-C], [B+D, B-D]] from derived A, B and
-    transcribed C, D."""
-    a, b, c, d = decomp.a, decomp.b, fix.c_block, fix.d_block
-    return from_blocks(a + c, a - c, b + d, b - d)
-
-
-def block_sum_oracle(a: SquareMatrix, b: SquareMatrix,
-                     c: SquareMatrix, d: SquareMatrix) -> bool:
-    """[[A,A],[B,B]] + [[C,-C],[D,-D]] == [[A+C, A-C],[B+D, B-D]],
-    checked by direct construction."""
-    lhs = from_blocks(a, a, b, b) + from_blocks(c, -c, d, -d)
-    rhs = from_blocks(a + c, a - c, b + d, b - d)
-    return lhs == rhs
 
 
 # The split spinor is transported exactly like the standard one.

@@ -1,0 +1,47 @@
+"""Test-side oracles: the dense, general-purpose forms of facts the
+package computes through the monomial structure, plus block-algebra
+helpers only the tests need."""
+
+from octo_so8 import (LinearForm, SquareMatrix, beta_set, gram,
+                      invert_exact, plane_product)
+from octo_so8.matrices import from_blocks
+
+
+def dense_rotation_operator(k, l, theta, bs=None):
+    """R_kl = I + theta * beta_k beta_l as a dense exact matrix (eq 12)."""
+    return SquareMatrix.identity(8) + plane_product(k, l, bs).to_dense().scale(theta)
+
+
+def dense_rotate(x, k, l, theta, bs=None):
+    """R x R^-1 by two dense products and a Gauss-Jordan inverse;
+    raises SingularRotation when R is singular."""
+    r = dense_rotation_operator(k, l, theta, bs)
+    return (r @ x) @ invert_exact(r)
+
+
+def gram_inverse_projection(m, bs=None):
+    """(forms, residual) of m against the generators through G^-1:
+    forms[A] = sum_B (G^-1)[A][B] Tr(beta_B m), residual = m - sum_A
+    forms[A] beta_A by a dense triple loop."""
+    bs = bs or beta_set()
+    g_inv = invert_exact(gram(bs))
+    traces = [b.trace_with(m) for b in bs.mats]
+    forms = [sum((g_inv.at(a, b) * traces[b] for b in range(8)),
+                 LinearForm.zero()) for a in range(8)]
+    span = SquareMatrix([[sum((bs.mats[a].at(i, j) * forms[a]
+                               for a in range(8)), LinearForm.zero())
+                          for j in range(8)] for i in range(8)])
+    return tuple(forms), m - span
+
+
+def reassemble(dec):
+    """[[A, B^dagger], [B, -A]] from a BlockDecomp."""
+    return from_blocks(dec.a, dec.b.conj_transpose(), dec.b, -dec.a)
+
+
+def block_sum_oracle(a, b, c, d):
+    """[[A,A],[B,B]] + [[C,-C],[D,-D]] == [[A+C, A-C],[B+D, B-D]],
+    checked by direct construction."""
+    lhs = from_blocks(a, a, b, b) + from_blocks(c, -c, d, -d)
+    rhs = from_blocks(a + c, a - c, b + d, b - d)
+    return lhs == rhs

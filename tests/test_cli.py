@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import octo_so8
+from octo_so8 import SquareMatrix, cli
 from octo_so8.cli import main
 
 
@@ -161,7 +162,7 @@ class TestRotate:
         assert rc == 2
         assert out == ""
         assert err == ("error: rotation of plane (3,7) with theta=1 is "
-                       "singular at column 3\n")
+                       "singular\n")
 
     @pytest.mark.parametrize("argv", [
         ("3", "7"),                                         # symbolic
@@ -228,6 +229,74 @@ class TestSpinor:
         assert out == ""
         assert err == f"error: {argv[0]}: exponential overflows binary64\n"
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--f=1,0", "need exactly 8 comma-separated f values"),
+        ("--f=1,0,0,0,0,0,0,1/3", "denominator 3 is not a power of two"),
+    ])
+    def test_bad_f_names_the_flag(self, capsys, flag, message):
+        rc, out, err = run(capsys, "spinor", flag)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {flag}: {message}\n"
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_rejected_before_any_series(self, capsys, monkeypatch,
+                                                tol):
+        def no_series(*_):
+            raise AssertionError("a series ran")
+        monkeypatch.setattr(cli, "spinor_transform", no_series)
+        rc, out, err = run(capsys, "spinor", "--f=1,0,0,0,0,0,0,0",
+                           f"--tol={tol}")
+        assert (rc, out) == (2, "")
+        assert err == f"error: --tol={tol}: must be positive and finite\n"
+
+    def test_unmet_tol_names_the_flag(self, capsys):
+        rc, out, err = run(capsys, "spinor", "--f=1,0,0,0,0,0,0,0",
+                           "--tol=1e-200")
+        assert (rc, out) == (2, "")
+        assert err == ("error: --tol=1e-200: exponential series above tol "
+                       "1e-200 after 64 terms\n")
+
+
+class TestMonomialPathsOnly:
+    """No command runs a dense SquareMatrix @ SquareMatrix product, and
+    Gauss-Jordan runs only for gram-orthogonality's singular fields."""
+
+    COMMANDS = [
+        (["verify"], 0),
+        (["verify", "--beta-variant", "tensor"], 0),
+        (["rotate", "1", "2"], 0),
+        (["rotate", "3", "7", "--theta=3/8", "--f=1,-1/2,3/4,0,2,-3,1/8,5"], 0),
+        (["rotate", "3", "7", "--theta=1", "--f=1,0,0,0,0,0,0,0"], 2),
+        (["gram"], 0),
+        (["tables"], 0),
+        (["spinor", "--f=0.5,0.25,0,0,0,0,0,1", "--split"], 0),
+    ]
+
+    def test_counted_calls(self, capsys, monkeypatch):
+        dense, inverts = [], []
+        matmul = SquareMatrix.__matmul__
+
+        def counting_matmul(a, b):
+            if isinstance(b, SquareMatrix):
+                dense.append(sys._getframe(1).f_code.co_name)
+            return matmul(a, b)
+
+        invert = octo_so8.rotations.invert_exact
+
+        def counting_invert(m):
+            inverts.append(sys._getframe(1).f_code.co_name)
+            return invert(m)
+
+        monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("octo_so8") and \
+                    getattr(mod, "invert_exact", None) is invert:
+                monkeypatch.setattr(mod, "invert_exact", counting_invert)
+        for argv, want in self.COMMANDS:
+            assert run(capsys, *argv)[0] == want, argv
+        assert dense == []
+        assert inverts and set(inverts) == {"_check_gram_orthogonality"}
+
 
 class TestGramAndDump:
     def test_gram_markdown(self, capsys):
@@ -266,3 +335,23 @@ def test_module_runs_as_script():
                        capture_output=True, text=True, env=env, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.startswith("beta8, sigma reading:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "json"],             # fails inside print
+    ["spinor", "--f", "0.5,0.25,0,0,0,0,0,1"],  # fails at the final flush
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    # stdout is a pipe whose read end is already closed, so the first
+    # write fails with EPIPE whatever the output size
+    src = str(Path(octo_so8.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        p = subprocess.run([sys.executable, "-m", "octo_so8.cli", *argv],
+                           stdout=write_end, stderr=subprocess.PIPE,
+                           env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (p.returncode, p.stderr) == (141, b"")

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octo_so8 import (
     CDyadic,
@@ -30,7 +32,6 @@ from octo_so8 import (
     rotate_exact,
     rotate_first_order,
     rotation_component_map,
-    rotation_operator,
     spinor_transform,
     standard_spinor,
     substitute_matrix,
@@ -44,7 +45,20 @@ from octo_so8.rotations import (
 )
 from fractions import Fraction
 
+from oracles import (dense_rotate, dense_rotation_operator,
+                     gram_inverse_projection, reassemble)
+
 ONES = [Dyadic(1)] * 8
+PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
+READINGS = ("sigma", "tensor")
+
+dyadics = st.builds(Dyadic, st.integers(-16, 16), st.integers(0, 3))
+thetas = st.one_of(st.sampled_from([Dyadic(1), Dyadic(-1)]), dyadics)
+
+
+def trace_of_square(x):
+    return sum((x.at(i, j) * x.at(j, i) for i in range(8) for j in range(8)),
+               CRational(0))
 
 
 def span_combination(forms, bs):
@@ -67,7 +81,7 @@ class TestSymbolicX:
         dec = block_decompose(assemble_X())
         assert dec.a == fx.eq6.block(0, 0, 4)
         assert dec.b == fx.eq6.block(1, 0, 4)
-        assert dec.reassemble() == assemble_X()
+        assert reassemble(dec) == assemble_X()
 
     def test_block_mismatch_located(self):
         rows = [list(r) for r in assemble_X().rows]
@@ -82,7 +96,7 @@ class TestRotationOperator:
     def test_matches_fixture_parts(self, fx):
         theta = Dyadic(1, 1)
         expected = fx.eq12_const + fx.eq12_theta.scale(CDyadic(theta))
-        assert rotation_operator(1, 2, theta) == expected
+        assert dense_rotation_operator(1, 2, theta) == expected
         assert fx.eq12_const == SquareMatrix.identity(8)
         assert fx.eq12_theta == plane_product(1, 2)
 
@@ -95,7 +109,7 @@ class TestRotationOperator:
     def test_exact_inverse(self):
         # R's entries are already exact scalars: no conversion before
         # the elimination
-        r = rotation_operator(1, 2, Dyadic(1, 1))
+        r = dense_rotation_operator(1, 2, Dyadic(1, 1))
         assert all(type(e) is CRational for row in r.rows for e in row)
         assert r @ invert_exact(r) == SquareMatrix.identity(8)
 
@@ -135,6 +149,52 @@ class TestExactRotation:
 
         ratio = deviation(Dyadic(1, 6)) / deviation(Dyadic(1, 7))
         assert 3.5 <= ratio <= 4.5
+
+
+class TestClosedFormAgainstGaussJordan:
+    """rotate_exact's closed form against (I + theta N) x GJ(I + theta N)."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(theta=thetas, fvals=st.lists(dyadics, min_size=8, max_size=8))
+    @example(theta=Dyadic(1), fvals=ONES)
+    @example(theta=Dyadic(-1), fvals=ONES)
+    def test_all_planes_both_readings(self, theta, fvals):
+        for reading in READINGS:
+            bs = beta_set(reading)
+            x = substitute_matrix(assemble_X(bs), fvals)
+            tr, tr2 = x.trace(), trace_of_square(x)
+            for k, l in PLANES:
+                try:
+                    want = dense_rotate(x, k, l, theta, bs)
+                except SingularRotation:
+                    with pytest.raises(SingularRotation):
+                        rotate_exact(x, k, l, theta, bs)
+                    continue
+                got = rotate_exact(x, k, l, theta, bs)
+                assert got == want, (reading, k, l, theta)
+                for m in (got, want):
+                    assert m.trace() == tr
+                    assert trace_of_square(m) == tr2
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_symbolic_X_all_planes(self, reading):
+        bs, theta = beta_set(reading), Dyadic(3, 3)
+        x = assemble_X(bs)
+        for k, l in PLANES:
+            assert rotate_exact(x, k, l, theta, bs) == \
+                dense_rotate(x, k, l, theta, bs), (k, l)
+
+    def test_scalar_plane_product_under_tensor(self):
+        # beta_8 repeats beta_1 in the tensor reading, so N_18 = I and
+        # R = (1 + theta) I: regular at theta = 1, singular at -1
+        bs = beta_set("tensor")
+        x = assemble_X(bs)
+        assert plane_product(1, 8, bs) == SquareMatrix.identity(8)
+        assert rotate_exact(x, 1, 8, Dyadic(1), bs) == x
+        with pytest.raises(SingularRotation,
+                           match=r"^rotation of plane \(1,8\) with "
+                                 r"theta=-1 is singular$"):
+            rotate_exact(x, 1, 8, Dyadic(-1), bs)
 
 
 class TestFirstOrder:
@@ -183,6 +243,17 @@ class TestComponentExtraction:
         out = cm.apply([Dyadic(1)] + [Dyadic(0)] * 7, Dyadic(1, 2))
         assert out[1] == CDyadic(Dyadic(-1, 1))  # f2' = -2*theta*f1 = -1/2
 
+    def test_trace_projection_equals_gram_inverse(self):
+        bs = beta_set("sigma")
+        x = assemble_X(bs)
+        mats = [x, substitute_matrix(x, ONES)]
+        mats += [rotate_first_order(x, k, l, Dyadic(1), bs).commutator
+                 for k, l in PLANES]
+        mats.append(rotate_exact(substitute_matrix(x, ONES), 3, 7,
+                                 Dyadic(3, 3), bs))
+        for m in mats:
+            assert extract_components(m, bs) == gram_inverse_projection(m, bs)
+
     def test_degenerate_basis_detected(self):
         with pytest.raises(DegenerateBasis):
             extract_components(SquareMatrix.zeros(8), beta_set("tensor"))
@@ -203,8 +274,9 @@ class TestDuplicatePlanes:
 
     def test_duplicate_planes_share_operator(self):
         theta = Dyadic(3, 2)
-        assert rotation_operator(5, 6, theta) == rotation_operator(1, 2, theta)
-        assert rotation_operator(7, 8, theta) == rotation_operator(1, 2, theta)
+        r12 = dense_rotation_operator(1, 2, theta)
+        assert dense_rotation_operator(5, 6, theta) == r12
+        assert dense_rotation_operator(7, 8, theta) == r12
 
 
 class TestNumericExponential:
