@@ -16,9 +16,8 @@ from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
                         StructureMismatch, ToleranceNotMet, assemble_X,
                         block_decompose, duplicate_rotation_scan,
                         extract_components, invert_exact, matrix_exp,
-                        plane_product, rotate_exact, rotate_first_order,
-                        rotation_component_map, spinor_transform,
-                        standard_spinor, substitute_matrix)
+                        plane_product, rotate_exact, rotation_component_map,
+                        spinor_transform, standard_spinor, substitute_matrix)
 from .splitrep import YFixture, audit_Y_blocks, build_split_spinor, \
     split_transform
 from .symbolic import FormParseError, LinearForm, parse_linear_form, \

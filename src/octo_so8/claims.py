@@ -218,10 +218,10 @@ def _check_exp_action(fx, ctx):
     zero = np.zeros((8, 8), dtype=np.complex128)
     identity_exact = bool(np.array_equal(matrix_exp(zero),
                                          np.eye(8, dtype=np.complex128)))
-    psi = standard_spinor()
-    fixed = spinor_transform(psi, zero)
-    spinor_fixed = all(fixed[k].coeffs[j] == complex(psi[k].coeffs[j])
-                       for k in range(8) for j in range(8))
+    # the standard spinor's coefficient array is the identity
+    spinor_fixed = bool(np.array_equal(
+        spinor_transform(standard_spinor(), zero),
+        np.eye(8, dtype=np.complex128)))
     # scalar oracle: an f8-only vector makes X diagonal, so exp is
     # elementwise on the diagonal signs
     ln2 = math.log(2.0)

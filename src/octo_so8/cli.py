@@ -23,9 +23,9 @@ from .claims import REFUTED, render_markdown, run_all, to_json
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, build_E, compare_tables, signed_table
-from .rotations import (DEFAULT_MAX_TERMS, DEFAULT_TOL, NonFiniteInput,
-                        ToleranceNotMet, assemble_X, extract_components,
-                        numeric_X, plane_product, rotate_exact,
+from .rotations import (DEFAULT_TOL, NonFiniteInput, ToleranceNotMet,
+                        assemble_X, extract_components, numeric_X,
+                        plane_product, rotate_exact,
                         rotation_component_map, spinor_transform,
                         standard_spinor, substitute_matrix,
                         substitute_numeric)
@@ -252,12 +252,17 @@ def cmd_rotate(args) -> int:
     theta = _flag_value("--theta", args.theta, parse_dyadic)
     fvals = _flag_value("--f", args.f, _parse_f_exact)
     first = cm.apply(fvals, theta)
-    first_residual = abs(float(theta)) * _max_abs_cells(cm.residual, fvals)
     rotated = rotate_exact(substitute_matrix(assemble_X(bs), fvals),
                            k, l, theta, bs)
     forms, residual = extract_components(rotated, bs)
     exact = [f.constant for f in forms]
-    exact_residual = _max_abs_cells(residual)
+    try:
+        first_residual = (abs(float(theta))
+                          * _max_abs_cells(cm.residual, fvals))
+        exact_residual = _max_abs_cells(residual)
+    except OverflowError:
+        raise OverflowError(f"--theta={args.theta} --f={args.f}: residual "
+                            "max-entry overflows binary64") from None
     if args.format == "json":
         _emit_json({
             "plane": [k, l], "mode": "numeric", "theta": str(theta),
@@ -277,9 +282,10 @@ def cmd_rotate(args) -> int:
     return 0
 
 
-def _octonion_terms(o, eps: float = 1e-15):
+def _octonion_terms(row, eps: float = 1e-15):
+    """The terms of one row of a spinor coefficient array."""
     terms = []
-    for j, c in enumerate(o.coeffs):
+    for j, c in enumerate(row):
         z = complex(c)
         if abs(z) <= eps:
             continue
@@ -314,11 +320,11 @@ def _spinor(args, fvals) -> int:
     overflows, ToleranceNotMet when a series misses tol."""
     bs = beta_set(args.beta_variant)
     psi_out = spinor_transform(standard_spinor(), numeric_X(fvals, bs),
-                               tol=args.tol, max_terms=DEFAULT_MAX_TERMS)
+                               args.tol)
     payload = {"f": fvals, "tol": args.tol,
                "components": [{"index": i + 1,
-                               "terms": _octonion_terms(o)}
-                              for i, o in enumerate(psi_out)]}
+                               "terms": _octonion_terms(row)}
+                              for i, row in enumerate(psi_out)]}
     lines = [_render_octonion_line(f"psi{i + 1}'", c["terms"])
              for i, c in enumerate(payload["components"])]
     if args.split:
@@ -326,12 +332,11 @@ def _spinor(args, fvals) -> int:
         fx = load_fixtures(_fixture_dir(args))
         y_num = substitute_numeric(fx.eq21_y1 + fx.eq21_y2, fvals)
         phi_out = split_transform(build_split_spinor().components, y_num,
-                                  tol=args.tol,
-                                  max_terms=DEFAULT_MAX_TERMS)
+                                  args.tol)
         payload["split"] = {
             "y_source": "fixture sum (eq21_Y1 + eq21_Y2)",
-            "components": [{"index": i + 1, "terms": _octonion_terms(o)}
-                           for i, o in enumerate(phi_out)],
+            "components": [{"index": i + 1, "terms": _octonion_terms(row)}
+                           for i, row in enumerate(phi_out)],
         }
         lines.append(f"Y source: {payload['split']['y_source']}")
         lines += [_render_octonion_line(f"phi{i + 1}'", c["terms"])

@@ -46,11 +46,24 @@ def _fail(filename: str, lineno: int, msg: str):
     raise FixtureError(f"{filename}:{lineno}: {msg}")
 
 
-def _content_lines(text: str):
-    # (lineno, line) pairs for non-blank lines; lineno is the real file
-    # line so FixtureError locations can be opened in an editor.
-    return [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip()]
+def _rows(text: str, filename: str, n: int):
+    """The (lineno, line) pairs of the non-blank lines, which must number
+    n; lineno is the real file line so FixtureError locations can be
+    opened in an editor."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if len(lines) != n:
+        raise FixtureError(
+            f"{filename}: expected {n} rows, found {len(lines)}")
+    return lines
+
+
+def _cells(line: str, filename: str, lineno: int, n: int) -> list:
+    """The n whitespace-separated tokens of one grid row."""
+    toks = line.split()
+    if len(toks) != n:
+        _fail(filename, lineno, f"expected {n} cells, found {len(toks)}")
+    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +76,10 @@ _MAP_LABEL = re.compile(r"^f([1-8]):$")
 
 def parse_signed_grid(text: str, filename: str, label: str) -> SignedTable:
     """8x8 grid of tokens like ``e3`` / ``-E5`` with basis letter *label*."""
-    lines = _content_lines(text)
-    if len(lines) != 8:
-        raise FixtureError(f"{filename}: expected 8 rows, found {len(lines)}")
     rows = []
-    for lineno, line in lines:
-        toks = line.split()
-        if len(toks) != 8:
-            _fail(filename, lineno, f"expected 8 cells, found {len(toks)}")
+    for lineno, line in _rows(text, filename, 8):
         row = []
-        for tok in toks:
+        for tok in _cells(line, filename, lineno, 8):
             m = _SIGNED_CELL.match(tok)
             if m is None or m.group(2) != label:
                 _fail(filename, lineno, f"bad cell token {tok!r}")
@@ -88,11 +95,8 @@ def parse_signed_grid(text: str, filename: str, label: str) -> SignedTable:
 def parse_term_lines(text: str, filename: str) -> dict:
     """Eight generator lines ``betaN <i|1> [+-]Smn x8`` into the same
     shape as matrices.SIGMA_TERMS."""
-    lines = _content_lines(text)
-    if len(lines) != 8:
-        raise FixtureError(f"{filename}: expected 8 rows, found {len(lines)}")
     out = {}
-    for pos, (lineno, line) in enumerate(lines, start=1):
+    for pos, (lineno, line) in enumerate(_rows(text, filename, 8), start=1):
         toks = line.split()
         if len(toks) != 10:
             _fail(filename, lineno, f"expected 10 tokens, found {len(toks)}")
@@ -117,18 +121,11 @@ def parse_term_lines(text: str, filename: str) -> dict:
 
 def parse_form_matrix(text: str, filename: str, size: int = 8) -> SquareMatrix:
     """size x size grid of whitespace-free linear-form cells."""
-    lines = _content_lines(text)
-    if len(lines) != size:
-        raise FixtureError(
-            f"{filename}: expected {size} rows, found {len(lines)}")
     rows = []
-    for lineno, line in lines:
-        toks = line.split()
-        if len(toks) != size:
-            _fail(filename, lineno,
-                  f"expected {size} cells, found {len(toks)}")
+    for lineno, line in _rows(text, filename, size):
         row = []
-        for col, tok in enumerate(toks, start=1):
+        for col, tok in enumerate(_cells(line, filename, lineno, size),
+                                  start=1):
             try:
                 row.append(parse_linear_form(tok))
             except ScalarParseError as exc:
@@ -139,16 +136,11 @@ def parse_form_matrix(text: str, filename: str, size: int = 8) -> SquareMatrix:
 
 def parse_theta_grid(text: str, filename: str):
     """8x8 grid of theta-affine cells, split into (const, theta) parts."""
-    lines = _content_lines(text)
-    if len(lines) != 8:
-        raise FixtureError(f"{filename}: expected 8 rows, found {len(lines)}")
     const_rows, theta_rows = [], []
-    for lineno, line in lines:
-        toks = line.split()
-        if len(toks) != 8:
-            _fail(filename, lineno, f"expected 8 cells, found {len(toks)}")
+    for lineno, line in _rows(text, filename, 8):
         crow, trow = [], []
-        for col, tok in enumerate(toks, start=1):
+        for col, tok in enumerate(_cells(line, filename, lineno, 8),
+                                  start=1):
             try:
                 c, t = parse_theta_affine(tok)
             except ScalarParseError as exc:
@@ -162,11 +154,8 @@ def parse_theta_grid(text: str, filename: str):
 
 def parse_map_lines(text: str, filename: str) -> tuple:
     """Eight lines ``fA: <form>`` in order A = 1..8."""
-    lines = _content_lines(text)
-    if len(lines) != 8:
-        raise FixtureError(f"{filename}: expected 8 rows, found {len(lines)}")
     forms = []
-    for pos, (lineno, line) in enumerate(lines, start=1):
+    for pos, (lineno, line) in enumerate(_rows(text, filename, 8), start=1):
         toks = line.split()
         if len(toks) != 2:
             _fail(filename, lineno, f"expected 'fA: <form>', got {line!r}")

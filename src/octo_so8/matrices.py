@@ -42,12 +42,13 @@ class SquareMatrix:
         raise AttributeError("SquareMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int, one=_ONE, zero=_ZERO) -> "SquareMatrix":
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> "SquareMatrix":
+        return cls([[_ONE if i == j else _ZERO for j in range(n)]
+                    for i in range(n)])
 
     @classmethod
-    def zeros(cls, n: int, zero=_ZERO) -> "SquareMatrix":
-        return cls([[zero] * n for _ in range(n)])
+    def zeros(cls, n: int) -> "SquareMatrix":
+        return cls([[_ZERO] * n for _ in range(n)])
 
     def at(self, i: int, j: int):
         """0-indexed entry access."""

@@ -155,10 +155,6 @@ def _zeroish(a) -> bool:
     return a == 0
 
 
-def commutator(x: Octonion, y: Octonion) -> Octonion:
-    return x * y - y * x
-
-
 # ---------------------------------------------------------------------------
 # split basis
 #

@@ -10,8 +10,8 @@ R (I - theta N) = (1 - s theta^2) I and
 
 three permutations of X's entries and no dense product or elimination.
 The module provides that exact conjugation (f symbols carried
-linearly), the first-order commutator approximation, component
-extraction by the trace projection Tr(beta_A M) / 8, the duplicate-plane
+linearly), component extraction by the trace projection
+Tr(beta_A M) / 8, the first-order component map, the duplicate-plane
 scan, and the numeric matrix exponential used for spinor transport.
 
 Only the numeric section uses floats.  Its functions import numpy on
@@ -21,17 +21,14 @@ them alone, never load it.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import CRational
 from .matrices import BetaSet, Monomial, SquareMatrix, beta_set, gram
 from .octonion import Octonion
 from .symbolic import LinearForm
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class StructureMismatch(ValueError):
@@ -160,22 +157,6 @@ def rotate_exact(x: SquareMatrix, k: int, l: int, theta: CRational,
     return num.scale(det.inv())
 
 
-@dataclass(frozen=True)
-class FirstOrderRotation:
-    """x_prime = x + increment, increment = theta * [beta_k beta_l, x]."""
-    x_prime: SquareMatrix
-    increment: SquareMatrix
-    commutator: SquareMatrix   # [beta_k beta_l, x], theta not yet applied
-
-
-def rotate_first_order(x: SquareMatrix, k: int, l: int, theta: CRational,
-                       betas: Optional[BetaSet] = None) -> FirstOrderRotation:
-    n = plane_product(k, l, betas)
-    comm = (n @ x) - (x @ n)
-    incr = comm.scale(theta)
-    return FirstOrderRotation(x + incr, incr, comm)
-
-
 # ---------------------------------------------------------------------------
 # component extraction
 
@@ -256,44 +237,33 @@ def duplicate_rotation_scan(betas: Optional[BetaSet] = None):
 # ---------------------------------------------------------------------------
 # numeric exponential and spinor transport
 
-def to_complex_array(m) -> np.ndarray:
-    """Exact scalar matrix (dense or Monomial) -> complex128; raises
-    InexactFloatError when an entry is not exactly representable in
-    binary64."""
-    import numpy as np
-    out = np.empty((m.n, m.n), dtype=np.complex128)
-    for i in range(m.n):
-        for j in range(m.n):
-            out[i, j] = m.at(i, j).to_complex_exact()
-    return out
-
-
 def substitute_matrix(x: SquareMatrix, fvals: Sequence) -> SquareMatrix:
     """Evaluate every linear-form entry at f = fvals."""
     return x.map(lambda form: form.substitute(fvals))
 
 
-@functools.lru_cache(maxsize=2)
-def _generator_arrays(bs: BetaSet) -> tuple:
-    """beta_1..beta_8 as read-only complex arrays, converted once per
-    reading."""
-    arrays = tuple(to_complex_array(m) for m in bs.mats)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+# i**q as complex, for q = 0..3
+_UNITS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
-def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> np.ndarray:
-    """sum_A f_A beta_A as a complex array; fvals may be floats."""
+def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None):
+    """sum_A f_A beta_A as a complex array; fvals may be floats.
+
+    Each generator adds f_A * i**phase at its cells (r, perm[r]), in A
+    order.  For finite f the skipped cells would only add signed zeros
+    to a sum that starts at +0, so the array is bit-identical to the
+    dense sum of f_A times each generator's complex array.
+    """
     import numpy as np
-    arrays = _generator_arrays(betas or beta_set())
-    acc = np.zeros((8, 8), dtype=np.complex128)
-    for a in range(8):
-        acc = acc + complex(fvals[a]) * arrays[a]
-    return acc
+    rows = [[0j] * 8 for _ in range(8)]
+    for a, b in enumerate((betas or beta_set()).mats):
+        z = complex(fvals[a])
+        for r, (c, q) in enumerate(zip(b.perm, b.phase)):
+            rows[r][c] += z * _UNITS[q]
+    return np.array(rows, dtype=np.complex128)
 
 
-def substitute_numeric(x: SquareMatrix, fvals: Sequence) -> np.ndarray:
+def substitute_numeric(x: SquareMatrix, fvals: Sequence):
     """Every linear-form entry evaluated at float f = fvals, as a
     complex array: the numeric twin of substitute_matrix."""
     import numpy as np
@@ -312,43 +282,44 @@ DEFAULT_TOL = 2.0 ** -40
 DEFAULT_MAX_TERMS = 64
 
 
-def matrix_exp(m: np.ndarray, tol: float = DEFAULT_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
+def matrix_exp(m, tol: float = DEFAULT_TOL):
     """Scaling-and-squaring Taylor exponential.
 
-    Scales by 2**-s until the max-row-sum norm is <= 1/2, sums the
-    Taylor series until the next term's max-entry magnitude drops below
-    tol, then squares s times.  So tol bounds the last Taylor term of
-    the 2**-s-scaled series, not the error of e^X: the squarings
-    amplify truncation and rounding.  On generator sums X with |f_A| up
-    to about 100, the relative max-entry error against
-    scipy.linalg.expm reaches a few 1e-11 at the default tol.  Raises
-    NonFiniteInput when the input or the result holds NaN or infinity,
+    Scales by 2**-s until the max-row-sum norm is <= 1/2, sums at most
+    DEFAULT_MAX_TERMS Taylor terms, stopping once the next term's
+    max-entry magnitude drops below tol, then squares s times.  So tol
+    bounds the last Taylor term of the 2**-s-scaled series, not the
+    error of e^X: the squarings amplify truncation and rounding.  On
+    generator sums X with |f_A| up to about 100, the relative max-entry
+    error against scipy.linalg.expm reaches a few 1e-11 at the default
+    tol.  Raises NonFiniteInput when the input or the result holds NaN
+    or infinity, or when the norm or 2**s is not a finite binary64;
     ToleranceNotMet when the series does not converge.
     """
     import numpy as np
     a = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput("matrix contains NaN or infinity")
-    norm = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
     s = 0
-    while norm > 0.5:
+    while 0.5 < norm < math.inf:
         norm /= 2.0
         s += 1
+    if norm == math.inf or s >= 1024:    # 2.0 ** 1024 overflows
+        raise NonFiniteInput("matrix norm overflows binary64")
     scaled = a / (2.0 ** s)
     n = a.shape[0]
     result = np.eye(n, dtype=np.complex128)
     term = np.eye(n, dtype=np.complex128)
-    converged = False
-    for k in range(1, max_terms + 1):
+    for k in range(1, DEFAULT_MAX_TERMS + 1):
         term = term @ scaled / k
         result = result + term
         if float(np.max(np.abs(term))) < tol:
-            converged = True
             break
-    if not converged:
-        raise ToleranceNotMet(
-            f"exponential series above tol {tol} after {max_terms} terms")
+    else:
+        raise ToleranceNotMet(f"exponential series above tol {tol} after "
+                              f"{DEFAULT_MAX_TERMS} terms")
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             result = result @ result
@@ -357,34 +328,31 @@ def matrix_exp(m: np.ndarray, tol: float = DEFAULT_TOL,
     return result
 
 
-def spinor_transform(psi: Sequence[Octonion], x_num: np.ndarray,
-                     tol: float = DEFAULT_TOL,
-                     max_terms: int = DEFAULT_MAX_TERMS) -> list:
-    """psi'_i = sum_j exp(X)_{ij} psi_j, coefficients as complex."""
+def spinor_transform(psi: Sequence[Octonion], x_num,
+                     tol: float = DEFAULT_TOL):
+    """The coefficients of psi' = exp(X) psi as one product exp(X) C,
+    where row j of C holds psi_j's coefficients on e0..e7; row i of the
+    complex result is psi'_i."""
+    import numpy as np
     if len(psi) != x_num.shape[0]:
         raise ValueError("spinor length does not match the matrix")
-    e = matrix_exp(x_num, tol, max_terms)
-    numeric = [Octonion([complex(c) for c in o.coeffs]) for o in psi]
-    out = []
-    for i in range(len(psi)):
-        acc = Octonion.zero(0j)
-        for j in range(len(psi)):
-            acc = acc + complex(e[i, j]) * numeric[j]
-        out.append(acc)
-    return out
+    c = np.array([[complex(v) for v in o.coeffs] for o in psi],
+                 dtype=np.complex128)
+    return matrix_exp(x_num, tol) @ c
 
 
 def standard_spinor() -> list:
-    """(1, e1, ..., e7) as exact bioctonions."""
+    """(1, e1, ..., e7) as exact bioctonions; its coefficient array is
+    the identity."""
     return [Octonion.unit(k, CRational(1)) for k in range(8)]
 
 
-def hermiticity_defect(e: np.ndarray) -> float:
+def hermiticity_defect(e) -> float:
     import numpy as np
     return float(np.max(np.abs(e - e.conj().T)))
 
 
-def unitarity_defect(e: np.ndarray) -> float:
+def unitarity_defect(e) -> float:
     import numpy as np
     n = e.shape[0]
     return float(np.max(np.abs(e.conj().T @ e - np.eye(n))))

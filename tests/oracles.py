@@ -1,9 +1,11 @@
 """Test-side oracles: the dense, general-purpose forms of facts the
-package computes through the monomial structure, plus block-algebra
-helpers only the tests need."""
+package computes through the monomial structure, the per-term spinor
+transport, plus block-algebra helpers only the tests need."""
 
-from octo_so8 import (LinearForm, SquareMatrix, beta_set, gram,
-                      invert_exact, plane_product)
+import numpy as np
+
+from octo_so8 import (LinearForm, Octonion, SquareMatrix, beta_set, gram,
+                      invert_exact, matrix_exp, plane_product)
 from octo_so8.matrices import from_blocks
 
 
@@ -45,3 +47,25 @@ def block_sum_oracle(a, b, c, d):
     lhs = from_blocks(a, a, b, b) + from_blocks(c, -c, d, -d)
     rhs = from_blocks(a + c, a - c, b + d, b - d)
     return lhs == rhs
+
+
+def complex_array(m):
+    """An exact scalar matrix (dense or Monomial) as complex128, entry by
+    entry; raises InexactFloatError when an entry is not exactly
+    representable in binary64."""
+    return np.array([[m.at(i, j).to_complex_exact() for j in range(m.n)]
+                     for i in range(m.n)], dtype=np.complex128)
+
+
+def octonion_transport(psi, x_num):
+    """psi'_i = sum_j exp(X)_ij psi_j by per-term sums of Octonions over
+    complex coefficients, as a coefficient array (row i is psi'_i)."""
+    e = matrix_exp(x_num)
+    numeric = [Octonion([complex(c) for c in o.coeffs]) for o in psi]
+    out = []
+    for i in range(len(psi)):
+        acc = Octonion.zero(0j)
+        for j in range(len(psi)):
+            acc = acc + complex(e[i, j]) * numeric[j]
+        out.append(acc.coeffs)
+    return np.array(out, dtype=np.complex128)

@@ -156,6 +156,18 @@ class TestRotate:
         assert rc == 2
         assert err == "error: --theta=1/3: denominator 3 is not a power of two\n"
 
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    @pytest.mark.parametrize("theta, f", [
+        (str(2 ** 1100), "1,0,0,0,0,0,0,0"),
+        ("1/4", f"0,0,0,{2 ** 1100},0,0,0,0"),
+    ], ids=["huge-theta", "huge-f4"])
+    def test_residual_overflow_names_the_flags(self, capsys, theta, f, fmt):
+        rc, out, err = run(capsys, "rotate", "1", "2", f"--theta={theta}",
+                           f"--f={f}", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --theta={theta} --f={f}: residual max-entry "
+                       "overflows binary64\n")
+
     def test_singular_rotation_names_plane_and_theta(self, capsys):
         rc, out, err = run(capsys, "rotate", "3", "7", "--theta", "1",
                            "--f", "1,0,0,0,0,0,0,0")
@@ -228,6 +240,28 @@ class TestSpinor:
         assert rc == 2
         assert out == ""
         assert err == f"error: {argv[0]}: exponential overflows binary64\n"
+
+    @pytest.mark.parametrize("split", [(), ("--split",)],
+                             ids=["standard", "split"])
+    @pytest.mark.parametrize("f, message", [
+        # the row-sum norm is inf: halving it never reaches 1/2
+        ("1e308,1e308,0,0,0,0,0,0", "matrix norm overflows binary64"),
+        # the norm is finite but 2**s is not
+        ("1e308,0,0,0,0,0,0,0", "matrix norm overflows binary64"),
+        ("inf,0,0,0,0,0,0,0", "matrix contains NaN or infinity"),
+    ])
+    def test_huge_or_non_finite_f_exits_2(self, f, message, split):
+        # a child process with a timeout, so a hang fails this test
+        # instead of stalling the suite; stderr must hold nothing else,
+        # no RuntimeWarning in particular
+        src = str(Path(octo_so8.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        p = subprocess.run([sys.executable, "-m", "octo_so8.cli", "spinor",
+                            f"--f={f}", *split],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert p.stderr == f"error: --f={f}: {message}\n"
 
     @pytest.mark.parametrize("flag, message", [
         ("--f=1,0", "need exactly 8 comma-separated f values"),

@@ -86,6 +86,38 @@ class TestSignedGridGrammar:
             parse_signed_grid(GOOD_GRID.replace("e7", "e8"), "t.txt", "e")
 
 
+ROW_E = "e0 e1 e2 e3 e4 e5 e6 e7\n"
+ROW_0 = "0 0 0 0 0 0 0 0\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # row counts, all five parsers
+    (lambda t: parse_signed_grid(t, "t.txt", "e"), ROW_E * 7,
+     "t.txt: expected 8 rows, found 7"),
+    (lambda t: parse_term_lines(t, "b.txt"), "\n\nbeta1 i\n",
+     "b.txt: expected 8 rows, found 1"),
+    (lambda t: parse_form_matrix(t, "m.txt", size=4), "0 0 0 0\n" * 5,
+     "m.txt: expected 4 rows, found 5"),
+    (lambda t: parse_theta_grid(t, "r.txt"), "",
+     "r.txt: expected 8 rows, found 0"),
+    (lambda t: parse_map_lines(t, "p.txt"), "f1: 0\n" * 9,
+     "p.txt: expected 8 rows, found 9"),
+    # cell counts, the three grid parsers; the line number counts blanks
+    (lambda t: parse_signed_grid(t, "t.txt", "e"),
+     "\n" + ROW_E + "e0 e1 e2 e3 e4 e5 e6\n" + ROW_E * 6,
+     "t.txt:3: expected 8 cells, found 7"),
+    (lambda t: parse_form_matrix(t, "m.txt", size=4),
+     "0 0 0 0\n0 0 0 0 0\n0 0 0 0\n0 0 0 0\n",
+     "m.txt:2: expected 4 cells, found 5"),
+    (lambda t: parse_theta_grid(t, "r.txt"), "0\n" + ROW_0 * 7,
+     "r.txt:1: expected 8 cells, found 1"),
+])
+def test_shape_messages_pinned(parse, text, message):
+    with pytest.raises(FixtureError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 class TestTermLineGrammar:
     def make(self, **kw):
         lines = []

@@ -15,7 +15,6 @@ from octo_so8 import (
     Dyadic,
     LinearForm,
     NonFiniteInput,
-    Octonion,
     SingularRotation,
     SquareMatrix,
     StructureMismatch,
@@ -23,6 +22,7 @@ from octo_so8 import (
     assemble_X,
     beta_set,
     block_decompose,
+    build_split_spinor,
     duplicate_rotation_scan,
     extract_components,
     invert_exact,
@@ -30,7 +30,6 @@ from octo_so8 import (
     plane_product,
     render_linear_form,
     rotate_exact,
-    rotate_first_order,
     rotation_component_map,
     spinor_transform,
     standard_spinor,
@@ -40,13 +39,13 @@ from octo_so8.rotations import (
     DEFAULT_TOL,
     hermiticity_defect,
     numeric_X,
-    to_complex_array,
+    substitute_numeric,
     unitarity_defect,
 )
 from fractions import Fraction
 
-from oracles import (dense_rotate, dense_rotation_operator,
-                     gram_inverse_projection, reassemble)
+from oracles import (complex_array, dense_rotate, dense_rotation_operator,
+                     gram_inverse_projection, octonion_transport, reassemble)
 
 ONES = [Dyadic(1)] * 8
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
@@ -54,6 +53,12 @@ READINGS = ("sigma", "tensor")
 
 dyadics = st.builds(Dyadic, st.integers(-16, 16), st.integers(0, 3))
 thetas = st.one_of(st.sampled_from([Dyadic(1), Dyadic(-1)]), dyadics)
+
+
+def commutator(x, k, l, bs=None):
+    """[beta_k beta_l, x]"""
+    n = plane_product(k, l, bs)
+    return n @ x - x @ n
 
 
 def trace_of_square(x):
@@ -143,7 +148,7 @@ class TestExactRotation:
 
         def deviation(theta):
             exact = rotate_exact(x_num, 1, 2, theta)
-            first = rotate_first_order(x_num, 1, 2, theta).x_prime
+            first = x_num + commutator(x_num, 1, 2).scale(theta)
             diff = exact - first
             return max(abs(complex(e)) for row in diff.rows for e in row)
 
@@ -199,15 +204,16 @@ class TestClosedFormAgainstGaussJordan:
 
 class TestFirstOrder:
     def test_commutator_matches_fixture(self, fx):
-        fo = rotate_first_order(assemble_X(), 1, 2, Dyadic(1))
-        assert fo.commutator == fx.eq13.scale(2)
+        assert commutator(assemble_X(), 1, 2) == fx.eq13.scale(2)
 
     def test_increment_is_linear_in_theta(self):
-        x = assemble_X()
-        a = rotate_first_order(x, 1, 2, Dyadic(1, 2)).increment
-        b = rotate_first_order(x, 1, 2, Dyadic(1, 1)).increment
-        assert b == a.scale(2)
-        assert rotate_first_order(x, 1, 2, Dyadic(1, 2)).x_prime == x + a
+        # the component map's increment f' - f doubles with theta
+        cm = rotation_component_map(1, 2)
+        f = [Dyadic(k, 1) for k in range(1, 9)]
+        a = [v - w for v, w in zip(cm.apply(f, Dyadic(1, 2)), f)]
+        b = [v - w for v, w in zip(cm.apply(f, Dyadic(1, 1)), f)]
+        assert b == [2 * v for v in a]
+        assert any(not v.is_zero() for v in a)
 
 
 class TestComponentExtraction:
@@ -219,7 +225,7 @@ class TestComponentExtraction:
 
     def test_reconstruction_is_exact(self):
         bs = beta_set()
-        comm = rotate_first_order(assemble_X(), 1, 2, Dyadic(1)).commutator
+        comm = commutator(assemble_X(), 1, 2)
         forms, residual = extract_components(comm)
         assert span_combination(forms, bs) + residual == comm
 
@@ -247,8 +253,7 @@ class TestComponentExtraction:
         bs = beta_set("sigma")
         x = assemble_X(bs)
         mats = [x, substitute_matrix(x, ONES)]
-        mats += [rotate_first_order(x, k, l, Dyadic(1), bs).commutator
-                 for k, l in PLANES]
+        mats += [commutator(x, k, l, bs) for k, l in PLANES]
         mats.append(rotate_exact(substitute_matrix(x, ONES), 3, 7,
                                  Dyadic(3, 3), bs))
         for m in mats:
@@ -323,7 +328,7 @@ class TestNumericExponential:
 
     def test_tolerance_not_met(self):
         with pytest.raises(ToleranceNotMet):
-            matrix_exp(np.eye(2), tol=1e-300, max_terms=3)
+            matrix_exp(np.eye(2), tol=1e-300)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
@@ -343,14 +348,44 @@ class TestNumericHelpers:
     def test_numeric_X_matches_symbolic_substitution(self):
         fvals = [Dyadic(k, 1) for k in range(1, 9)]
         sym = substitute_matrix(assemble_X(), fvals)
-        assert np.allclose(to_complex_array(sym),
+        assert np.allclose(complex_array(sym),
                            numeric_X([float(v) for v in fvals]))
 
     def test_spinor_transform_at_zero(self):
         out = spinor_transform(standard_spinor(), np.zeros((8, 8)))
-        for k, o in enumerate(out):
-            assert o == Octonion.unit(k, 1.0 + 0j)
+        assert np.array_equal(out, np.eye(8))
 
     def test_spinor_length_checked(self):
         with pytest.raises(ValueError):
             spinor_transform(standard_spinor()[:3], np.zeros((8, 8)))
+
+
+class TestTransportOracle:
+    """spinor_transform's one product e^X C against per-term Octonion
+    sums of exp(X)_ij psi_j."""
+
+    def cases(self, fx, reading, f):
+        bs = beta_set(reading)
+        return [(standard_spinor(), numeric_X(f, bs)),
+                (build_split_spinor().components,
+                 substitute_numeric(fx.eq21_y1 + fx.eq21_y2, f))]
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_bit_identical_to_per_term_sums(self, fx, reading):
+        rng = np.random.default_rng(20261018)
+        for _ in range(50):
+            f = list(rng.standard_normal(8) * rng.uniform(0.01, 30, 8))
+            for psi, m in self.cases(fx, reading, f):
+                assert spinor_transform(psi, m).tobytes() == \
+                    octonion_transport(psi, m).tobytes()
+
+    # the benchmark's two overflowing spinor inputs
+    @pytest.mark.parametrize("reading, f", [
+        ("sigma", [1000.0] + [0.0] * 7),
+        ("tensor", [0.0] * 7 + [-1500.0]),
+    ])
+    def test_overflow_inputs_still_raise(self, fx, reading, f):
+        for psi, m in self.cases(fx, reading, f):
+            for transport in (spinor_transform, octonion_transport):
+                with pytest.raises(NonFiniteInput, match="overflows"):
+                    transport(psi, m)

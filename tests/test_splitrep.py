@@ -105,9 +105,8 @@ class TestSplitTransform:
     def test_zero_matrix_is_identity(self):
         phi = list(build_split_spinor().components)
         out = split_transform(phi, np.zeros((8, 8)))
-        for before, after in zip(phi, out):
-            assert [complex(c) for c in after.coeffs] == \
-                   [complex(c) for c in before.coeffs]
+        for before, row in zip(phi, out):
+            assert list(row) == [complex(c) for c in before.coeffs]
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
