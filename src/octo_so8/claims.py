@@ -7,8 +7,8 @@ exceptions; only operational failures (missing files, parse errors)
 raise.  Checkers return (status, details) with status one of
 "confirmed", "refuted", "degenerate".
 
-Every checker is exact except exp-action, the only one that uses
-numpy; it imports numpy on its first call.
+Every checker is exact except exp-action, which runs the numeric
+exponential over lists of complex.
 """
 
 from __future__ import annotations
@@ -213,22 +213,21 @@ def _check_eq8_eq9_blocks(fx, ctx):
 def _check_exp_action(fx, ctx):
     # Always run on the canonical sigma reading: a duplicated beta8
     # would test the generator text again, not the exponential.
-    import numpy as np
     bs = beta_set("sigma")
-    zero = np.zeros((8, 8), dtype=np.complex128)
-    identity_exact = bool(np.array_equal(matrix_exp(zero),
-                                         np.eye(8, dtype=np.complex128)))
+    zero = [[0j] * 8 for _ in range(8)]
+    identity = [[complex(i == j) for j in range(8)] for i in range(8)]
+    identity_exact = matrix_exp(zero) == identity
     # the standard spinor's coefficient array is the identity
-    spinor_fixed = bool(np.array_equal(
-        spinor_transform(standard_spinor(), zero),
-        np.eye(8, dtype=np.complex128)))
+    spinor_fixed = spinor_transform(standard_spinor(), zero) == identity
     # scalar oracle: an f8-only vector makes X diagonal, so exp is
     # elementwise on the diagonal signs
     ln2 = math.log(2.0)
     e = matrix_exp(numeric_X([0.0] * 7 + [ln2], bs))
     signs = [1, 1, -1, -1, -1, -1, 1, 1]
-    oracle = np.diag([math.exp(s * ln2) for s in signs]).astype(np.complex128)
-    oracle_err = float(np.max(np.abs(e - oracle)))
+    oracle = [[math.exp(s * ln2) if i == j else 0.0 for j in range(8)]
+              for i, s in enumerate(signs)]
+    oracle_err = max(abs(v - w) for row, o_row in zip(e, oracle)
+                     for v, w in zip(row, o_row))
     herm = hermiticity_defect(e)
     uni = unitarity_defect(e)
     bound = 10 * DEFAULT_TOL

@@ -260,6 +260,8 @@ def cmd_rotate(args) -> int:
         first_residual = (abs(float(theta))
                           * _max_abs_cells(cm.residual, fvals))
         exact_residual = _max_abs_cells(residual)
+        if first_residual == math.inf:     # finite factors, infinite product
+            raise OverflowError
     except OverflowError:
         raise OverflowError(f"--theta={args.theta} --f={args.f}: residual "
                             "max-entry overflows binary64") from None

@@ -9,9 +9,10 @@ to surface, so "fixing" it here would defeat the point.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -222,12 +223,26 @@ def _decode(name: str, data: bytes) -> str:
 
 def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
     """Parse the full fixture set from *directory*, or from the bundled
-    package data when *directory* is None."""
-    raw = _read_raw(directory)
-    digests = {name: hashlib.sha256(raw[name]).hexdigest()
-               for name in FIXTURE_FILES}
-    text = {name: _decode(name, raw[name]) for name in FIXTURE_FILES}
+    package data when *directory* is None.
 
+    Every call reads and digests all the files, so a missing, edited
+    or malformed file shows on every call; only the parse of contents
+    already parsed is reused.  Each call returns its own digests and
+    eq2 dicts."""
+    raw = _read_raw(directory)
+    parsed = _parse(tuple(raw[name] for name in FIXTURE_FILES))
+    return replace(
+        parsed, eq2=dict(parsed.eq2),
+        digests={name: hashlib.sha256(raw[name]).hexdigest()
+                 for name in FIXTURE_FILES})
+
+
+@functools.lru_cache(maxsize=4)
+def _parse(raw: tuple) -> FixtureStore:
+    """The store parsed from the files' bytes, in FIXTURE_FILES order;
+    its digests are left empty for load_fixtures to fill."""
+    text = {name: _decode(name, data)
+            for name, data in zip(FIXTURE_FILES, raw)}
     eq12_const, eq12_theta = parse_theta_grid(text["eq12_R12.txt"],
                                               "eq12_R12.txt")
     return FixtureStore(
@@ -243,5 +258,5 @@ def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
         eq21_y2=parse_form_matrix(text["eq21_Y2.txt"], "eq21_Y2.txt"),
         eq23_c=parse_form_matrix(text["eq23_C.txt"], "eq23_C.txt", size=4),
         eq24_d=parse_form_matrix(text["eq24_D.txt"], "eq24_D.txt", size=4),
-        digests=digests,
+        digests={},
     )

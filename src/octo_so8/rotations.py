@@ -14,15 +14,16 @@ linearly), component extraction by the trace projection
 Tr(beta_A M) / 8, the first-order component map, the duplicate-plane
 scan, and the numeric matrix exponential used for spinor transport.
 
-Only the numeric section uses floats.  Its functions import numpy on
-their first call, so the exact layers, and the subcommands built on
-them alone, never load it.
+Only the numeric section uses floats.  It works on plain lists of
+rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .exact import CRational
@@ -246,35 +247,62 @@ def substitute_matrix(x: SquareMatrix, fvals: Sequence) -> SquareMatrix:
 _UNITS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
-def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None):
-    """sum_A f_A beta_A as a complex array; fvals may be floats.
+def _identity(n: int) -> list:
+    return [[complex(i == j) for j in range(n)] for i in range(n)]
+
+
+def _matmul(a, b, hermitian: bool = False) -> list:
+    """a @ b for matrices given as lists of rows of complex.  With
+    hermitian=True the product is known to be Hermitian (a and b are
+    commuting Hermitian matrices): only the upper triangle is summed,
+    the diagonal keeps its real part and the lower triangle mirrors the
+    upper one, so the result is exactly Hermitian."""
+    cols = list(zip(*b))
+    if not hermitian:
+        return [[sum(map(mul, row, col), 0j) for col in cols] for row in a]
+    n = len(a)
+    out = [[0j] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        out[i][i] = complex(sum(map(mul, row, cols[i]), 0j).real)
+        for j in range(i + 1, n):
+            out[i][j] = v = sum(map(mul, row, cols[j]), 0j)
+            out[j][i] = v.conjugate()
+    return out
+
+
+def _all_finite(m) -> bool:
+    return all(math.isfinite(v.real) and math.isfinite(v.imag)
+               for v in chain.from_iterable(m))
+
+
+def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
+    """sum_A f_A beta_A as 8 rows of complex; fvals may be floats.
 
     Each generator adds f_A * i**phase at its cells (r, perm[r]), in A
     order.  For finite f the skipped cells would only add signed zeros
-    to a sum that starts at +0, so the array is bit-identical to the
-    dense sum of f_A times each generator's complex array.
+    to a sum that starts at +0, so the matrix is bit-identical to the
+    dense sum of f_A times each generator's complex matrix.
     """
-    import numpy as np
     rows = [[0j] * 8 for _ in range(8)]
     for a, b in enumerate((betas or beta_set()).mats):
         z = complex(fvals[a])
         for r, (c, q) in enumerate(zip(b.perm, b.phase)):
             rows[r][c] += z * _UNITS[q]
-    return np.array(rows, dtype=np.complex128)
+    return rows
 
 
-def substitute_numeric(x: SquareMatrix, fvals: Sequence):
-    """Every linear-form entry evaluated at float f = fvals, as a
-    complex array: the numeric twin of substitute_matrix."""
-    import numpy as np
-    out = np.empty((x.n, x.n), dtype=np.complex128)
-    for i in range(x.n):
-        for j in range(x.n):
-            form = x.at(i, j)
+def substitute_numeric(x: SquareMatrix, fvals: Sequence) -> list:
+    """Every linear-form entry evaluated at float f = fvals, as rows of
+    complex: the numeric twin of substitute_matrix."""
+    out = []
+    for row in x.rows:
+        vals = []
+        for form in row:
             acc = complex(form.constant)
             for a in range(8):
                 acc += complex(form.coeff(a + 1)) * fvals[a]
-            out[i, j] = acc
+            vals.append(acc)
+        out.append(vals)
     return out
 
 
@@ -282,63 +310,77 @@ DEFAULT_TOL = 2.0 ** -40
 DEFAULT_MAX_TERMS = 64
 
 
-def matrix_exp(m, tol: float = DEFAULT_TOL):
-    """Scaling-and-squaring Taylor exponential.
+def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
+    """Scaling-and-squaring Taylor exponential of a square matrix given
+    as rows of numbers; returns rows of complex.
 
     Scales by 2**-s until the max-row-sum norm is <= 1/2, sums at most
-    DEFAULT_MAX_TERMS Taylor terms, stopping once the next term's
+    DEFAULT_MAX_TERMS Taylor terms, stopping once the last term's
     max-entry magnitude drops below tol, then squares s times.  So tol
     bounds the last Taylor term of the 2**-s-scaled series, not the
-    error of e^X: the squarings amplify truncation and rounding.  On
+    error of e^X: the squarings amplify truncation and rounding.  An
+    exactly Hermitian input (every generator sum X is one) has every
+    product summed on its upper triangle only and mirrored, so e^X
+    comes back exactly Hermitian with a real diagonal.  On
     generator sums X with |f_A| up to about 100, the relative max-entry
     error against scipy.linalg.expm reaches a few 1e-11 at the default
     tol.  Raises NonFiniteInput when the input or the result holds NaN
     or infinity, or when the norm or 2**s is not a finite binary64;
     ToleranceNotMet when the series does not converge.
     """
-    import numpy as np
-    a = np.asarray(m, dtype=np.complex128)
-    if not np.all(np.isfinite(a)):
+    a = [[complex(v) for v in row] for row in m]
+    if not _all_finite(a):
         raise NonFiniteInput("matrix contains NaN or infinity")
-    with np.errstate(over="ignore"):
-        norm = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+    try:
+        norm = max((sum(map(abs, row)) for row in a), default=0.0)
+    except OverflowError:            # |z| of a finite z can overflow
+        norm = math.inf
     s = 0
     while 0.5 < norm < math.inf:
         norm /= 2.0
         s += 1
     if norm == math.inf or s >= 1024:    # 2.0 ** 1024 overflows
         raise NonFiniteInput("matrix norm overflows binary64")
-    scaled = a / (2.0 ** s)
-    n = a.shape[0]
-    result = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
-    for k in range(1, DEFAULT_MAX_TERMS + 1):
-        term = term @ scaled / k
-        result = result + term
-        if float(np.max(np.abs(term))) < tol:
-            break
-    else:
-        raise ToleranceNotMet(f"exponential series above tol {tol} after "
-                              f"{DEFAULT_MAX_TERMS} terms")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            result = result @ result
-    if not np.all(np.isfinite(result)):
+    # every Taylor term and square of a Hermitian matrix is Hermitian
+    hermitian = all(a[i][j] == a[j][i].conjugate()
+                    for i in range(len(a)) for j in range(i, len(a)))
+    scale = 2.0 ** s
+    scaled = [[v / scale for v in row] for row in a]
+    term = scaled                       # the first Taylor term
+    result = [list(map(add, r, t)) for r, t in zip(_identity(len(a)), term)]
+    k = 1
+    while max(map(abs, chain.from_iterable(term)), default=0.0) >= tol:
+        if k == DEFAULT_MAX_TERMS:
+            raise ToleranceNotMet(f"exponential series above tol {tol} "
+                                  f"after {DEFAULT_MAX_TERMS} terms")
+        k += 1
+        term = [[v / k for v in row]
+                for row in _matmul(term, scaled, hermitian)]
+        result = [list(map(add, r, t)) for r, t in zip(result, term)]
+    for _ in range(s):
+        result = _matmul(result, result, hermitian)
+    if not _all_finite(result):
         raise NonFiniteInput("exponential overflows binary64")
     return result
 
 
 def spinor_transform(psi: Sequence[Octonion], x_num,
-                     tol: float = DEFAULT_TOL):
+                     tol: float = DEFAULT_TOL) -> list:
     """The coefficients of psi' = exp(X) psi as one product exp(X) C,
     where row j of C holds psi_j's coefficients on e0..e7; row i of the
-    complex result is psi'_i."""
-    import numpy as np
-    if len(psi) != x_num.shape[0]:
+    result is psi'_i.  Each row is added up over j in order by plain
+    additions, so it equals the per-term sum psi'_i = sum_j exp(X)_ij
+    psi_j bit for bit whatever rounding a Python version's sum() uses."""
+    if len(psi) != len(x_num):
         raise ValueError("spinor length does not match the matrix")
-    c = np.array([[complex(v) for v in o.coeffs] for o in psi],
-                 dtype=np.complex128)
-    return matrix_exp(x_num, tol) @ c
+    c = [[complex(v) for v in o.coeffs] for o in psi]
+    out = []
+    for row in matrix_exp(x_num, tol):
+        acc = [0j] * 8
+        for e, c_row in zip(row, c):
+            acc = [s + e * v for s, v in zip(acc, c_row)]
+        out.append(acc)
+    return out
 
 
 def standard_spinor() -> list:
@@ -348,11 +390,15 @@ def standard_spinor() -> list:
 
 
 def hermiticity_defect(e) -> float:
-    import numpy as np
-    return float(np.max(np.abs(e - e.conj().T)))
+    """max |e - e^H| over the entries."""
+    n = len(e)
+    return max(abs(e[i][j] - e[j][i].conjugate())
+               for i in range(n) for j in range(n))
 
 
 def unitarity_defect(e) -> float:
-    import numpy as np
-    n = e.shape[0]
-    return float(np.max(np.abs(e.conj().T @ e - np.eye(n))))
+    """max |e^H e - I| over the entries."""
+    eh = [[v.conjugate() for v in col] for col in zip(*e)]
+    return max(abs(v - w)
+               for row, i_row in zip(_matmul(eh, e), _identity(len(e)))
+               for v, w in zip(row, i_row))

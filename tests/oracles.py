@@ -66,6 +66,6 @@ def octonion_transport(psi, x_num):
     for i in range(len(psi)):
         acc = Octonion.zero(0j)
         for j in range(len(psi)):
-            acc = acc + complex(e[i, j]) * numeric[j]
+            acc = acc + complex(e[i][j]) * numeric[j]
         out.append(acc.coeffs)
     return np.array(out, dtype=np.complex128)

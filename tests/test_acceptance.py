@@ -213,7 +213,7 @@ def test_criterion_09_exponential_action():
     e0 = matrix_exp(np.zeros((8, 8)))
     ok = np.array_equal(e0, np.eye(8, dtype=np.complex128))
     out = spinor_transform(standard_spinor(), np.zeros((8, 8)))
-    ok &= all(out[k, k] == 1.0 for k in range(8))
+    ok &= all(out[k][k] == 1.0 for k in range(8))
 
     lam = 0.25
     e8 = matrix_exp(numeric_X([0.0] * 7 + [lam]))

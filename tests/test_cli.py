@@ -160,7 +160,8 @@ class TestRotate:
     @pytest.mark.parametrize("theta, f", [
         (str(2 ** 1100), "1,0,0,0,0,0,0,0"),
         ("1/4", f"0,0,0,{2 ** 1100},0,0,0,0"),
-    ], ids=["huge-theta", "huge-f4"])
+        (str(2 ** 1000), f"0,0,0,{2 ** 1000},0,0,0,0"),
+    ], ids=["huge-theta", "huge-f4", "huge-product"])
     def test_residual_overflow_names_the_flags(self, capsys, theta, f, fmt):
         rc, out, err = run(capsys, "rotate", "1", "2", f"--theta={theta}",
                            f"--f={f}", "--format", fmt)
@@ -240,6 +241,18 @@ class TestSpinor:
         assert rc == 2
         assert out == ""
         assert err == f"error: {argv[0]}: exponential overflows binary64\n"
+
+    @pytest.mark.parametrize("split", [(), ("--split",)],
+                             ids=["standard", "split"])
+    @pytest.mark.parametrize("reading", ["sigma", "tensor"])
+    @pytest.mark.parametrize("f", ["1000,0,0,0,0,0,0,0",
+                                   "0,0,0,0,0,0,0,-1500"])
+    def test_benchmark_overflow_inputs_every_mode(self, capsys, f, reading,
+                                                  split):
+        rc, out, err = run(capsys, "spinor", f"--f={f}", "--beta-variant",
+                           reading, *split)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --f={f}: exponential overflows binary64\n"
 
     @pytest.mark.parametrize("split", [(), ("--split",)],
                              ids=["standard", "split"])

@@ -1,8 +1,10 @@
 """Fixture loading: grammar validation, locations in errors, digests."""
 
+import hashlib
+
 import pytest
 
-from octo_so8 import FixtureError, load_fixtures
+from octo_so8 import FixtureError, load_fixtures, parse_linear_form
 from octo_so8.fixtures import (
     FIXTURE_FILES,
     parse_form_matrix,
@@ -56,6 +58,70 @@ class TestLoading:
         p.write_bytes(b"E0 E1\n\xff" + p.read_bytes())
         with pytest.raises(FixtureError, match=r"table1\.txt:2: not UTF-8"):
             load_fixtures(str(data_copy))
+
+
+class TestParseMemo:
+    """load_fixtures reuses the parse of bytes it has parsed before, but
+    reads and digests every file on every call."""
+
+    def test_repeat_load_is_equal(self, fx):
+        first, second = load_fixtures(), load_fixtures()
+        assert first == second == fx
+        assert second.eq6 is first.eq6           # the parse was reused
+
+    def test_edit_between_calls_gives_new_parse_and_digest(self, data_copy):
+        first = load_fixtures(str(data_copy))
+        p = data_copy / "eq14_map.txt"
+        p.write_text(p.read_text().replace("f7: 2*f8", "f7: 3*f8"))
+        second = load_fixtures(str(data_copy))
+        assert second.eq14[6] != first.eq14[6]
+        assert second.eq14[6] == parse_linear_form("3*f8")
+        assert second.eq14[:6] == first.eq14[:6]
+        changed = {n for n in FIXTURE_FILES
+                   if first.digests[n] != second.digests[n]}
+        assert changed == {"eq14_map.txt"}
+        assert second.digests["eq14_map.txt"] == \
+            hashlib.sha256(p.read_bytes()).hexdigest()
+
+    def test_missing_file_after_good_call(self, data_copy):
+        load_fixtures(str(data_copy))
+        (data_copy / "table2.txt").unlink()
+        with pytest.raises(FixtureError) as exc:
+            load_fixtures(str(data_copy))
+        assert str(exc.value) == \
+            f"missing fixture file: {data_copy / 'table2.txt'}"
+
+    def test_non_utf8_file_after_good_call(self, data_copy):
+        load_fixtures(str(data_copy))
+        p = data_copy / "table1.txt"
+        p.write_bytes(b"E0 E1\n\xff" + p.read_bytes())
+        with pytest.raises(FixtureError) as exc:
+            load_fixtures(str(data_copy))
+        assert str(exc.value) == \
+            "table1.txt:2: not UTF-8 text (invalid start byte at byte 6)"
+
+    def test_malformed_file_after_good_call(self, data_copy):
+        load_fixtures(str(data_copy))
+        p = data_copy / "table2.txt"
+        p.write_text(p.read_text().replace("e3", "e9", 1))
+        for _ in range(2):      # a failed parse is not remembered either
+            with pytest.raises(FixtureError) as exc:
+                load_fixtures(str(data_copy))
+            assert str(exc.value) == \
+                "table2.txt:1: basis index out of range 0..7 in 'e9'"
+
+    def test_returned_dicts_are_not_shared(self):
+        first = load_fixtures()
+        digests, eq2 = dict(first.digests), dict(first.eq2)
+        first.digests["table1.txt"] = "0" * 64
+        first.digests.pop("table2.txt")
+        first.eq2[1] = None
+        first.eq2.clear()
+        second = load_fixtures()
+        assert second.digests == digests
+        assert second.eq2 == eq2
+        assert second.digests is not first.digests
+        assert second.eq2 is not first.eq2
 
 
 GOOD_GRID = "\n".join(["e0 e1 e2 e3 e4 e5 e6 e7"] * 8)

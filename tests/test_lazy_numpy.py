@@ -1,5 +1,7 @@
-"""numpy is loaded on the first numeric call, never at import: the exact
-subcommands run without it, and only the numeric ones load it.
+"""No command loads numpy: the exact subcommands never touched it, and
+the numeric ones (the spinor exponential, verify's exp-action claim)
+run on plain lists of complex.  numpy serves the tests as an oracle
+only.
 
 Each case runs in a fresh interpreter, since this test process has
 numpy loaded already."""
@@ -58,7 +60,21 @@ def test_exact_paths_never_load_numpy():
     ["spinor", "--f=0,0,0,0,0,0,0,1"],
     ["verify"],
 ])
-def test_numeric_paths_load_numpy(argv):
+def test_numeric_paths_never_load_numpy(argv):
     steps = numpy_loaded(argv)
     assert steps == {"import octo_so8": False, "load_fixtures()": False,
-                     " ".join(argv): True}
+                     " ".join(argv): False}
+
+
+def test_no_command_loads_numpy():
+    f = "--f=0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9"
+    commands = [["rotate", "5", "6"],
+                ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
+                ["tables"], ["gram"], ["dump-beta", "3"]]
+    for reading in ("sigma", "tensor"):
+        var = ["--beta-variant", reading]
+        commands += [["spinor", f] + var, ["spinor", f, "--split"] + var,
+                     ["verify"] + var]
+    steps = numpy_loaded(*commands)
+    assert len(steps) == 2 + len(commands)
+    assert not any(steps.values()), steps

@@ -192,4 +192,5 @@ class TestDerivedObjects:
         acc = np.zeros((8, 8), dtype=np.complex128)
         for a in range(8):
             acc = acc + complex(f[a]) * complex_array(dense_betas(reading)[a])
-        assert numeric_X(f, beta_set(reading)).tobytes() == acc.tobytes()
+        assert np.array(numeric_X(f, beta_set(reading))).tobytes() == \
+            acc.tobytes()

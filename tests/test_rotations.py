@@ -344,6 +344,66 @@ class TestNumericExponential:
         assert np.max(np.abs(e - expected)) < 10 * DEFAULT_TOL
 
 
+class TestListExponential:
+    """The exponential over lists of complex, against scipy.linalg.expm
+    on the fixture Y of spinor --split; the generator sums X are
+    covered above."""
+
+    def test_zero_gives_identity_rows(self):
+        e = matrix_exp([[0j] * 8 for _ in range(8)])
+        assert e == [[complex(i == j) for j in range(8)] for i in range(8)]
+        assert all(type(v) is complex for row in e for v in row)
+
+    def test_fixture_Y_against_scipy(self, fx):
+        y = fx.eq21_y1 + fx.eq21_y2
+        rng = np.random.default_rng(20261019)
+        worst = 0.0
+        for _ in range(100):
+            f = list(rng.standard_normal(8) * rng.uniform(0.01, 30, 8))
+            m = substitute_numeric(y, f)
+            ref = scipy.linalg.expm(np.array(m))
+            err = np.max(np.abs(matrix_exp(m) - ref)) / np.max(np.abs(ref))
+            worst = max(worst, err)
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("f", [
+        [1.0] + [0.0] * 7,
+        [0.0] * 7 + [-2.5],
+        [0.3, -0.2, 0.7, 0.1, 0.0, -0.5, 0.4, 0.9],
+        [12.0, -7.5, 3.25, 0.0, -9.0, 4.0, 0.5, -1.0],
+    ], ids=["f1", "f8", "small", "large"])
+    def test_fixture_Y_at_stated_f(self, fx, f):
+        m = substitute_numeric(fx.eq21_y1 + fx.eq21_y2, f)
+        ref = scipy.linalg.expm(np.array(m))
+        err = np.max(np.abs(matrix_exp(m) - ref)) / np.max(np.abs(ref))
+        assert err < 1e-9
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_hermitian_X_gives_exactly_hermitian_exp(self, reading):
+        # X is Hermitian, so every product is summed on one triangle and
+        # mirrored: e^X comes back exactly Hermitian, its diagonal real
+        rng = np.random.default_rng(20261020)
+        bs = beta_set(reading)
+        for _ in range(50):
+            f = list(rng.standard_normal(8) * rng.uniform(0.01, 30, 8))
+            e = matrix_exp(numeric_X(f, bs))
+            assert hermiticity_defect(e) == 0.0
+            assert all(e[i][i].imag == 0.0 for i in range(8))
+
+    def test_non_hermitian_input_takes_the_general_product(self):
+        # the same X with one entry nudged off its conjugate
+        x = numeric_X([0.3, -0.2, 0.7, 0.1, 0.0, -0.5, 0.4, 0.9])
+        x[0][1] += 1e-3
+        ref = scipy.linalg.expm(np.array(x))
+        e = matrix_exp(x)
+        assert np.max(np.abs(e - ref)) / np.max(np.abs(ref)) < 1e-9
+        assert hermiticity_defect(e) > 1e-4
+
+    def test_list_and_array_inputs_agree(self):
+        x = numeric_X([0.3, -0.2, 0.7, 0.1, 0.0, -0.5, 0.4, 0.9])
+        assert matrix_exp(np.array(x)) == matrix_exp(x)
+
+
 class TestNumericHelpers:
     def test_numeric_X_matches_symbolic_substitution(self):
         fvals = [Dyadic(k, 1) for k in range(1, 9)]
@@ -376,7 +436,7 @@ class TestTransportOracle:
         for _ in range(50):
             f = list(rng.standard_normal(8) * rng.uniform(0.01, 30, 8))
             for psi, m in self.cases(fx, reading, f):
-                assert spinor_transform(psi, m).tobytes() == \
+                assert np.array(spinor_transform(psi, m)).tobytes() == \
                     octonion_transport(psi, m).tobytes()
 
     # the benchmark's two overflowing spinor inputs
