@@ -370,15 +370,19 @@ def spinor_transform(psi: Sequence[Octonion], x_num,
     where row j of C holds psi_j's coefficients on e0..e7; row i of the
     result is psi'_i.  Each row is added up over j in order by plain
     additions, so it equals the per-term sum psi'_i = sum_j exp(X)_ij
-    psi_j bit for bit whatever rounding a Python version's sum() uses."""
+    psi_j bit for bit whatever rounding a Python version's sum() uses.
+    Zero coefficients are skipped: their terms are signed zeros, which
+    leave a sum that starts at +0 unchanged."""
     if len(psi) != len(x_num):
         raise ValueError("spinor length does not match the matrix")
-    c = [[complex(v) for v in o.coeffs] for o in psi]
+    c = [[(k, z) for k, z in enumerate(map(complex, o.coeffs)) if z]
+         for o in psi]
     out = []
     for row in matrix_exp(x_num, tol):
         acc = [0j] * 8
-        for e, c_row in zip(row, c):
-            acc = [s + e * v for s, v in zip(acc, c_row)]
+        for e, terms in zip(row, c):
+            for k, z in terms:
+                acc[k] += e * z
         out.append(acc)
     return out
 
