@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import CRational
 from .fixtures import FixtureStore
@@ -306,8 +305,7 @@ def _check_x_traceless_hermitian(fx, ctx):
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     id: str
     anchor: str    # coordinate of the statement being checked
     checker: Callable
@@ -339,16 +337,14 @@ CLAIMS = (
 )
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     id: str
     anchor: str
     status: str
     details: dict
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     version: str
     fixtures: tuple   # ({"name", "digest"}, ...) sorted by name
     claims: tuple     # ClaimResult, sorted by id

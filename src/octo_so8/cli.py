@@ -13,6 +13,7 @@ stdout is closed before the output is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="which transcribed generator reading to use")
 
 
+@functools.cache   # one tree per process; main reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octo-so8",
@@ -332,7 +334,7 @@ def _spinor(args, fvals) -> int:
     if args.split:
         from .splitrep import build_split_spinor
         fx = load_fixtures(_fixture_dir(args))
-        y_num = substitute_numeric(fx.eq21_y1 + fx.eq21_y2, fvals)
+        y_num = substitute_numeric(fx.eq21_y, fvals)
         phi_out = split_transform(build_split_spinor().components, y_num,
                                   args.tol)
         payload["split"] = {

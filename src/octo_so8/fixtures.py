@@ -10,12 +10,10 @@ to surface, so "fixing" it here would defeat the point.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import ScalarParseError
 from .matrices import SignedTable, SquareMatrix
@@ -174,8 +172,7 @@ def parse_map_lines(text: str, filename: str) -> tuple:
 # ---------------------------------------------------------------------------
 # the store
 
-@dataclass(frozen=True)
-class FixtureStore:
+class FixtureStore(NamedTuple):
     """Every bundled fixture, parsed, plus a sha256 digest per file."""
     table1: SignedTable
     table2: SignedTable
@@ -187,6 +184,7 @@ class FixtureStore:
     eq14: tuple            # 8 linear forms, the per-component flow
     eq21_y1: SquareMatrix
     eq21_y2: SquareMatrix
+    eq21_y: SquareMatrix   # eq21_y1 + eq21_y2, summed once per parse
     eq23_c: SquareMatrix   # 4x4
     eq24_d: SquareMatrix   # 4x4
     digests: dict          # filename -> sha256 hex
@@ -229,10 +227,11 @@ def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
     or malformed file shows on every call; only the parse of contents
     already parsed is reused.  Each call returns its own digests and
     eq2 dicts."""
+    import hashlib   # here, so commands that read no fixture never load it
     raw = _read_raw(directory)
     parsed = _parse(tuple(raw[name] for name in FIXTURE_FILES))
-    return replace(
-        parsed, eq2=dict(parsed.eq2),
+    return parsed._replace(
+        eq2=dict(parsed.eq2),
         digests={name: hashlib.sha256(raw[name]).hexdigest()
                  for name in FIXTURE_FILES})
 
@@ -254,8 +253,11 @@ def _parse(raw: tuple) -> FixtureStore:
         eq12_theta=eq12_theta,
         eq13=parse_form_matrix(text["eq13_delta.txt"], "eq13_delta.txt"),
         eq14=parse_map_lines(text["eq14_map.txt"], "eq14_map.txt"),
-        eq21_y1=parse_form_matrix(text["eq21_Y1.txt"], "eq21_Y1.txt"),
-        eq21_y2=parse_form_matrix(text["eq21_Y2.txt"], "eq21_Y2.txt"),
+        eq21_y1=(y1 := parse_form_matrix(text["eq21_Y1.txt"],
+                                         "eq21_Y1.txt")),
+        eq21_y2=(y2 := parse_form_matrix(text["eq21_Y2.txt"],
+                                         "eq21_Y2.txt")),
+        eq21_y=y1 + y2,
         eq23_c=parse_form_matrix(text["eq23_C.txt"], "eq23_C.txt", size=4),
         eq24_d=parse_form_matrix(text["eq24_D.txt"], "eq24_D.txt", size=4),
         digests={},

@@ -17,8 +17,7 @@ signed multiplication tables with a diff operation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import CRational
 
@@ -342,8 +341,7 @@ def beta_tensor_text(a: int) -> Monomial:
     return kron(pauli(p), gamma(g))
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(NamedTuple):
     """One of the two generator variants; mats are beta_1..beta_8."""
     variant: str            # "sigma" | "tensor"
     mats: tuple
@@ -412,8 +410,7 @@ def _beta_product(bs: BetaSet, idxs) -> Monomial:
     return acc
 
 
-@dataclass(frozen=True)
-class EMatrixSet:
+class EMatrixSet(NamedTuple):
     variant: str
     mats: tuple   # E_0 .. E_7
 
@@ -451,8 +448,7 @@ def audit_E_alternates(bs: BetaSet, ems: EMatrixSet):
 # ---------------------------------------------------------------------------
 # signed multiplication tables
 
-@dataclass(frozen=True)
-class SignedTable:
+class SignedTable(NamedTuple):
     """8x8 grid of (sign, basis_index) cells; None marks a product that
     is not +/- a basis element."""
     cells: tuple   # 8 rows of 8 cells
@@ -480,8 +476,7 @@ def signed_table(ems: EMatrixSet) -> SignedTable:
                              for a in ems.mats))
 
 
-@dataclass(frozen=True)
-class TableDiff:
+class TableDiff(NamedTuple):
     identical: int
     sign_flipped: int
     structurally_different: int

@@ -12,8 +12,7 @@ since multiplication only needs +, * and unary - on the coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import CRational
 from .matrices import SignedTable
@@ -161,8 +160,7 @@ def _zeroish(a) -> bool:
 # u_0 = (e0 + i e7)/2 and u_m = (e_m + i e_{m+3})/2 for m = 1..3, with
 # the starred elements their bioctonion conjugates (i -> -i).
 
-@dataclass(frozen=True)
-class SplitBasis:
+class SplitBasis(NamedTuple):
     u: tuple        # u_0..u_3
     u_star: tuple   # u_0*..u_3*
 
@@ -187,8 +185,7 @@ _EPS = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
         (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2)}
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     lhs: str
     rhs: str

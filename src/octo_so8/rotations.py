@@ -21,10 +21,9 @@ rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import CRational
 from .matrices import BetaSet, Monomial, SquareMatrix, beta_set, gram
@@ -74,8 +73,7 @@ def assemble_X(betas: Optional[BetaSet] = None) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
-@dataclass(frozen=True)
-class BlockDecomp:
+class BlockDecomp(NamedTuple):
     """X = [[A, B+], [B, -A]] reading; a and b are the 4x4 form blocks."""
     a: SquareMatrix
     b: SquareMatrix
@@ -184,8 +182,7 @@ def extract_components(m: SquareMatrix, betas: Optional[BetaSet] = None):
     return forms, SquareMatrix(rows)
 
 
-@dataclass(frozen=True)
-class ComponentMap:
+class ComponentMap(NamedTuple):
     """First-order component flow f_A -> f_A + theta * lines[A](f)."""
     k: int
     l: int

@@ -10,15 +10,14 @@ transcription.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrices import SquareMatrix, from_blocks, diff_cells
 from .octonion import build_split_basis
 from .rotations import BlockDecomp, spinor_transform
 
 
-@dataclass(frozen=True)
-class SplitSpinor:
+class SplitSpinor(NamedTuple):
     components: tuple   # 8 bioctonions
 
 
@@ -27,8 +26,7 @@ def build_split_spinor() -> SplitSpinor:
     return SplitSpinor(build_split_basis().ordered())
 
 
-@dataclass(frozen=True)
-class YFixture:
+class YFixture(NamedTuple):
     """The two verbatim symbolic matrices and the C/D blocks."""
     first: SquareMatrix    # claimed [[A, A], [B, B]]
     second: SquareMatrix   # claimed [[C, -C], [D, -D]]
@@ -36,8 +34,7 @@ class YFixture:
     d_block: SquareMatrix  # 4x4
 
 
-@dataclass(frozen=True)
-class BlockAudit:
+class BlockAudit(NamedTuple):
     name: str
     ok: bool
     cells: tuple   # diff cells, empty when ok

@@ -14,6 +14,7 @@ sign-joined terms with ``*`` separators and no whitespace:
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Sequence
 
@@ -290,6 +291,8 @@ def parse_linear_expr(text: str, symbols: Sequence[str]) -> dict:
     return out
 
 
+# fixtures repeat few tokens; a LinearForm is immutable, errors are not cached
+@functools.lru_cache(maxsize=1024)
 def parse_linear_form(text: str) -> LinearForm:
     d = parse_linear_expr(text, [f"f{k}" for k in range(1, 9)])
     return LinearForm([d[""]] + [d[f"f{k}"] for k in range(1, 9)])

@@ -375,6 +375,28 @@ class TestGramAndDump:
         assert exc.value.code == 2
 
 
+def test_back_to_back_calls_print_what_a_fresh_call_prints(capsys):
+    # main reuses one argparse tree; no call may see another's flags
+    src = str(Path(octo_so8.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OCTO_SO8_FIXTURES", None)
+    f = "--f=0.5,0.25,0,0,0,0,0,1"
+    sequence = [["rotate"], ["gram"], ["spinor", f, "--split"],
+                ["spinor", f], ["verify", "--strict"], ["verify"]]
+    assert cli.build_parser() is cli.build_parser()
+    for argv in sequence:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:       # argparse rejects the command line
+            rc = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "octo_so8.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert (rc, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_module_runs_as_script():
     src = str(Path(octo_so8.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

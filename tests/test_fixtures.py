@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from octo_so8 import FixtureError, load_fixtures, parse_linear_form
+from octo_so8 import (FixtureError, beta_set, load_fixtures,
+                      parse_linear_form, rotation_component_map)
 from octo_so8.fixtures import (
     FIXTURE_FILES,
     parse_form_matrix,
@@ -30,6 +31,10 @@ class TestLoading:
         assert fx.eq24_d.n == 4
         assert len(fx.eq14) == 8
         assert sorted(fx.eq2) == list(range(1, 9))
+
+    def test_split_y_is_summed_once(self, fx):
+        assert fx.eq21_y == fx.eq21_y1 + fx.eq21_y2
+        assert load_fixtures().eq21_y is fx.eq21_y
 
     def test_directory_copy_loads_identically(self, fx, data_copy):
         other = load_fixtures(str(data_copy))
@@ -110,6 +115,21 @@ class TestParseMemo:
             assert str(exc.value) == \
                 "table2.txt:1: basis index out of range 0..7 in 'e9'"
 
+    def test_bad_form_token_after_good_call(self, data_copy):
+        load_fixtures(str(data_copy))    # every good token is memoised
+        p = data_copy / "eq6_X.txt"
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2].replace("f4+i*f2", "f4+i*f9", 1)
+        p.write_text("\n".join(lines) + "\n")
+        for _ in range(2):      # a failed token parse is not memoised
+            with pytest.raises(FixtureError) as exc:
+                load_fixtures(str(data_copy))
+            assert str(exc.value) == \
+                "eq6_X.txt:3: column 2: bad scalar atom 'f9' in 'f9'"
+
+    def test_form_memo_is_bounded(self):
+        assert parse_linear_form.cache_info().maxsize is not None
+
     def test_returned_dicts_are_not_shared(self):
         first = load_fixtures()
         digests, eq2 = dict(first.digests), dict(first.eq2)
@@ -122,6 +142,26 @@ class TestParseMemo:
         assert second.eq2 == eq2
         assert second.digests is not first.digests
         assert second.eq2 is not first.eq2
+
+
+class TestRecords:
+    """The records are NamedTuples: read-only, iterable, and equal to a
+    tuple with the same values."""
+
+    @pytest.fixture()
+    def records(self, fx, report):
+        return [beta_set("sigma"), fx, report.claims[0],
+                rotation_component_map(1, 2)]
+
+    def test_fields_are_read_only(self, records):
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+
+    def test_tuple_semantics(self, records):
+        for record in records:
+            assert record == tuple(record)
 
 
 GOOD_GRID = "\n".join(["e0 e1 e2 e3 e4 e5 e6 e7"] * 8)

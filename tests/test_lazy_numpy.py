@@ -1,10 +1,12 @@
-"""No command loads numpy: the exact subcommands never touched it, and
-the numeric ones (the spinor exponential, verify's exp-action claim)
-run on plain lists of complex.  numpy serves the tests as an oracle
-only.
+"""What each command imports.  No command loads numpy: the exact
+subcommands never touched it, and the numeric ones (the spinor
+exponential, verify's exp-action claim) run on plain lists of complex.
+numpy serves the tests as an oracle only.  Nothing loads
+``dataclasses`` (the records are NamedTuples), and only a command that
+reads the fixtures loads ``hashlib``, for their digests.
 
 Each case runs in a fresh interpreter, since this test process has
-numpy loaded already."""
+all three modules loaded already."""
 
 import json
 import os
@@ -17,43 +19,73 @@ import pytest
 import octo_so8
 
 SRC = str(Path(octo_so8.__file__).resolve().parents[1])
+WATCHED = ("numpy", "dataclasses", "hashlib")
 
-# Runs the commands given as JSON argv lists through cli.main, quietly,
-# and prints whether numpy was imported at each step.
+# Imports the CLI, then runs the commands given as JSON argv lists
+# through cli.main, quietly, and prints which watched modules were
+# imported after each step.
 PROBE = """
 import contextlib, io, json, sys
+watched = json.loads(sys.argv[2])
+def loaded():
+    return [m for m in watched if m in sys.modules]
 steps = {}
-import octo_so8
-steps["import octo_so8"] = "numpy" in sys.modules
-octo_so8.load_fixtures()
-steps["load_fixtures()"] = "numpy" in sys.modules
-from octo_so8.cli import main
+import octo_so8.cli
+steps["import octo_so8.cli"] = loaded()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = main(argv)
+        rc = octo_so8.cli.main(argv)
     assert rc == 0, (argv, rc)
-    steps[" ".join(argv)] = "numpy" in sys.modules
+    steps[" ".join(argv)] = loaded()
 print(json.dumps(steps))
 """
 
+F = "--f=0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9"
+# Commands that read no fixture file, and those that do.
+NO_FIXTURES = [["spinor", F],
+               ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
+               ["rotate", "3", "7"], ["gram"], ["dump-beta", "3"]]
+READ_FIXTURES = [["rotate", "5", "6"], ["tables"], ["verify"],
+                 ["spinor", F, "--split"]]
 
-def numpy_loaded(*commands) -> dict:
-    """{step: numpy in sys.modules after it} from one fresh interpreter."""
+
+def modules_loaded(*commands) -> dict:
+    """{step: the WATCHED modules in sys.modules after it} from one
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("OCTO_SO8_FIXTURES", None)
-    p = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
+    p = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands),
+                        json.dumps(WATCHED)],
                        capture_output=True, text=True, env=env, timeout=120)
     assert p.returncode == 0, p.stderr
     return json.loads(p.stdout)
 
 
+def loading(steps: dict, module: str) -> list:
+    return [step for step, mods in steps.items() if module in mods]
+
+
+@pytest.fixture(scope="module")
+def every_command() -> dict:
+    commands = [["rotate", "5", "6"],
+                ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
+                ["rotate", "3", "7"], ["tables"], ["gram"], ["dump-beta", "3"]]
+    for reading in ("sigma", "tensor"):
+        var = ["--beta-variant", reading]
+        commands += [["spinor", F] + var, ["spinor", F, "--split"] + var,
+                     ["verify"] + var]
+    steps = modules_loaded(*commands)
+    assert len(steps) == 1 + len(commands)
+    return steps
+
+
 def test_exact_paths_never_load_numpy():
-    steps = numpy_loaded(
+    steps = modules_loaded(
         ["rotate", "5", "6"],
         ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
         ["tables"], ["gram"], ["dump-beta", "3"])
-    assert len(steps) == 7
-    assert not any(steps.values()), steps
+    assert len(steps) == 6
+    assert not loading(steps, "numpy"), steps
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,20 +93,21 @@ def test_exact_paths_never_load_numpy():
     ["verify"],
 ])
 def test_numeric_paths_never_load_numpy(argv):
-    steps = numpy_loaded(argv)
-    assert steps == {"import octo_so8": False, "load_fixtures()": False,
-                     " ".join(argv): False}
+    steps = modules_loaded(argv)
+    assert list(steps) == ["import octo_so8.cli", " ".join(argv)]
+    assert not loading(steps, "numpy"), steps
 
 
-def test_no_command_loads_numpy():
-    f = "--f=0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9"
-    commands = [["rotate", "5", "6"],
-                ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
-                ["tables"], ["gram"], ["dump-beta", "3"]]
-    for reading in ("sigma", "tensor"):
-        var = ["--beta-variant", reading]
-        commands += [["spinor", f] + var, ["spinor", f, "--split"] + var,
-                     ["verify"] + var]
-    steps = numpy_loaded(*commands)
-    assert len(steps) == 2 + len(commands)
-    assert not any(steps.values()), steps
+def test_no_command_loads_numpy(every_command):
+    assert not loading(every_command, "numpy"), every_command
+
+
+def test_no_command_loads_dataclasses(every_command):
+    assert not loading(every_command, "dataclasses"), every_command
+
+
+@pytest.mark.parametrize("reader", READ_FIXTURES,
+                         ids=["rotate-5-6", "tables", "verify", "spinor-split"])
+def test_hashlib_loads_only_with_the_fixtures(reader):
+    steps = modules_loaded(*NO_FIXTURES, reader)
+    assert loading(steps, "hashlib") == [" ".join(reader)], steps
