@@ -4,8 +4,8 @@ transcription fixtures."""
 
 from .claims import (ClaimReport, ClaimResult, TOOLKIT_VERSION,
                      render_markdown, run_all, to_json)
-from .exact import (CDyadic, CRational, Dyadic, InexactFloatError,
-                    ScalarParseError, parse_cdyadic, parse_dyadic)
+from .exact import (CDyadic, CRational, Dyadic, ScalarParseError,
+                    parse_cdyadic, parse_dyadic)
 from .fixtures import FixtureError, FixtureStore, load_fixtures
 from .matrices import (BetaSet, EMatrixSet, SignedTable, SquareMatrix,
                        TableDiff, anticommutator_audit, audit_E_alternates,

@@ -24,9 +24,9 @@ from .claims import REFUTED, render_markdown, run_all, to_json
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, build_E, compare_tables, signed_table
-from .rotations import (DEFAULT_TOL, NonFiniteInput, ToleranceNotMet,
-                        assemble_X, extract_components, numeric_X,
-                        plane_product, rotate_exact,
+from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
+                        ToleranceNotMet, assemble_X, extract_components,
+                        numeric_X, plane_product, rotate_exact,
                         rotation_component_map, spinor_transform,
                         standard_spinor, substitute_matrix,
                         substitute_numeric)
@@ -200,27 +200,32 @@ def _parse_f_numeric(text: str) -> list:
     return out
 
 
-def _max_abs_cells(m, fvals=None) -> float:
-    best = 0.0
-    for i in range(m.n):
-        for j in range(m.n):
-            e = m.at(i, j)
-            v = e.substitute(fvals) if fvals is not None else e
-            if hasattr(v, "constant"):   # constant LinearForm
-                v = v.constant
-            best = max(best, abs(complex(v)))
-    return best
+def _max_abs_cells(m) -> float:
+    return max(abs(complex(e)) for row in m.rows for e in row)
 
 
 def cmd_rotate(args) -> int:
     bs = beta_set(args.beta_variant)
     k, l = args.k, args.l
-    cm = rotation_component_map(k, l, bs)   # validates the plane
+    n = plane_product(k, l, bs)   # validates the plane
+    theta = _flag_value("--theta", args.theta, parse_dyadic)
+    fvals = (None if args.f is None
+             else _flag_value("--f", args.f, _parse_f_exact))
+    try:
+        if fvals is None:
+            cm = rotation_component_map(k, l, bs)
+        else:
+            # the first-order map at f: project [N, x] for x = X(f)
+            x = substitute_matrix(assemble_X(bs), fvals)
+            deltas, per_theta = extract_components(n @ x - x @ n, bs)
+    except DegenerateBasis as exc:
+        raise DegenerateBasis(
+            f"plane ({k},{l}) under the {bs.variant} reading: {exc}") from None
 
-    if args.f is None:
+    if fvals is None:
         # eq14 states the map of plane (1,2); any plane with the same
         # product is compared against it
-        comparable = plane_product(k, l, bs) == plane_product(1, 2, bs)
+        comparable = n == plane_product(1, 2, bs)
         fx = load_fixtures(_fixture_dir(args)) if comparable else None
         lines = []
         for a in range(8):
@@ -251,16 +256,10 @@ def cmd_rotate(args) -> int:
         print("\n".join(out))
         return 0
 
-    theta = _flag_value("--theta", args.theta, parse_dyadic)
-    fvals = _flag_value("--f", args.f, _parse_f_exact)
-    first = cm.apply(fvals, theta)
-    rotated = rotate_exact(substitute_matrix(assemble_X(bs), fvals),
-                           k, l, theta, bs)
-    forms, residual = extract_components(rotated, bs)
-    exact = [f.constant for f in forms]
+    first = [f + theta * d for f, d in zip(fvals, deltas)]
+    exact, residual = extract_components(rotate_exact(x, k, l, theta, bs), bs)
     try:
-        first_residual = (abs(float(theta))
-                          * _max_abs_cells(cm.residual, fvals))
+        first_residual = abs(float(theta)) * _max_abs_cells(per_theta)
         exact_residual = _max_abs_cells(residual)
         if first_residual == math.inf:     # finite factors, infinite product
             raise OverflowError

@@ -7,55 +7,37 @@ Every constant in the transcribed source material is dyadic (d a power
 of two); exact conjugation leaves the dyadics once it divides by
 1 + theta**2, and the same type carries on.
 
-Dyadic values are checked only at the edges: ``parse_cdyadic`` rejects
-denominators that are not powers of two, and ``to_complex_exact``
-refuses values that binary64 cannot hold.  ``CDyadic`` is a second
-name for ``CRational``, and ``Dyadic(num, exp)`` builds num / 2**exp
-with no arithmetic of its own.
+Dyadic values are checked only at the edge: ``parse_cdyadic`` rejects
+denominators that are not powers of two.  ``CDyadic`` is a second name
+for ``CRational``, and ``Dyadic(num, exp)`` builds num / 2**exp with no
+arithmetic of its own.
 
-Arithmetic coerces int and Fraction operands; a real value hashes like
-the equal Fraction, so equal scalars of any of these types hash alike.
+A ``CRational`` is built from ints only.  Arithmetic and ``==`` also
+take int operands, and an integral value hashes like the equal int.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
-
-
-class InexactFloatError(ValueError):
-    """Raised when an exact scalar cannot be represented in binary64."""
 
 
 class ScalarParseError(ValueError):
     """Raised on malformed scalar text."""
 
 
-def _ratio(x) -> tuple:
-    """A real int, Fraction or CRational as (numerator, denominator)."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, CRational) and x.b == 0:
-        return x.a, x.d
-    raise TypeError(f"expected a real int, Fraction or CRational, got {x!r}")
-
-
 class CRational:
     """Immutable complex rational (a + b*i)/d; d > 0, gcd(a, b, d) == 1.
 
-    ``CRational(re, im, den)`` is (re + im*i)/den for real int,
-    Fraction or CRational arguments.
+    ``CRational(re, im, den)`` is (re + im*i)/den for int arguments.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0, den=1):
         if type(re) is not int or type(im) is not int or type(den) is not int:
-            (p, q), (r, s), (u, v) = _ratio(re), _ratio(im), _ratio(den)
-            re, im, den = p * s * v, r * q * v, q * s * u
+            raise TypeError(
+                f"CRational takes ints, got {re!r}, {im!r}, {den!r}")
         if den <= 0:
             if den == 0:
                 raise ZeroDivisionError("CRational with denominator 0")
@@ -133,9 +115,10 @@ class CRational:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        if self.b:
-            return hash((self.a, self.b, self.d))
-        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        # an integral value equals the int, so it hashes like it
+        if self.b == 0 and self.d == 1:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -154,13 +137,6 @@ class CRational:
     def __complex__(self):
         # int / int is correctly rounded
         return complex(self.a / self.d, self.b / self.d)
-
-    def to_complex_exact(self) -> complex:
-        z = complex(self)
-        if (Fraction(z.real) * self.d != self.a
-                or Fraction(z.imag) * self.d != self.b):
-            raise InexactFloatError(f"{self} not representable in binary64")
-        return z
 
     def __str__(self):
         """The canonical token: "0", "3", "-1/2", "i", "-i", "2i",
@@ -185,11 +161,11 @@ def _ratio_token(n: int, d: int) -> str:
 
 
 def as_scalar(value):
-    """``value`` as a CRational when it is an int, a Fraction or a
-    CRational; None for anything else."""
+    """``value`` as a CRational when it is an int or a CRational; None
+    for anything else."""
     if isinstance(value, CRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if type(value) is int:
         return CRational(value)
     return None
 
@@ -247,5 +223,6 @@ def parse_cdyadic(tok: str) -> CRational:
         kind = "imaginary" if m.group(4) else "real"
         if kind in parts:
             raise ScalarParseError(f"duplicate {kind} part in {tok!r}")
-        parts[kind] = Fraction(num, den)
-    return CRational(parts.get("real", 0), parts.get("imaginary", 0))
+        parts[kind] = num, den
+    (a, b), (c, d) = parts.get("real", (0, 1)), parts.get("imaginary", (0, 1))
+    return CRational(a * d, c * b, b * d)

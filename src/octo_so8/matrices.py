@@ -1,8 +1,9 @@
 """Dense and monomial square matrices, and the eight 8x8 generators.
 
 ``SquareMatrix`` is entry-type agnostic: anything supporting +, -, *,
-unary -, ==, ``conj()`` and ``is_zero()`` works (CRational scalars and
-LinearForm).  A scalar times a LinearForm is a LinearForm.
+unary -, ==, ``conj()`` and ``is_zero()`` works.  A matrix holds
+CRational scalars or LinearForms, never both; a scalar times a
+LinearForm is a LinearForm.
 
 ``Monomial`` is a signed permutation matrix with phases in {1, i, -1,
 -i}.  Every generator is one, and so is every product of generators, so
@@ -109,8 +110,7 @@ class SquareMatrix:
         return self == self.conj_transpose()
 
     def is_traceless(self) -> bool:
-        t = self.trace()
-        return t.is_zero() if hasattr(t, "is_zero") else t == 0
+        return self.trace().is_zero()
 
     def block(self, bi: int, bj: int, size: int) -> "SquareMatrix":
         """size x size sub-block at block coordinates (bi, bj)."""

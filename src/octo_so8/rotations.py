@@ -9,10 +9,11 @@ R (I - theta N) = (1 - s theta^2) I and
     R X R^-1 = (X + theta (N X - X N) - theta^2 N X N) / (1 - s theta^2),
 
 three permutations of X's entries and no dense product or elimination.
-The module provides that exact conjugation (f symbols carried
-linearly), component extraction by the trace projection
-Tr(beta_A M) / 8, the first-order component map, the duplicate-plane
-scan, and the numeric matrix exponential used for spinor transport.
+The module provides that exact conjugation, of X itself (f symbols
+carried linearly) or of X at exact f, component extraction by the
+trace projection Tr(beta_A M) / 8, which keeps the entry type of M, the
+first-order component map, the duplicate-plane scan, and the numeric
+matrix exponential used for spinor transport.
 
 Only the numeric section uses floats.  It works on plain lists of
 rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
@@ -160,22 +161,22 @@ def rotate_exact(x: SquareMatrix, k: int, l: int, theta: CRational,
 # component extraction
 
 def extract_components(m: SquareMatrix, betas: Optional[BetaSet] = None):
-    """Project a symbolic matrix onto the generator span.
+    """Project a matrix onto the generator span.
 
     Returns (forms, residual): forms[A] = Tr(beta_A m) / 8, the
-    coefficient of beta_A as a LinearForm, and residual = m - sum_A
-    forms[A] * beta_A (exact).  That projection needs the Gram matrix
-    G[A][B] = Tr(beta_A beta_B) to be 8*I, as it is under the sigma
-    reading; otherwise raises DegenerateBasis.  The only other reading,
-    tensor, has a singular G (beta_8 repeats beta_1).
+    coefficient of beta_A, and residual = m - sum_A forms[A] * beta_A
+    (exact).  Both keep the entry type of m: CRational for a numeric
+    matrix, LinearForm for a symbolic one.  The projection needs the
+    Gram matrix G[A][B] = Tr(beta_A beta_B) to be 8*I, as it is under
+    the sigma reading; otherwise raises DegenerateBasis.  The only other
+    reading, tensor, has a singular G (beta_8 repeats beta_1).
     """
     bs = betas or beta_set()
     if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
         raise DegenerateBasis("generator Gram matrix is singular")
     eighth = CRational(1, 0, 8)
-    forms = tuple(LinearForm.zero() + eighth * b.trace_with(m)
-                  for b in bs.mats)
-    rows = [[LinearForm.zero() + e for e in row] for row in m.rows]
+    forms = tuple(eighth * b.trace_with(m) for b in bs.mats)
+    rows = [list(row) for row in m.rows]
     for form, b in zip(forms, bs.mats):
         for r, c in enumerate(b.perm):
             rows[r][c] = rows[r][c] - b.at(r, c) * form
@@ -189,27 +190,18 @@ class ComponentMap(NamedTuple):
     lines: tuple         # 8 LinearForms, the theta coefficients
     residual: SquareMatrix   # per-theta residual outside the span
 
-    def apply(self, fvals: Sequence, theta) -> list:
-        out = []
-        for a in range(8):
-            out.append(fvals[a] + theta * self.lines[a].substitute(fvals))
-        return out
-
 
 def rotation_component_map(k: int, l: int,
                            betas: Optional[BetaSet] = None) -> ComponentMap:
-    """Trace-projected first-order action of the (k, l) rotation.
-    Raises DegenerateBasis, naming the plane and the reading, when the
-    generator Gram matrix is singular."""
+    """Trace-projected first-order action of the (k, l) rotation on the
+    symbolic X: lines[A] = Tr(beta_A [N, X]) / 8 as LinearForms, and the
+    residual of [N, X] outside the span.  At exact f, projecting [N, x]
+    for x = X(f) gives the same numbers without the forms.  Raises
+    DegenerateBasis when the generator Gram matrix is singular."""
     bs = betas or beta_set()
     x = assemble_X(bs)
     n = plane_product(k, l, bs)
-    comm = (n @ x) - (x @ n)
-    try:
-        forms, residual = extract_components(comm, bs)
-    except DegenerateBasis as exc:
-        raise DegenerateBasis(
-            f"plane ({k},{l}) under the {bs.variant} reading: {exc}") from None
+    forms, residual = extract_components((n @ x) - (x @ n), bs)
     return ComponentMap(k, l, forms, residual)
 
 

@@ -2,10 +2,10 @@
 
 A ``LinearForm`` is ``const + sum_k c_k * f_k`` with exact ``CRational``
 coefficients (the f symbols themselves are treated as real, so
-conjugation only conjugates coefficients).  Forms add, negate, and
-scale by exact scalars; two forms never multiply.  A scalar stands for
-the constant form, so it adds to, subtracts from and compares with a
-form.
+conjugation only conjugates coefficients).  Forms add to and subtract
+from forms, negate, and scale by exact scalars; two forms never
+multiply.  A form is never a scalar: it equals only a form, and
+``substitute`` is the one way from a form to a scalar.
 
 The token grammar (used by fixture files and the CLI) writes a form as
 sign-joined terms with ``*`` separators and no whitespace:
@@ -22,15 +22,6 @@ from .exact import (CRational, ScalarParseError, as_scalar,
                     parse_cdyadic)
 
 
-def _as_form(value):
-    """``value`` as a LinearForm (a scalar becomes a constant form);
-    None for anything else."""
-    if isinstance(value, LinearForm):
-        return value
-    c = as_scalar(value)
-    return None if c is None else LinearForm.const(c)
-
-
 class LinearForm:
     """const + c1*f1 + ... + c8*f8 over exact complex coefficients."""
 
@@ -42,19 +33,11 @@ class LinearForm:
             raise ValueError("need 9 coefficients (const + f1..f8)")
         coeffs = tuple(map(as_scalar, coeffs))
         if any(c is None for c in coeffs):
-            raise TypeError("coefficients must be int, Fraction or CRational")
+            raise TypeError("coefficients must be int or CRational")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("LinearForm is immutable")
-
-    @classmethod
-    def zero(cls) -> "LinearForm":
-        return _ZERO
-
-    @classmethod
-    def const(cls, value) -> "LinearForm":
-        return cls([value] + [0] * 8)
 
     @classmethod
     def symbol(cls, k: int, coeff=1) -> "LinearForm":
@@ -73,24 +56,14 @@ class LinearForm:
         return self.coeffs[k]
 
     def __add__(self, other):
-        o = _as_form(other)
-        if o is None:
+        if not isinstance(other, LinearForm):
             return NotImplemented
-        return LinearForm([a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
+        return LinearForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        o = _as_form(other)
-        if o is None:
+        if not isinstance(other, LinearForm):
             return NotImplemented
-        return LinearForm([a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = _as_form(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return LinearForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return LinearForm([-c for c in self.coeffs])
@@ -106,15 +79,11 @@ class LinearForm:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = _as_form(other)
-        if o is None:
+        if not isinstance(other, LinearForm):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a constant form equals its scalar, so it hashes like it
-        if all(c.is_zero() for c in self.coeffs[1:]):
-            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def is_zero(self) -> bool:
@@ -142,9 +111,6 @@ class LinearForm:
 
     def __repr__(self):
         return f"LinearForm({self})"
-
-
-_ZERO = LinearForm([0] * 9)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 package computes through the monomial structure, the per-term spinor
 transport, plus block-algebra helpers only the tests need."""
 
+import functools
+import operator
+
 import numpy as np
 
-from octo_so8 import (LinearForm, Octonion, SquareMatrix, beta_set, gram,
-                      invert_exact, matrix_exp, plane_product)
+from octo_so8 import (Octonion, SquareMatrix, beta_set, gram, invert_exact,
+                      matrix_exp, plane_product)
 from octo_so8.matrices import from_blocks
 
 
@@ -24,16 +27,21 @@ def dense_rotate(x, k, l, theta, bs=None):
 def gram_inverse_projection(m, bs=None):
     """(forms, residual) of m against the generators through G^-1:
     forms[A] = sum_B (G^-1)[A][B] Tr(beta_B m), residual = m - sum_A
-    forms[A] beta_A by a dense triple loop."""
+    forms[A] beta_A by a dense triple loop.  Both keep m's entry type."""
     bs = bs or beta_set()
     g_inv = invert_exact(gram(bs))
     traces = [b.trace_with(m) for b in bs.mats]
-    forms = [sum((g_inv.at(a, b) * traces[b] for b in range(8)),
-                 LinearForm.zero()) for a in range(8)]
-    span = SquareMatrix([[sum((bs.mats[a].at(i, j) * forms[a]
-                               for a in range(8)), LinearForm.zero())
+    forms = [_sum(g_inv.at(a, b) * traces[b] for b in range(8))
+             for a in range(8)]
+    span = SquareMatrix([[_sum(bs.mats[a].at(i, j) * forms[a]
+                               for a in range(8))
                           for j in range(8)] for i in range(8)])
     return tuple(forms), m - span
+
+
+def _sum(terms):
+    """The sum of exact terms of one type, with no start value."""
+    return functools.reduce(operator.add, terms)
 
 
 def reassemble(dec):
@@ -51,9 +59,8 @@ def block_sum_oracle(a, b, c, d):
 
 def complex_array(m):
     """An exact scalar matrix (dense or Monomial) as complex128, entry by
-    entry; raises InexactFloatError when an entry is not exactly
-    representable in binary64."""
-    return np.array([[m.at(i, j).to_complex_exact() for j in range(m.n)]
+    entry, each correctly rounded."""
+    return np.array([[complex(m.at(i, j)) for j in range(m.n)]
                      for i in range(m.n)], dtype=np.complex128)
 
 

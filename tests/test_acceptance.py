@@ -123,14 +123,14 @@ def test_criterion_04_symbolic_matrix_structure(fx):
 def test_criterion_05_rotation_machinery(fx):
     theta = Dyadic(1, 1)
     r = SquareMatrix.identity(8) + plane_product(1, 2).to_dense().scale(theta)
-    ok = r == fx.eq12_const + fx.eq12_theta.scale(CDyadic(theta))
+    ok = r == fx.eq12_const + fx.eq12_theta.scale(theta)
     ok &= fx.eq12_const == SquareMatrix.identity(8)
     ok &= fx.eq12_theta == plane_product(1, 2)
 
     n = plane_product(1, 2)
     x = assemble_X()
     increment = (n @ x - x @ n).scale(theta)
-    ok &= increment == fx.eq13.scale(CDyadic(theta)).scale(2)
+    ok &= increment == fx.eq13.scale(theta).scale(2)
 
     cm = rotation_component_map(1, 2)
     flags = {a + 1 for a in range(8)
@@ -188,8 +188,9 @@ def test_criterion_08_block_sum_audit(fx, report):
     rng = random.Random(1729)
 
     def rand_form():
-        return LinearForm([CDyadic(Dyadic(rng.randint(-4, 4), rng.randint(0, 2)),
-                                   Dyadic(rng.randint(-4, 4), rng.randint(0, 2)))
+        return LinearForm([Dyadic(rng.randint(-4, 4), rng.randint(0, 2))
+                           + CDyadic(0, 1)
+                           * Dyadic(rng.randint(-4, 4), rng.randint(0, 2))
                            for _ in range(9)])
 
     def rand_mat():

@@ -156,6 +156,22 @@ class TestRotate:
         assert rc == 2
         assert err == "error: --theta=1/3: denominator 3 is not a power of two\n"
 
+    @pytest.mark.parametrize("argv, err", [
+        (("--theta=1/3",),
+         "error: --theta=1/3: denominator 3 is not a power of two\n"),
+        (("--theta=abc",),
+         "error: --theta=abc: bad scalar atom 'abc' in 'abc'\n"),
+        (("--theta=1/3", "--f=1,0,0,0,0,0,0,0", "--beta-variant", "tensor"),
+         "error: --theta=1/3: denominator 3 is not a power of two\n"),
+        (("--theta=1/4", "--f=1,0", "--beta-variant", "tensor"),
+         "error: --f=1,0: need exactly 8 comma-separated f values\n"),
+    ], ids=["symbolic", "symbolic-garbage", "tensor-theta", "tensor-f"])
+    def test_flags_checked_in_both_modes_before_the_reading(self, capsys,
+                                                           argv, err):
+        # a bad flag is reported in symbolic mode too, and before a
+        # reading whose Gram matrix is singular
+        assert run(capsys, "rotate", "1", "2", *argv) == (2, "", err)
+
     @pytest.mark.parametrize("fmt", ["md", "json"])
     @pytest.mark.parametrize("theta, f", [
         (str(2 ** 1100), "1,0,0,0,0,0,0,0"),

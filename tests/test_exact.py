@@ -1,4 +1,5 @@
-"""The one exact scalar type: normalized complex rationals (a + b*i)/d."""
+"""The one exact scalar type: normalized complex rationals (a + b*i)/d,
+built from ints only.  ``Fraction`` serves here as an oracle only."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,6 @@ from octo_so8 import (
     CDyadic,
     CRational,
     Dyadic,
-    InexactFloatError,
     LinearForm,
     ScalarParseError,
     parse_cdyadic,
@@ -18,9 +18,10 @@ from octo_so8 import (
 )
 
 dyadics = st.builds(Dyadic, st.integers(-64, 64), st.integers(0, 6))
-cdyadics = st.builds(CDyadic, dyadics, dyadics)
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
-crationals = st.builds(CRational, rationals, rationals)
+cdyadics = st.builds(CDyadic, st.integers(-64, 64), st.integers(-64, 64),
+                     st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+crationals = st.builds(CRational, st.integers(-512, 512),
+                       st.integers(-512, 512), st.integers(1, 64))
 # one type, drawn both inside and outside the dyadics
 scalars = st.one_of(cdyadics, crationals)
 
@@ -68,9 +69,12 @@ class TestDyadicNormalization:
         with pytest.raises(ZeroDivisionError):
             CRational(1, 0, 0)
 
-    def test_parts_may_be_fractions(self):
-        z = CRational(Fraction(1, 2), Fraction(-1, 3))
+    def test_parts_must_be_ints(self):
+        z = CRational(3, -2, 6)
         assert (z.a, z.b, z.d) == (3, -2, 6)
+        for parts in ((Fraction(1, 2),), (1, Fraction(-1, 3)), (1, 0, 2.0)):
+            with pytest.raises(TypeError):
+                CRational(*parts)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -121,7 +125,7 @@ class TestRingAxioms:
 
 class TestPromotion:
     """The names of the former promotion ladder all build the one type;
-    int and Fraction operands are coerced into it."""
+    int operands are coerced into it, and nothing else is."""
 
     def test_int_into_dyadic(self):
         assert 1 + Dyadic(1, 1) == Dyadic(3, 1)
@@ -130,21 +134,25 @@ class TestPromotion:
 
     def test_dyadic_into_cdyadic(self):
         z = Dyadic(1, 1) + CDyadic(0, 1)
-        assert z == CDyadic(Dyadic(1, 1), Dyadic(1))
+        assert z == CDyadic(1, 2, 2)
 
     def test_cdyadic_into_crational(self):
-        z = CDyadic(1, 1) * CRational(Fraction(1, 3))
+        z = CDyadic(1, 1) * CRational(1, 0, 3)
         assert isinstance(z, CRational)
-        assert z == CRational(Fraction(1, 3), Fraction(1, 3))
+        assert z == CRational(1, 1, 3)
 
     def test_fraction_operands(self):
         third = Fraction(1, 3)
-        assert CDyadic(1, 1) * third == CRational(third, third)
-        assert third + CRational(0, 1) == CRational(1, 3, 3)
+        with pytest.raises(TypeError):
+            CDyadic(1, 1) * third
+        with pytest.raises(TypeError):
+            third + CRational(0, 1)
+        assert CRational(1, 0, 3) != third
 
     def test_cross_type_equality(self):
-        assert CRational(Fraction(1, 2)) == CDyadic(Dyadic(1, 1))
-        assert CDyadic(Dyadic(1, 1)) == CRational(Fraction(1, 2))
+        assert CRational(1, 0, 2) == Dyadic(1, 1)
+        assert Dyadic(1, 1) == CRational(1, 0, 2)
+        assert Dyadic(3) == 3 and 3 == CDyadic(3)
 
     def test_one_type_behind_three_names(self):
         assert CDyadic is CRational
@@ -160,21 +168,26 @@ class TestPromotion:
         assert CRational(1) != "1"
 
 
+def from_fractions(re: Fraction, im: Fraction = Fraction(0)) -> CRational:
+    """re + im*i as a CRational, built from int parts."""
+    return CRational(re.numerator * im.denominator,
+                     im.numerator * re.denominator,
+                     re.denominator * im.denominator)
+
+
 def _as(kind: str, re: Fraction, im: Fraction):
     """The value re + im*i written as one of the scalar types, or None
     when that type cannot hold it."""
     if kind == "int":
         return int(re) if im == 0 and re.denominator == 1 else None
-    if kind == "Fraction":
-        return re if im == 0 else None
     if kind == "Dyadic":
         exp = re.denominator.bit_length() - 1
         ok = im == 0 and is_power_of_two(re.denominator)
         return Dyadic(re.numerator, exp) if ok else None
-    return {"CDyadic": CDyadic, "CRational": CRational}[kind](re, im)
+    return from_fractions(re, im)
 
 
-KINDS = ("int", "Fraction", "Dyadic", "CDyadic", "CRational")
+KINDS = ("int", "Dyadic", "CDyadic", "CRational")
 small = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
                          Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3)])
 written = st.builds(_as, st.sampled_from(KINDS), small,
@@ -182,9 +195,14 @@ written = st.builds(_as, st.sampled_from(KINDS), small,
                     ).filter(lambda v: v is not None)
 
 
+def constant(value) -> LinearForm:
+    return LinearForm([value] + [0] * 8)
+
+
 class TestHash:
     """x == y must imply hash(x) == hash(y), across every way of writing
-    a scalar and the linear forms built from them."""
+    a scalar and the linear forms built from them.  A form equals only
+    a form, so it never needs to hash like a scalar."""
 
     @given(written, written)
     def test_scalars(self, x, y):
@@ -194,9 +212,8 @@ class TestHash:
 
     @given(written, written, st.integers(1, 8))
     def test_linear_forms(self, x, y, k):
-        pairs = [(LinearForm.const(x), LinearForm.const(y)),
-                 (LinearForm.symbol(k, x), LinearForm.symbol(k, y)),
-                 (LinearForm.const(x), y)]
+        pairs = [(constant(x), constant(y)),
+                 (LinearForm.symbol(k, x), LinearForm.symbol(k, y))]
         for p, q in pairs:
             assert (p == q) == (q == p)
             if p == q:
@@ -204,24 +221,16 @@ class TestHash:
 
     def test_known_cases(self):
         assert hash(Dyadic(1)) == hash(1)
-        assert hash(Dyadic(-3, 2)) == hash(Fraction(-3, 4))
-        assert len({LinearForm.const(CDyadic(1)),
-                    LinearForm.const(CRational(1))}) == 1
+        assert len({constant(CDyadic(1)), constant(CRational(1))}) == 1
 
 
 class TestFloatConversion:
     def test_exact_value(self):
-        assert Dyadic(3, 2).to_complex_exact() == 0.75
         assert float(Dyadic(3, 2)) == 0.75
 
-    def test_inexact_raises(self):
-        for z in (Dyadic(2**60 + 1), CRational(1, 0, 3), CRational(0, 1, 3)):
-            with pytest.raises(InexactFloatError):
-                z.to_complex_exact()
-
     def test_complex_protocol(self):
-        assert complex(CDyadic(Dyadic(1, 1), Dyadic(-1))) == 0.5 - 1j
-        assert complex(CRational(Fraction(1, 4), Fraction(-3))) == 0.25 - 3j
+        assert complex(CDyadic(1, -2, 2)) == 0.5 - 1j
+        assert complex(CRational(1, -12, 4)) == 0.25 - 3j
         assert float(CRational(1, 0, 3)) == 1 / 3
 
     def test_float_of_non_real_rejected(self):
@@ -236,13 +245,13 @@ CANONICAL_TOKENS = ["0", "1", "-3", "1/2", "-1/2", "i", "-i", "2i", "1/2i",
 def read_token(tok: str) -> CRational:
     """Test-side reader of any rendered token, dyadic or not."""
     if not tok.endswith("i"):
-        return CRational(Fraction(tok))
+        return from_fractions(Fraction(tok))
     body = tok[:-1]
     k = max(body.rfind("+"), body.rfind("-"))
     re_tok, im_tok = (body[:k], body[k:]) if k > 0 else ("0", body)
     if im_tok in ("", "+", "-"):
         im_tok += "1"
-    return CRational(Fraction(re_tok), Fraction(im_tok))
+    return from_fractions(Fraction(re_tok), Fraction(im_tok))
 
 
 class TestTokenGrammar:
@@ -267,7 +276,8 @@ class TestTokenGrammar:
         assert str(CRational(0, -2, 3)) == "-2/3i"
 
     def test_parse_values(self):
-        assert parse_cdyadic("-1/2+1/2i") == CDyadic(Dyadic(-1, 1), Dyadic(1, 1))
+        assert parse_cdyadic("-1/2+1/2i") == CDyadic(-1, 1, 2)
+        assert parse_cdyadic("3/4-5/8i") == CDyadic(6, -5, 8)
         assert parse_dyadic("-12/16") == Dyadic(-3, 2)
 
     @pytest.mark.parametrize("tok", ["", "1/3", "0.25", "i+i", "2+3", "x",

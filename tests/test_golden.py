@@ -1,4 +1,5 @@
-"""The ``verify`` report, pinned byte for byte by committed golden files.
+"""The ``verify`` report, pinned byte for byte by committed golden files,
+and ``rotate``, pinned by digest over a grid of planes and modes.
 
 ``tests/golden/verify-<reading>.<format>`` is the standard output of
 ``octo-so8 verify --beta-variant <reading> --format <format>``.  The one
@@ -8,6 +9,9 @@ and everything else, the rest of that claim included, must match
 exactly.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -64,3 +68,49 @@ def test_float_pinning_rejects_drift_beyond_bound():
     drifted["hermiticity_defect"] += 2 * drifted["tolerance_bound"]
     with pytest.raises(AssertionError):
         _pin_exp_floats(drifted, exp["details"])
+
+
+# ---------------------------------------------------------------------------
+# rotate, pinned by digest
+#
+# tests/golden/rotate-grid.json maps each argv of the grid (joined by
+# spaces) to the sha256 of its exit code, stdout and stderr.  Rewrite it
+# with ``PYTHONPATH=src python tests/test_golden.py`` only when a change
+# to the rotate bytes is intended and recorded.
+
+ROTATE_GRID = GOLDEN / "rotate-grid.json"
+GRID_F = "--f=1,-1/2,3/4,0,2,-3,1/8,5"
+GRID_MODES = (["--format", "md"], ["--format", "json"],
+              ["--theta=1/4", GRID_F, "--format", "md"],
+              ["--theta=1", GRID_F, "--format", "md"],
+              ["--theta=3/8", GRID_F, "--format", "json"])
+
+
+def rotate_grid() -> list:
+    return [["rotate", str(k), str(l), "--beta-variant", reading] + mode
+            for reading in ("sigma", "tensor")
+            for k in range(1, 9) for l in range(k + 1, 9)
+            for mode in GRID_MODES]
+
+
+def rotate_digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    blob = json.dumps([rc, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_rotate_grid_matches_digests():
+    want = json.loads(ROTATE_GRID.read_text("utf-8"))
+    grid = rotate_grid()
+    assert sorted(want) == sorted(" ".join(argv) for argv in grid)
+    for argv in grid:
+        key = " ".join(argv)
+        assert rotate_digest(argv) == want[key], f"bytes differ for: {key}"
+
+
+if __name__ == "__main__":
+    ROTATE_GRID.write_text(json.dumps(
+        {" ".join(argv): rotate_digest(argv) for argv in rotate_grid()},
+        indent=1) + "\n", encoding="utf-8")

@@ -2,11 +2,12 @@
 subcommands never touched it, and the numeric ones (the spinor
 exponential, verify's exp-action claim) run on plain lists of complex.
 numpy serves the tests as an oracle only.  Nothing loads
-``dataclasses`` (the records are NamedTuples), and only a command that
+``dataclasses`` (the records are NamedTuples) or ``fractions`` (every
+exact scalar is a CRational built from ints), and only a command that
 reads the fixtures loads ``hashlib``, for their digests.
 
 Each case runs in a fresh interpreter, since this test process has
-all three modules loaded already."""
+all these modules loaded already."""
 
 import json
 import os
@@ -19,7 +20,7 @@ import pytest
 import octo_so8
 
 SRC = str(Path(octo_so8.__file__).resolve().parents[1])
-WATCHED = ("numpy", "dataclasses", "hashlib")
+WATCHED = ("numpy", "dataclasses", "fractions", "hashlib")
 
 # Imports the CLI, then runs the commands given as JSON argv lists
 # through cli.main, quietly, and prints which watched modules were
@@ -104,6 +105,10 @@ def test_no_command_loads_numpy(every_command):
 
 def test_no_command_loads_dataclasses(every_command):
     assert not loading(every_command, "dataclasses"), every_command
+
+
+def test_no_command_loads_fractions(every_command):
+    assert not loading(every_command, "fractions"), every_command
 
 
 @pytest.mark.parametrize("reader", READ_FIXTURES,

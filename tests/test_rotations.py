@@ -1,6 +1,10 @@
 """Symbolic X, exact plane rotations, component extraction, numeric exp."""
 
+import functools
+import json
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from octo_so8 import (
     standard_spinor,
     substitute_matrix,
 )
+from octo_so8.cli import main
 from octo_so8.rotations import (
     DEFAULT_TOL,
     hermiticity_defect,
@@ -42,8 +47,6 @@ from octo_so8.rotations import (
     substitute_numeric,
     unitarity_defect,
 )
-from fractions import Fraction
-
 from oracles import (complex_array, dense_rotate, dense_rotation_operator,
                      gram_inverse_projection, octonion_transport, reassemble)
 
@@ -67,10 +70,9 @@ def trace_of_square(x):
 
 
 def span_combination(forms, bs):
-    acc = SquareMatrix.zeros(8).map(lambda e: LinearForm.const(e))
-    for a in range(8):
-        acc = acc + bs.mats[a].to_dense().map(lambda c, f=forms[a]: c * f)
-    return acc
+    return functools.reduce(operator.add, (
+        bs.mats[a].to_dense().map(lambda c, f=forms[a]: c * f)
+        for a in range(8)))
 
 
 class TestSymbolicX:
@@ -90,7 +92,7 @@ class TestSymbolicX:
 
     def test_block_mismatch_located(self):
         rows = [list(r) for r in assemble_X().rows]
-        rows[0][4] = rows[0][4] + 1
+        rows[0][4] = rows[0][4] + LinearForm([1] + [0] * 8)
         perturbed = SquareMatrix(rows)
         with pytest.raises(StructureMismatch) as exc:
             block_decompose(perturbed)
@@ -100,7 +102,7 @@ class TestSymbolicX:
 class TestRotationOperator:
     def test_matches_fixture_parts(self, fx):
         theta = Dyadic(1, 1)
-        expected = fx.eq12_const + fx.eq12_theta.scale(CDyadic(theta))
+        expected = fx.eq12_const + fx.eq12_theta.scale(theta)
         assert dense_rotation_operator(1, 2, theta) == expected
         assert fx.eq12_const == SquareMatrix.identity(8)
         assert fx.eq12_theta == plane_product(1, 2)
@@ -130,10 +132,9 @@ class TestExactRotation:
         fvals = [Dyadic(1)] + [Dyadic(0)] * 7
         x_num = substitute_matrix(assemble_X(), fvals)
         rotated = rotate_exact(x_num, 1, 2, Dyadic(1, 2))
-        forms, residual = extract_components(rotated)
-        comps = [f.constant for f in forms]
-        assert comps[0] == CRational(Fraction(15, 17))
-        assert comps[1] == CRational(Fraction(-8, 17))
+        comps, residual = extract_components(rotated)
+        assert comps[0] == CRational(15, 0, 17)
+        assert comps[1] == CRational(-8, 0, 17)
         assert all(c.is_zero() for c in comps[2:])
         assert residual.is_zero()
 
@@ -210,8 +211,8 @@ class TestFirstOrder:
         # the component map's increment f' - f doubles with theta
         cm = rotation_component_map(1, 2)
         f = [Dyadic(k, 1) for k in range(1, 9)]
-        a = [v - w for v, w in zip(cm.apply(f, Dyadic(1, 2)), f)]
-        b = [v - w for v, w in zip(cm.apply(f, Dyadic(1, 1)), f)]
+        a = [Dyadic(1, 2) * line.substitute(f) for line in cm.lines]
+        b = [Dyadic(1, 1) * line.substitute(f) for line in cm.lines]
         assert b == [2 * v for v in a]
         assert any(not v.is_zero() for v in a)
 
@@ -244,10 +245,23 @@ class TestComponentExtraction:
             (5, 4, "-2*f4"), (6, 3, "2*f4"), (7, 2, "2*f4"), (8, 1, "-2*f4"),
         ]
 
-    def test_apply(self):
+    def test_lines_at_f(self):
         cm = rotation_component_map(1, 2)
-        out = cm.apply([Dyadic(1)] + [Dyadic(0)] * 7, Dyadic(1, 2))
-        assert out[1] == CDyadic(Dyadic(-1, 1))  # f2' = -2*theta*f1 = -1/2
+        f = [Dyadic(1)] + [Dyadic(0)] * 7
+        # f2' = f2 - 2*theta*f1 = -1/2
+        assert f[1] + Dyadic(1, 2) * cm.lines[1].substitute(f) == \
+            CDyadic(-1, 0, 2)
+
+    def test_projection_keeps_the_entry_type(self):
+        x = assemble_X()
+        x_num = substitute_matrix(x, [Dyadic(k, 2) for k in range(1, 9)])
+        for m, kind in ((x, LinearForm), (x_num, CRational),
+                        (commutator(x, 3, 7), LinearForm),
+                        (commutator(x_num, 3, 7), CRational)):
+            forms, residual = extract_components(m)
+            assert all(type(v) is kind for v in forms)
+            assert all(type(e) is kind for row in residual.rows for e in row)
+            assert span_combination(forms, beta_set()) + residual == m
 
     def test_trace_projection_equals_gram_inverse(self):
         bs = beta_set("sigma")
@@ -258,6 +272,24 @@ class TestComponentExtraction:
                                  Dyadic(3, 3), bs))
         for m in mats:
             assert extract_components(m, bs) == gram_inverse_projection(m, bs)
+
+    @pytest.mark.parametrize("k, l", PLANES)
+    def test_numeric_rotate_against_the_symbolic_map(self, capsys, k, l):
+        # numeric rotate projects [N, X(f)]; the symbolic map evaluated
+        # at f must give the same first-order f' and residual maximum
+        rng = random.Random(f"first-order {k} {l}")
+        theta = Dyadic(rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]),
+                       rng.randint(1, 3))
+        f = [Dyadic(rng.randint(-8, 8), rng.randint(0, 2)) for _ in range(8)]
+        assert main(["rotate", str(k), str(l), f"--theta={theta}",
+                     "--f=" + ",".join(map(str, f)), "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)["first_order"]
+        cm = rotation_component_map(k, l)
+        assert got["f_prime"] == [str(f[a] + theta * cm.lines[a].substitute(f))
+                                  for a in range(8)]
+        assert got["residual_max"] == abs(float(theta)) * max(
+            abs(complex(e.substitute(f))) for row in cm.residual.rows
+            for e in row)
 
     def test_degenerate_basis_detected(self):
         with pytest.raises(DegenerateBasis):

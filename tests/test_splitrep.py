@@ -23,8 +23,9 @@ from oracles import block_sum_oracle
 
 def rand_form(rng):
     def c():
-        return CDyadic(Dyadic(rng.randint(-4, 4), rng.randint(0, 2)),
-                       Dyadic(rng.randint(-4, 4), rng.randint(0, 2)))
+        re = Dyadic(rng.randint(-4, 4), rng.randint(0, 2))
+        return re + CDyadic(0, 1) * Dyadic(rng.randint(-4, 4),
+                                           rng.randint(0, 2))
     return LinearForm([c() for _ in range(9)])
 
 

@@ -13,8 +13,9 @@ from octo_so8 import (
 )
 from octo_so8.symbolic import parse_theta_affine
 
-small_dyadics = st.builds(Dyadic, st.integers(-8, 8), st.integers(0, 3))
-small_cdyadics = st.builds(CDyadic, small_dyadics, small_dyadics)
+small_cdyadics = st.builds(CDyadic, st.integers(-8, 8), st.integers(-8, 8),
+                          st.sampled_from([1, 2, 4, 8]))
+ZERO = LinearForm([0] * 9)
 forms = st.builds(LinearForm, st.lists(small_cdyadics, min_size=9, max_size=9))
 
 
@@ -23,7 +24,19 @@ class TestFormAlgebra:
         f3 = LinearForm.symbol(3)
         assert f3.coeff(3) == CDyadic(1)
         assert f3.constant == CDyadic(0)
-        assert LinearForm.const(Dyadic(1, 1)).constant == CDyadic(Dyadic(1, 1))
+        half = LinearForm([Dyadic(1, 1)] + [0] * 8)
+        assert half.constant == CDyadic(1, 0, 2)
+
+    def test_a_form_is_never_a_scalar(self):
+        half = Dyadic(1, 1)
+        const = LinearForm([half] + [0] * 8)
+        assert const != half and half != const
+        assert ZERO != 0
+        assert len({const, half}) == 2
+        for op in (lambda: const + half, lambda: half + const,
+                   lambda: const - half, lambda: half - const):
+            with pytest.raises(TypeError):
+                op()
 
     def test_symbol_range_checked(self):
         with pytest.raises(ValueError):
@@ -32,7 +45,7 @@ class TestFormAlgebra:
     @given(forms, forms, small_cdyadics)
     def test_module_axioms(self, a, b, s):
         assert a + b == b + a
-        assert a - a == LinearForm.zero()
+        assert a - a == ZERO
         assert s * (a + b) == s * a + s * b
         assert (a + b) * s == a * s + b * s
 
@@ -45,7 +58,7 @@ class TestFormAlgebra:
         vals = [Dyadic(0)] * 8
         vals[0] = Dyadic(1, 1)
         vals[4] = Dyadic(3)
-        assert form.substitute(vals) == CDyadic(Dyadic(0), Dyadic(3))
+        assert form.substitute(vals) == CDyadic(0, 3)
 
     def test_conj_flips_imaginary_coeffs(self):
         form = parse_linear_form("i*f2+f3")
@@ -77,7 +90,7 @@ class TestFormGrammar:
 
     def test_canonical_rendering(self):
         assert render_linear_form(parse_linear_form("2*f2-2*i*f4")) == "2*f2-2i*f4"
-        assert render_linear_form(LinearForm.zero()) == "0"
+        assert render_linear_form(ZERO) == "0"
         assert render_linear_form(LinearForm.symbol(4, CDyadic(0, -1))) == "-i*f4"
 
     @given(forms)
