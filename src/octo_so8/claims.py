@@ -23,10 +23,11 @@ from .fixtures import FixtureStore
 from .matrices import (SIGMA_TERMS, SquareMatrix, anticommutator_audit,
                        audit_E_alternates, beta_set, beta_sigma_expansion,
                        beta_tensor_text, build_E, compare_tables, diff_cells,
-                       gram, signed_table)
+                       gram, monomial_sum, signed_table)
 from .octonion import TABLE, Octonion, verify_split_relations
-from .rotations import (DEFAULT_TOL, DegenerateBasis, SingularRotation,
-                        StructureMismatch, assemble_X, block_decompose,
+from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
+                        SingularRotation, StructureMismatch, assemble_X,
+                        block_decompose, commutator_terms,
                         duplicate_rotation_scan, hermiticity_defect,
                         invert_exact, matrix_exp, numeric_X, plane_product,
                         rotation_component_map, spinor_transform,
@@ -103,7 +104,7 @@ def _check_eq12_fixture(fx, ctx):
 
 def _check_eq13_increment(fx, ctx):
     n = plane_product(1, 2, ctx.bs)
-    comm = (n @ ctx.x) - (ctx.x @ n)
+    comm = monomial_sum(commutator_terms(n, SYMBOLS, ctx.bs), ZERO_FORM)
     cells = diff_cells(comm, fx.eq13.scale(2))
     return _status(not cells), {
         "checked": "[beta1 beta2, X] == 2 * stated increment matrix",

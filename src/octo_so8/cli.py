@@ -25,10 +25,9 @@ from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, build_E, compare_tables, signed_table
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
-                        ToleranceNotMet, assemble_X, extract_components,
-                        numeric_X, plane_product, rotate_exact,
-                        rotation_component_map, spinor_transform,
-                        standard_spinor, substitute_matrix,
+                        ToleranceNotMet, numeric_X, plane_product,
+                        rotate_exact, rotation_component_map,
+                        spinor_transform, standard_spinor,
                         substitute_numeric)
 from .splitrep import split_transform
 from .symbolic import render_linear_form
@@ -212,12 +211,7 @@ def cmd_rotate(args) -> int:
     fvals = (None if args.f is None
              else _flag_value("--f", args.f, _parse_f_exact))
     try:
-        if fvals is None:
-            cm = rotation_component_map(k, l, bs)
-        else:
-            # the first-order map at f: project [N, x] for x = X(f)
-            x = substitute_matrix(assemble_X(bs), fvals)
-            deltas, per_theta = extract_components(n @ x - x @ n, bs)
+        cm = rotation_component_map(k, l, bs, fvals)
     except DegenerateBasis as exc:
         raise DegenerateBasis(
             f"plane ({k},{l}) under the {bs.variant} reading: {exc}") from None
@@ -256,10 +250,10 @@ def cmd_rotate(args) -> int:
         print("\n".join(out))
         return 0
 
-    first = [f + theta * d for f, d in zip(fvals, deltas)]
-    exact, residual = extract_components(rotate_exact(x, k, l, theta, bs), bs)
+    first = [f + theta * d for f, d in zip(fvals, cm.lines)]
+    exact, residual = rotate_exact(fvals, k, l, theta, bs)
     try:
-        first_residual = abs(float(theta)) * _max_abs_cells(per_theta)
+        first_residual = abs(float(theta)) * _max_abs_cells(cm.residual)
         exact_residual = _max_abs_cells(residual)
         if first_residual == math.inf:     # finite factors, infinite product
             raise OverflowError

@@ -164,23 +164,15 @@ def diff_cells(a: SquareMatrix, b: SquareMatrix, renderer: Callable = str):
 _PHASES = (_ONE, CRational(0, 1), CRational(-1), CRational(0, -1))
 
 
-def _times_phase(e, q: int):
-    """e * i**q for an exact entry e (a scalar or a LinearForm)."""
-    if q == 0:
-        return e
-    if q == 2:
-        return -e
-    return _PHASES[q] * e
-
-
 class Monomial:
     """Immutable n x n matrix with one nonzero entry per row and per
     column: row r holds i**phase[r] in column perm[r].
 
     A product of two is a composed permutation with added phases, O(n)
-    integer operations.  ``@`` with a dense SquareMatrix, on either
-    side, permutes its entries and scales them by phases.  ``==``
-    against a SquareMatrix compares entries.
+    integer operations; ``@`` takes only another Monomial of the same
+    size.  ``==`` against a SquareMatrix compares entries, and
+    ``monomial_sum`` turns a linear combination of Monomials into a
+    dense matrix.
     """
 
     __slots__ = ("perm", "phase", "n")
@@ -209,20 +201,6 @@ class Monomial:
             return Monomial([other.perm[p] for p in self.perm],
                             [q + other.phase[p]
                              for p, q in zip(self.perm, self.phase)])
-        if isinstance(other, SquareMatrix) and other.n == self.n:
-            # (N X)[r][j] = i**phase[r] * X[perm[r]][j]
-            return SquareMatrix([[_times_phase(e, q) for e in other.rows[p]]
-                                 for p, q in zip(self.perm, self.phase)])
-        return NotImplemented
-
-    def __rmatmul__(self, other):
-        if isinstance(other, SquareMatrix) and other.n == self.n:
-            # (X N)[i][perm[r]] = X[i][r] * i**phase[r]
-            inv = [0] * self.n
-            for r, c in enumerate(self.perm):
-                inv[c] = r
-            return SquareMatrix([[_times_phase(row[r], self.phase[r])
-                                  for r in inv] for row in other.rows])
         return NotImplemented
 
     def __neg__(self) -> "Monomial":
@@ -242,13 +220,6 @@ class Monomial:
         return sum((_PHASES[q] for r, (c, q) in
                     enumerate(zip(self.perm, self.phase)) if r == c), _ZERO)
 
-    def trace_with(self, m: SquareMatrix):
-        """Tr(self @ m) = sum_r i**phase[r] * m[perm[r]][r], without
-        forming the product."""
-        terms = [_times_phase(m.rows[c][r], q)
-                 for r, (c, q) in enumerate(zip(self.perm, self.phase))]
-        return functools.reduce(lambda s, t: s + t, terms)
-
     def to_dense(self) -> SquareMatrix:
         return SquareMatrix([[self.at(i, j) for j in range(self.n)]
                              for i in range(self.n)])
@@ -258,6 +229,18 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial(perm={self.perm}, phase={self.phase})"
+
+
+def monomial_sum(terms, zero) -> SquareMatrix:
+    """sum c * M over the (c, M) pairs of terms, 8x8 Monomials M, as a
+    dense 8x8 matrix: each c, a CRational or a LinearForm, lands on M's
+    cells scaled by their phases.  zero fills the cells no term reaches
+    and is the start of every sum, so the entries keep its type."""
+    rows = [[zero] * 8 for _ in range(8)]
+    for c, m in terms:
+        for r, (col, q) in enumerate(zip(m.perm, m.phase)):
+            rows[r][col] = rows[r][col] + _PHASES[q] * c
+    return SquareMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,14 @@
 The symbolic object of interest is X = sum_A f_A beta_A, an 8x8 matrix
 of linear forms.  Rotations act by conjugation with R_kl = I + theta *
 N, where N = beta_k beta_l is a signed permutation (a ``Monomial``)
-with N^2 = s*I, s = +1 or -1, for every plane of both readings.  So
-R (I - theta N) = (1 - s theta^2) I and
-
-    R X R^-1 = (X + theta (N X - X N) - theta^2 N X N) / (1 - s theta^2),
-
-three permutations of X's entries and no dense product or elimination.
-The module provides that exact conjugation, of X itself (f symbols
-carried linearly) or of X at exact f, component extraction by the
-trace projection Tr(beta_A M) / 8, which keeps the entry type of M, the
-first-order component map, the duplicate-plane scan, and the numeric
-matrix exponential used for spinor transport.
+with N^2 = s*I, s = +1 or -1, for every plane of both readings.  N
+commutes or anticommutes with each beta_B, so [N, beta_B] is 0 or the
+single monomial 2 N beta_B, and the rotations act on the components
+f_A through a lookup of N beta_B in the generator table, with no dense
+conjugation or trace projection.  The module provides the first-order
+map and the exact rotation of f, at the f symbols or at exact f, the
+symbolic X, the duplicate-plane scan, and the numeric matrix
+exponential used for spinor transport.
 
 Only the numeric section uses floats.  It works on plain lists of
 rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
@@ -27,7 +24,8 @@ from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import CRational
-from .matrices import BetaSet, Monomial, SquareMatrix, beta_set, gram
+from .matrices import (BetaSet, Monomial, SquareMatrix, beta_set, gram,
+                       monomial_sum)
 from .octonion import Octonion
 from .symbolic import LinearForm
 
@@ -61,17 +59,13 @@ class ToleranceNotMet(ArithmeticError):
 # ---------------------------------------------------------------------------
 # symbolic assembly
 
+SYMBOLS = tuple(LinearForm.symbol(a) for a in range(1, 9))
+ZERO_FORM = LinearForm([0] * 9)
+
+
 def assemble_X(betas: Optional[BetaSet] = None) -> SquareMatrix:
-    """X with entry (i,j) = sum_A beta_A[i][j] * f_A."""
-    bs = betas or beta_set()
-    rows = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            coeffs = [0] + [bs.mats[a].at(i, j) for a in range(8)]
-            row.append(LinearForm(coeffs))
-        rows.append(row)
-    return SquareMatrix(rows)
+    """X = sum_A f_A beta_A as a matrix of linear forms."""
+    return monomial_sum(zip(SYMBOLS, (betas or beta_set()).mats), ZERO_FORM)
 
 
 class BlockDecomp(NamedTuple):
@@ -131,78 +125,84 @@ def invert_exact(m: SquareMatrix) -> SquareMatrix:
     return SquareMatrix([row[n:] for row in a])
 
 
-def rotate_exact(x: SquareMatrix, k: int, l: int, theta: CRational,
-                 betas: Optional[BetaSet] = None) -> SquareMatrix:
-    """R x R^-1 exactly, with R = I + theta N and N = beta_k beta_l.
-
-    N^2 = s*I, so R^-1 = (I - theta N) / (1 - s theta^2) and the result
-    is (x + theta (N x - x N) - theta^2 N x N) / (1 - s theta^2); form
-    coefficients leave the dyadics there.  R is singular exactly when
-    1 - s theta^2 = 0, except for a scalar N = c*I (plane (1,8) of the
-    tensor reading, N = I): then R = (1 + c theta) I, singular only at
-    1 + c theta = 0, and x comes back unchanged.  Raises
-    SingularRotation, naming the plane and theta, when R has no inverse.
-    """
-    n = plane_product(k, l, betas)
-    scalar = n.perm == tuple(range(8)) and len(set(n.phase)) == 1
-    det = (1 + n.at(0, 0) * theta if scalar
-           else 1 - (n @ n).at(0, 0) * theta * theta)
-    if det.is_zero():
-        raise SingularRotation(
-            f"rotation of plane ({k},{l}) with theta={theta} is singular")
-    if scalar:
-        return x
-    nx = n @ x
-    num = x + (nx - x @ n).scale(theta) - (nx @ n).scale(theta * theta)
-    return num.scale(det.inv())
+def commutator_terms(n: Monomial, f: Sequence,
+                     betas: Optional[BetaSet] = None) -> list:
+    """[N, X(f)] = sum_B f_B [N, beta_B] as monomial_sum terms
+    (2 f_B, N beta_B), one per beta_B that anticommutes with N; the
+    others commute with N and drop out."""
+    return [(2 * fb, n @ b) for fb, b in zip(f, (betas or beta_set()).mats)
+            if n @ b != b @ n]
 
 
-# ---------------------------------------------------------------------------
-# component extraction
-
-def extract_components(m: SquareMatrix, betas: Optional[BetaSet] = None):
-    """Project a matrix onto the generator span.
-
-    Returns (forms, residual): forms[A] = Tr(beta_A m) / 8, the
-    coefficient of beta_A, and residual = m - sum_A forms[A] * beta_A
-    (exact).  Both keep the entry type of m: CRational for a numeric
-    matrix, LinearForm for a symbolic one.  The projection needs the
-    Gram matrix G[A][B] = Tr(beta_A beta_B) to be 8*I, as it is under
-    the sigma reading; otherwise raises DegenerateBasis.  The only other
-    reading, tensor, has a singular G (beta_8 repeats beta_1).
+def extract_components(n: Monomial, f: Sequence,
+                       betas: Optional[BetaSet] = None):
+    """(lines, residual): [N, X(f)] on the generator span, for a plane
+    product N.  A commutator term 2 f_B N beta_B with N beta_B =
+    i**q beta_A adds 2 i**q f_B to lines[A]; the other terms sum to the
+    residual.  Both keep f's entry type (LinearForm at the f symbols,
+    CRational at exact f).  Under the sigma reading, whose Gram matrix
+    G[A][B] = Tr(beta_A beta_B) is 8*I, the products outside the span
+    have zero trace against every beta_A, so this is the trace
+    projection Tr(beta_A [N, X(f)]) / 8.  Under any other G raises
+    DegenerateBasis: tensor's G is singular (beta_8 repeats beta_1).
     """
     bs = betas or beta_set()
     if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
         raise DegenerateBasis("generator Gram matrix is singular")
-    eighth = CRational(1, 0, 8)
-    forms = tuple(eighth * b.trace_with(m) for b in bs.mats)
-    rows = [list(row) for row in m.rows]
-    for form, b in zip(forms, bs.mats):
-        for r, c in enumerate(b.perm):
-            rows[r][c] = rows[r][c] - b.at(r, c) * form
-    return forms, SquareMatrix(rows)
+    table = {u @ b: (a, u.at(0, 0))         # i**q beta_A -> (A, i**q)
+             for a, b in enumerate(bs.mats)
+             for u in (Monomial(range(8), [q] * 8) for q in range(4))}
+    zero = 0 * f[0]
+    lines, outside = [zero] * 8, []
+    for c, m in commutator_terms(n, f, bs):
+        if m in table:
+            a, phase = table[m]
+            lines[a] = lines[a] + phase * c
+        else:
+            outside.append((c, m))
+    return tuple(lines), monomial_sum(outside, zero)
+
+
+def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
+                 betas: Optional[BetaSet] = None):
+    """(f', residual): R X(f) R^-1 on the generator span, with
+    R = I + theta N and N = beta_k beta_l, N^2 = s*I.  R beta_B R^-1 is
+    beta_B where beta_B commutes with N, and else
+    ((1 + s theta^2) beta_B + 2 theta N beta_B) / (1 - s theta^2); the
+    N beta_B terms are extract_components' lines and residual.  Raises
+    DegenerateBasis, as extract_components does, before it looks at
+    theta, then SingularRotation, naming the plane and theta, when
+    1 - s theta^2 = 0.
+    """
+    bs = betas or beta_set()
+    n = plane_product(k, l, bs)
+    lines, residual = extract_components(n, f, bs)
+    det = 1 - (n @ n).at(0, 0) * theta * theta
+    if det.is_zero():
+        raise SingularRotation(
+            f"rotation of plane ({k},{l}) with theta={theta} is singular")
+    stretch, step = (2 - det) / det, theta / det    # 2 - det = 1 + s theta^2
+    return (tuple((fb if n @ b == b @ n else stretch * fb) + step * d
+                  for fb, b, d in zip(f, bs.mats, lines)),
+            residual.scale(step))
 
 
 class ComponentMap(NamedTuple):
-    """First-order component flow f_A -> f_A + theta * lines[A](f)."""
+    """First-order component flow f_A -> f_A + theta * lines[A]."""
     k: int
     l: int
-    lines: tuple         # 8 LinearForms, the theta coefficients
+    lines: tuple         # 8 entries of f's type, the theta coefficients
     residual: SquareMatrix   # per-theta residual outside the span
 
 
-def rotation_component_map(k: int, l: int,
-                           betas: Optional[BetaSet] = None) -> ComponentMap:
-    """Trace-projected first-order action of the (k, l) rotation on the
-    symbolic X: lines[A] = Tr(beta_A [N, X]) / 8 as LinearForms, and the
-    residual of [N, X] outside the span.  At exact f, projecting [N, x]
-    for x = X(f) gives the same numbers without the forms.  Raises
-    DegenerateBasis when the generator Gram matrix is singular."""
+def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
+                           f: Optional[Sequence] = None) -> ComponentMap:
+    """extract_components of beta_k beta_l at f, by default at the f
+    symbols: the first-order action of the (k, l) rotation."""
     bs = betas or beta_set()
-    x = assemble_X(bs)
-    n = plane_product(k, l, bs)
-    forms, residual = extract_components((n @ x) - (x @ n), bs)
-    return ComponentMap(k, l, forms, residual)
+    lines, residual = extract_components(plane_product(k, l, bs),
+                                         SYMBOLS if f is None else f, bs)
+    return ComponentMap(k, l, lines, residual)
 
 
 # ---------------------------------------------------------------------------

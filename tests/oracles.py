@@ -26,11 +26,13 @@ def dense_rotate(x, k, l, theta, bs=None):
 
 def gram_inverse_projection(m, bs=None):
     """(forms, residual) of m against the generators through G^-1:
-    forms[A] = sum_B (G^-1)[A][B] Tr(beta_B m), residual = m - sum_A
-    forms[A] beta_A by a dense triple loop.  Both keep m's entry type."""
+    forms[A] = sum_B (G^-1)[A][B] Tr(beta_B m), each trace summed over
+    the dense cells of beta_B, and residual = m - sum_A forms[A] beta_A
+    by a dense triple loop.  Both keep m's entry type."""
     bs = bs or beta_set()
     g_inv = invert_exact(gram(bs))
-    traces = [b.trace_with(m) for b in bs.mats]
+    traces = [_sum(d.at(i, j) * m.at(j, i) for i in range(8) for j in range(8))
+              for d in (b.to_dense() for b in bs.mats)]
     forms = [_sum(g_inv.at(a, b) * traces[b] for b in range(8))
              for a in range(8)]
     span = SquareMatrix([[_sum(bs.mats[a].at(i, j) * forms[a]

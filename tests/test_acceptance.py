@@ -38,9 +38,12 @@ from octo_so8 import (
     to_json,
     verify_split_relations,
 )
-from octo_so8.matrices import Monomial, build_E, kron, pauli
+from octo_so8.matrices import Monomial, build_E, kron, monomial_sum, pauli
 from octo_so8.rotations import (
     DEFAULT_TOL,
+    SYMBOLS,
+    ZERO_FORM,
+    commutator_terms,
     hermiticity_defect,
     numeric_X,
 )
@@ -128,8 +131,8 @@ def test_criterion_05_rotation_machinery(fx):
     ok &= fx.eq12_theta == plane_product(1, 2)
 
     n = plane_product(1, 2)
-    x = assemble_X()
-    increment = (n @ x - x @ n).scale(theta)
+    increment = monomial_sum(commutator_terms(n, SYMBOLS),
+                             ZERO_FORM).scale(theta)
     ok &= increment == fx.eq13.scale(theta).scale(2)
 
     cm = rotation_component_map(1, 2)
@@ -138,11 +141,15 @@ def test_criterion_05_rotation_machinery(fx):
              render_linear_form(fx.eq14[a])}
     ok &= flags == {1, 3, 4}
 
-    x_num = substitute_matrix(assemble_X(), [Dyadic(1)] * 8)
+    ones = [Dyadic(1)] * 8
+    mats = beta_set().mats
+    x_num = substitute_matrix(assemble_X(), ones)
+    comm = monomial_sum(commutator_terms(n, ones), Dyadic(0))
 
     def deviation(t):
-        exact = rotate_exact(x_num, 1, 2, t)
-        first = x_num + (n @ x_num - x_num @ n).scale(t)
+        f_prime, residual = rotate_exact(ones, 1, 2, t)
+        exact = monomial_sum(zip(f_prime, mats), Dyadic(0)) + residual
+        first = x_num + comm.scale(t)
         return max(abs(complex(e)) for row in (exact - first).rows
                    for e in row)
 

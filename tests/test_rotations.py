@@ -1,10 +1,15 @@
-"""Symbolic X, exact plane rotations, component extraction, numeric exp."""
+"""Symbolic X, exact plane rotations, component extraction, numeric exp.
+
+The rotations read each plane off the generator table; every check
+compares them with dense products, Gauss-Jordan inverses and the
+Gram-inverse trace projection of ``oracles``."""
 
 import functools
 import json
 import math
 import operator
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,8 +45,12 @@ from octo_so8 import (
     substitute_matrix,
 )
 from octo_so8.cli import main
+from octo_so8.matrices import Monomial, monomial_sum
 from octo_so8.rotations import (
     DEFAULT_TOL,
+    SYMBOLS,
+    ZERO_FORM,
+    commutator_terms,
     hermiticity_defect,
     numeric_X,
     substitute_numeric,
@@ -59,8 +68,8 @@ thetas = st.one_of(st.sampled_from([Dyadic(1), Dyadic(-1)]), dyadics)
 
 
 def commutator(x, k, l, bs=None):
-    """[beta_k beta_l, x]"""
-    n = plane_product(k, l, bs)
+    """[beta_k beta_l, x] by dense products"""
+    n = plane_product(k, l, bs).to_dense()
     return n @ x - x @ n
 
 
@@ -73,6 +82,16 @@ def span_combination(forms, bs):
     return functools.reduce(operator.add, (
         bs.mats[a].to_dense().map(lambda c, f=forms[a]: c * f)
         for a in range(8)))
+
+
+def rebuild(rotated, bs=None):
+    """sum_A f'_A beta_A + residual for rotate_exact's (f', residual)."""
+    forms, residual = rotated
+    return span_combination(forms, bs or beta_set()) + residual
+
+
+# i**q I for q = 0..3
+UNITS = [Monomial(range(8), [q] * 8) for q in range(4)]
 
 
 class TestSymbolicX:
@@ -130,16 +149,14 @@ class TestExactRotation:
         # conjugating f = e_1 in the (1,2) plane at theta = 1/4 must land
         # on ((1-t^2)/(1+t^2), -2t/(1+t^2)) = (15/17, -8/17)
         fvals = [Dyadic(1)] + [Dyadic(0)] * 7
-        x_num = substitute_matrix(assemble_X(), fvals)
-        rotated = rotate_exact(x_num, 1, 2, Dyadic(1, 2))
-        comps, residual = extract_components(rotated)
+        comps, residual = rotate_exact(fvals, 1, 2, Dyadic(1, 2))
         assert comps[0] == CRational(15, 0, 17)
         assert comps[1] == CRational(-8, 0, 17)
         assert all(c.is_zero() for c in comps[2:])
         assert residual.is_zero()
 
     def test_preserves_hermiticity_and_trace(self):
-        rotated = rotate_exact(assemble_X(), 1, 2, Dyadic(1, 1))
+        rotated = rebuild(rotate_exact(SYMBOLS, 1, 2, Dyadic(1, 1)))
         assert rotated.is_hermitian()
         assert rotated.is_traceless()
 
@@ -148,7 +165,7 @@ class TestExactRotation:
         x_num = substitute_matrix(assemble_X(), ONES)
 
         def deviation(theta):
-            exact = rotate_exact(x_num, 1, 2, theta)
+            exact = rebuild(rotate_exact(ONES, 1, 2, theta))
             first = x_num + commutator(x_num, 1, 2).scale(theta)
             diff = exact - first
             return max(abs(complex(e)) for row in diff.rows for e in row)
@@ -156,56 +173,85 @@ class TestExactRotation:
         ratio = deviation(Dyadic(1, 6)) / deviation(Dyadic(1, 7))
         assert 3.5 <= ratio <= 4.5
 
+    def test_singular_rotation_is_named(self):
+        # N^2 = +I on a plane of commuting generators: R is singular at
+        # theta = +-1, and so is the dense oracle's elimination
+        k, l = next(p for p in PLANES
+                    if plane_product(*p) @ plane_product(*p) == UNITS[0])
+        x = substitute_matrix(assemble_X(), ONES)
+        for theta in (Dyadic(1), Dyadic(-1)):
+            with pytest.raises(SingularRotation):
+                dense_rotate(x, k, l, theta)
+            with pytest.raises(SingularRotation,
+                               match=rf"^rotation of plane \({k},{l}\) with "
+                                     rf"theta={theta} is singular$"):
+                rotate_exact(ONES, k, l, theta)
+
 
 class TestClosedFormAgainstGaussJordan:
-    """rotate_exact's closed form against (I + theta N) x GJ(I + theta N)."""
+    """rotate_exact's table rule against the Gram-inverse projection of
+    (I + theta N) X(f) GJ(I + theta N)."""
 
     @settings(max_examples=8, deadline=None)
     @given(theta=thetas, fvals=st.lists(dyadics, min_size=8, max_size=8))
     @example(theta=Dyadic(1), fvals=ONES)
     @example(theta=Dyadic(-1), fvals=ONES)
     def test_all_planes_both_readings(self, theta, fvals):
-        for reading in READINGS:
-            bs = beta_set(reading)
-            x = substitute_matrix(assemble_X(bs), fvals)
-            tr, tr2 = x.trace(), trace_of_square(x)
-            for k, l in PLANES:
-                try:
-                    want = dense_rotate(x, k, l, theta, bs)
-                except SingularRotation:
-                    with pytest.raises(SingularRotation):
-                        rotate_exact(x, k, l, theta, bs)
-                    continue
-                got = rotate_exact(x, k, l, theta, bs)
-                assert got == want, (reading, k, l, theta)
-                for m in (got, want):
-                    assert m.trace() == tr
-                    assert trace_of_square(m) == tr2
+        bs = beta_set("sigma")
+        x = substitute_matrix(assemble_X(bs), fvals)
+        tr, tr2 = x.trace(), trace_of_square(x)
+        for k, l in PLANES:
+            try:
+                want = dense_rotate(x, k, l, theta, bs)
+            except SingularRotation:
+                with pytest.raises(SingularRotation):
+                    rotate_exact(fvals, k, l, theta, bs)
+                continue
+            got = rotate_exact(fvals, k, l, theta, bs)
+            assert got == gram_inverse_projection(want, bs), (k, l, theta)
+            assert rebuild(got, bs) == want
+            for m in (rebuild(got, bs), want):
+                assert m.trace() == tr
+                assert trace_of_square(m) == tr2
+        # beta_8 repeats beta_1 under tensor: no projection to read
+        tensor = beta_set("tensor")
+        for k, l in PLANES:
+            with pytest.raises(DegenerateBasis):
+                rotate_exact(fvals, k, l, theta, tensor)
 
     @pytest.mark.parametrize("reading", READINGS)
     def test_symbolic_X_all_planes(self, reading):
         bs, theta = beta_set(reading), Dyadic(3, 3)
         x = assemble_X(bs)
         for k, l in PLANES:
-            assert rotate_exact(x, k, l, theta, bs) == \
-                dense_rotate(x, k, l, theta, bs), (k, l)
+            if reading == "tensor":
+                with pytest.raises(DegenerateBasis):
+                    rotate_exact(SYMBOLS, k, l, theta, bs)
+                continue
+            want = dense_rotate(x, k, l, theta, bs)
+            got = rotate_exact(SYMBOLS, k, l, theta, bs)
+            assert got == gram_inverse_projection(want, bs), (k, l)
 
     def test_scalar_plane_product_under_tensor(self):
         # beta_8 repeats beta_1 in the tensor reading, so N_18 = I and
-        # R = (1 + theta) I: regular at theta = 1, singular at -1
+        # R = (1 + theta) I: regular at theta = 1, singular at -1.  The
+        # Gram matrix is singular too, and rotate_exact says so first
         bs = beta_set("tensor")
         x = assemble_X(bs)
         assert plane_product(1, 8, bs) == SquareMatrix.identity(8)
-        assert rotate_exact(x, 1, 8, Dyadic(1), bs) == x
-        with pytest.raises(SingularRotation,
-                           match=r"^rotation of plane \(1,8\) with "
-                                 r"theta=-1 is singular$"):
-            rotate_exact(x, 1, 8, Dyadic(-1), bs)
+        assert dense_rotate(x, 1, 8, Dyadic(1), bs) == x
+        with pytest.raises(SingularRotation):
+            dense_rotate(x, 1, 8, Dyadic(-1), bs)
+        with pytest.raises(DegenerateBasis,
+                           match=r"^generator Gram matrix is singular$"):
+            rotate_exact(SYMBOLS, 1, 8, Dyadic(-1), bs)
 
 
 class TestFirstOrder:
     def test_commutator_matches_fixture(self, fx):
         assert commutator(assemble_X(), 1, 2) == fx.eq13.scale(2)
+        terms = commutator_terms(plane_product(1, 2), SYMBOLS)
+        assert monomial_sum(terms, ZERO_FORM) == fx.eq13.scale(2)
 
     def test_increment_is_linear_in_theta(self):
         # the component map's increment f' - f doubles with theta
@@ -219,15 +265,19 @@ class TestFirstOrder:
 
 class TestComponentExtraction:
     def test_projection_of_X_is_identity_map(self):
-        forms, residual = extract_components(assemble_X())
-        assert residual.is_zero()
-        for a in range(8):
-            assert forms[a] == LinearForm.symbol(a + 1)
+        # X projects onto the symbols, and a rotation by theta = 0 leaves
+        # every component alone with nothing outside the span
+        symbols = tuple(LinearForm.symbol(a) for a in range(1, 9))
+        forms, residual = gram_inverse_projection(assemble_X())
+        assert forms == symbols and residual.is_zero()
+        for k, l in PLANES:
+            forms, residual = rotate_exact(symbols, k, l, Dyadic(0))
+            assert forms == symbols and residual.is_zero()
 
     def test_reconstruction_is_exact(self):
         bs = beta_set()
         comm = commutator(assemble_X(), 1, 2)
-        forms, residual = extract_components(comm)
+        forms, residual = extract_components(plane_product(1, 2), SYMBOLS)
         assert span_combination(forms, bs) + residual == comm
 
     def test_component_map_lines(self):
@@ -253,30 +303,42 @@ class TestComponentExtraction:
             CDyadic(-1, 0, 2)
 
     def test_projection_keeps_the_entry_type(self):
+        bs = beta_set()
         x = assemble_X()
-        x_num = substitute_matrix(x, [Dyadic(k, 2) for k in range(1, 9)])
-        for m, kind in ((x, LinearForm), (x_num, CRational),
-                        (commutator(x, 3, 7), LinearForm),
-                        (commutator(x_num, 3, 7), CRational)):
-            forms, residual = extract_components(m)
-            assert all(type(v) is kind for v in forms)
-            assert all(type(e) is kind for row in residual.rows for e in row)
-            assert span_combination(forms, beta_set()) + residual == m
+        f = [Dyadic(k, 2) for k in range(1, 9)]
+        x_num = substitute_matrix(x, f)
+        for vals, m, kind in ((SYMBOLS, x, LinearForm),
+                              (f, x_num, CRational)):
+            for k, l in ((1, 2), (3, 7)):
+                forms, residual = extract_components(plane_product(k, l), vals)
+                assert all(type(v) is kind for v in forms)
+                assert all(type(e) is kind
+                           for row in residual.rows for e in row)
+                assert span_combination(forms, bs) + residual == \
+                    commutator(m, k, l)
+                forms, residual = rotate_exact(vals, k, l, Dyadic(3, 3))
+                assert all(type(v) is kind for v in forms)
+                assert all(type(e) is kind
+                           for row in residual.rows for e in row)
 
     def test_trace_projection_equals_gram_inverse(self):
         bs = beta_set("sigma")
         x = assemble_X(bs)
-        mats = [x, substitute_matrix(x, ONES)]
-        mats += [commutator(x, k, l, bs) for k, l in PLANES]
-        mats.append(rotate_exact(substitute_matrix(x, ONES), 3, 7,
-                                 Dyadic(3, 3), bs))
-        for m in mats:
-            assert extract_components(m, bs) == gram_inverse_projection(m, bs)
+        x_num = substitute_matrix(x, ONES)
+        for k, l in PLANES:
+            n = plane_product(k, l, bs)
+            assert extract_components(n, SYMBOLS, bs) == \
+                gram_inverse_projection(commutator(x, k, l, bs), bs), (k, l)
+            assert extract_components(n, ONES, bs) == \
+                gram_inverse_projection(commutator(x_num, k, l, bs), bs)
+        assert rotate_exact(ONES, 3, 7, Dyadic(3, 3), bs) == \
+            gram_inverse_projection(dense_rotate(x_num, 3, 7, Dyadic(3, 3),
+                                                 bs), bs)
 
     @pytest.mark.parametrize("k, l", PLANES)
     def test_numeric_rotate_against_the_symbolic_map(self, capsys, k, l):
-        # numeric rotate projects [N, X(f)]; the symbolic map evaluated
-        # at f must give the same first-order f' and residual maximum
+        # numeric rotate evaluates the first-order map at f; the symbolic
+        # map evaluated at f must give the same f' and residual maximum
         rng = random.Random(f"first-order {k} {l}")
         theta = Dyadic(rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]),
                        rng.randint(1, 3))
@@ -292,8 +354,76 @@ class TestComponentExtraction:
             for e in row)
 
     def test_degenerate_basis_detected(self):
+        bs = beta_set("tensor")
+        calls = (lambda: extract_components(plane_product(1, 2, bs), ONES, bs),
+                 lambda: rotation_component_map(1, 2, bs),
+                 lambda: rotate_exact(ONES, 1, 2, Dyadic(1, 2), bs))
+        for call in calls:
+            with pytest.raises(DegenerateBasis,
+                               match=r"^generator Gram matrix is singular$"):
+                call()
+
+
+class TestGeneratorTable:
+    """The structural facts behind reading rotations off the generator
+    table, checked on dense matrices."""
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_each_plane_commutes_or_anticommutes(self, reading):
+        bs = beta_set(reading)
+        dense = [b.to_dense() for b in bs.mats]
+        kinds = Counter()
+        for k, l in PLANES:
+            n = plane_product(k, l, bs).to_dense()
+            for b in dense:
+                if n @ b == b @ n:
+                    kinds["commute"] += 1
+                else:
+                    assert n @ b == -(b @ n), (reading, k, l)
+                    kinds["anticommute"] += 1
+        if reading == "sigma":
+            assert kinds == {"commute": 104, "anticommute": 120}
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_monomial_sums_against_dense(self, reading):
+        bs = beta_set(reading)
+        x = assemble_X(bs)
+        assert x == span_combination(SYMBOLS, bs)
+        for k, l in PLANES:
+            terms = commutator_terms(plane_product(k, l, bs), SYMBOLS, bs)
+            assert monomial_sum(terms, ZERO_FORM) == commutator(x, k, l, bs)
+
+    def test_products_outside_the_span_have_zero_trace(self):
+        bs = beta_set("sigma")
+        dense = [b.to_dense() for b in bs.mats]
+        span = [(u @ b).to_dense() for b in bs.mats for u in UNITS]
+        inside = outside = 0
+        for k, l in PLANES:
+            for _, m in commutator_terms(plane_product(k, l, bs), ONES, bs):
+                m = m.to_dense()
+                if m in span:
+                    inside += 1
+                    continue
+                outside += 1
+                assert all((b @ m).trace().is_zero() for b in dense), (k, l)
+        assert (inside, outside) == (52, 68)
+
+    def test_tensor_lookup_is_ambiguous(self):
+        # i**q beta_1 and i**q beta_8 are the same monomial, and some
+        # anticommuting product N beta_B is one of them
+        bs = beta_set("tensor")
+        assert bs.beta(8) == bs.beta(1)
+        assert len({u @ b for b in bs.mats for u in UNITS}) == 28
+        twice = {u @ bs.beta(1) for u in UNITS}
+        assert any(m in twice for k, l in PLANES
+                   for _, m in commutator_terms(plane_product(k, l, bs),
+                                                ONES, bs))
+
+    def test_gram_checked_before_theta(self):
+        # N_18 = I under tensor, so 1 - s theta^2 = 0 at theta = 1 although
+        # R = 2I is regular; the Gram matrix is checked first
         with pytest.raises(DegenerateBasis):
-            extract_components(SquareMatrix.zeros(8), beta_set("tensor"))
+            rotate_exact(ONES, 1, 8, Dyadic(1), beta_set("tensor"))
 
 
 class TestDuplicatePlanes:
