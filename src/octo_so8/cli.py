@@ -28,7 +28,7 @@ from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
                         rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor,
-                        substitute_numeric)
+                        substitute_terms)
 from .splitrep import split_transform
 from .symbolic import render_linear_form
 
@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="8 comma-separated numeric components "
                         "(decimals allowed)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="positive and finite; stop the Taylor series of "
-                        "the 2^-s-scaled exponent at a term below this "
-                        "(bounds that term, not the error of exp(X))")
+                   help="at least 2^-53; before rounding, exp(X) comes "
+                        "out as exp(X + dX), |dX| <= tol*|X| in max row "
+                        "sums (a backward error)")
     p.add_argument("--split", action="store_true",
                    help="also transform the split spinor by exp(Y) "
                         "(Y from the bundled fixture)")
@@ -210,7 +210,7 @@ def cmd_rotate(args) -> int:
     theta = _flag_value("--theta", args.theta, parse_dyadic)
     fvals = (None if args.f is None
              else _flag_value("--f", args.f, _parse_f_exact))
-    try:
+    try:     # the lines once per command: both rotations below use them
         cm = rotation_component_map(k, l, bs, fvals)
     except DegenerateBasis as exc:
         raise DegenerateBasis(
@@ -251,7 +251,8 @@ def cmd_rotate(args) -> int:
         return 0
 
     first = [f + theta * d for f, d in zip(fvals, cm.lines)]
-    exact, residual = rotate_exact(fvals, k, l, theta, bs)
+    exact, residual = rotate_exact(fvals, k, l, theta, bs,
+                                   (cm.lines, cm.residual))
     try:
         first_residual = abs(float(theta)) * _max_abs_cells(cm.residual)
         exact_residual = _max_abs_cells(residual)
@@ -327,7 +328,7 @@ def _spinor(args, fvals) -> int:
     if args.split:
         from .splitrep import build_split_spinor
         fx = load_fixtures(_fixture_dir(args))
-        y_num = substitute_numeric(fx.eq21_y, fvals)
+        y_num = substitute_terms(fx.eq21_y_terms, fvals)
         phi_out = split_transform(build_split_spinor().components, y_num,
                                   args.tol)
         payload["split"] = {

@@ -18,6 +18,7 @@ rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain
 from operator import add, mul
@@ -53,7 +54,7 @@ class NonFiniteInput(ValueError):
 
 
 class ToleranceNotMet(ArithmeticError):
-    """Series did not reach tolerance within the iteration cap."""
+    """No tabulated Taylor degree meets the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,16 @@ def commutator_terms(n: Monomial, f: Sequence,
             if n @ b != b @ n]
 
 
+@functools.lru_cache(maxsize=8)   # once per BetaSet
+def _span_table(bs: BetaSet) -> Optional[dict]:
+    """i**q beta_A -> (A, i**q), or None when gram(bs) is not 8*I."""
+    if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
+        return None
+    return {u @ b: (a, u.at(0, 0))
+            for a, b in enumerate(bs.mats)
+            for u in (Monomial(range(8), [q] * 8) for q in range(4))}
+
+
 def extract_components(n: Monomial, f: Sequence,
                        betas: Optional[BetaSet] = None):
     """(lines, residual): [N, X(f)] on the generator span, for a plane
@@ -147,11 +158,9 @@ def extract_components(n: Monomial, f: Sequence,
     DegenerateBasis: tensor's G is singular (beta_8 repeats beta_1).
     """
     bs = betas or beta_set()
-    if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
+    table = _span_table(bs)
+    if table is None:
         raise DegenerateBasis("generator Gram matrix is singular")
-    table = {u @ b: (a, u.at(0, 0))         # i**q beta_A -> (A, i**q)
-             for a, b in enumerate(bs.mats)
-             for u in (Monomial(range(8), [q] * 8) for q in range(4))}
     zero = 0 * f[0]
     lines, outside = [zero] * 8, []
     for c, m in commutator_terms(n, f, bs):
@@ -164,19 +173,20 @@ def extract_components(n: Monomial, f: Sequence,
 
 
 def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
-                 betas: Optional[BetaSet] = None):
+                 betas: Optional[BetaSet] = None, extracted=None):
     """(f', residual): R X(f) R^-1 on the generator span, with
     R = I + theta N and N = beta_k beta_l, N^2 = s*I.  R beta_B R^-1 is
     beta_B where beta_B commutes with N, and else
     ((1 + s theta^2) beta_B + 2 theta N beta_B) / (1 - s theta^2); the
-    N beta_B terms are extract_components' lines and residual.  Raises
+    N beta_B terms are extract_components' lines and residual, or the
+    given extracted pair of them for this plane and f.  Raises
     DegenerateBasis, as extract_components does, before it looks at
     theta, then SingularRotation, naming the plane and theta, when
     1 - s theta^2 = 0.
     """
     bs = betas or beta_set()
     n = plane_product(k, l, bs)
-    lines, residual = extract_components(n, f, bs)
+    lines, residual = extracted or extract_components(n, f, bs)
     det = 1 - (n @ n).at(0, 0) * theta * theta
     if det.is_zero():
         raise SingularRotation(
@@ -236,10 +246,6 @@ def substitute_matrix(x: SquareMatrix, fvals: Sequence) -> SquareMatrix:
 _UNITS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
-def _identity(n: int) -> list:
-    return [[complex(i == j) for j in range(n)] for i in range(n)]
-
-
 def _matmul(a, b, hermitian: bool = False) -> list:
     """a @ b for matrices given as lists of rows of complex.  With
     hermitian=True the product is known to be Hermitian (a and b are
@@ -280,42 +286,66 @@ def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
     return rows
 
 
-def substitute_numeric(x: SquareMatrix, fvals: Sequence) -> list:
-    """Every linear-form entry evaluated at float f = fvals, as rows of
-    complex: the numeric twin of substitute_matrix."""
+def substitute_terms(terms, fvals: Sequence) -> list:
+    """Form cells given as FixtureStore.eq21_y_terms, at finite float f:
+    each adds c * f_a, in a order, onto its constant.  A zero c would
+    only add signed zeros to a sum that starts at +0 and so is never
+    -0, so this equals substituting every coefficient bit for bit."""
     out = []
-    for row in x.rows:
-        vals = []
-        for form in row:
-            acc = complex(form.constant)
-            for a in range(8):
-                acc += complex(form.coeff(a + 1)) * fvals[a]
+    for row in terms:
+        out.append(vals := [])
+        for acc, cell in row:
+            for a, c in cell:
+                acc += c * fvals[a]
             vals.append(acc)
-        out.append(vals)
     return out
 
 
 DEFAULT_TOL = 2.0 ** -40
-DEFAULT_MAX_TERMS = 64
+
+# (tol, theta_m per degree of _DEGREES): the largest ||A|| with sum_k
+# |c_k| ||A||^(k-1) <= tol over h_(m+1)(x) = log(e^-x T_m(x)) = sum_k
+# c_k x^k (Al-Mohy and Higham 2011), rounded down; the tests recompute it
+_THETA = ((2.0 ** -40, (0.04051, 0.2401, 0.6193, 1.326, 2.178, 3.359, 4.615)),
+          (2.0 ** -53, (0.009065, 0.08957, 0.2996, 0.7802, 1.438, 2.428,
+                        3.539)))
+# (m, p): T_m from A^2..A^p and m/p - 1 Horner steps in A^p: 3..9 products
+_DEGREES = ((6, 3), (9, 3), (12, 4), (16, 4), (20, 5), (25, 5), (30, 6))
+
+
+def _combine(c0: float, coeffs, mats, start=None) -> list:
+    """start + c0*I + sum_j coeffs[j] * mats[j] for real c0 and coeffs
+    and rows of complex, entry by entry: Hermitian terms give an exactly
+    Hermitian sum."""
+    n = len(mats[0])
+    acc = list(chain.from_iterable(start or [[0j] * n] * n))
+    for c, mat in zip(coeffs, mats):
+        acc = list(map(add, acc, map(complex(c).__mul__,
+                                     chain.from_iterable(mat))))
+    for k in range(0, n * n, n + 1):
+        acc[k] += c0
+    return [acc[i * n:(i + 1) * n] for i in range(n)]
 
 
 def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     """Scaling-and-squaring Taylor exponential of a square matrix given
     as rows of numbers; returns rows of complex.
 
-    Scales by 2**-s until the max-row-sum norm is <= 1/2, sums at most
-    DEFAULT_MAX_TERMS Taylor terms, stopping once the last term's
-    max-entry magnitude drops below tol, then squares s times.  So tol
-    bounds the last Taylor term of the 2**-s-scaled series, not the
-    error of e^X: the squarings amplify truncation and rounding.  An
-    exactly Hermitian input (every generator sum X is one) has every
-    product summed on its upper triangle only and mirrored, so e^X
-    comes back exactly Hermitian with a real diagonal.  On
-    generator sums X with |f_A| up to about 100, the relative max-entry
-    error against scipy.linalg.expm reaches a few 1e-11 at the default
-    tol.  Raises NonFiniteInput when the input or the result holds NaN
-    or infinity, or when the norm or 2**s is not a finite binary64;
-    ToleranceNotMet when the series does not converge.
+    With the theta_m of the largest tabulated tolerance <= tol (2^-40,
+    the default, or 2^-53), takes the degree m in {6, ..., 30} and the
+    least s >= 0 with ||2^-s A|| <= theta_m (max row sums) that need
+    the fewest products, T_m(2^-s A) by Paterson-Stockmeyer plus s
+    squarings; ties go to the fewest squarings.  In exact arithmetic
+    the result is then e^(A + dA) with ||dA|| <= tol ||A||, a backward
+    error (Al-Mohy and Higham 2011).  Rounding adds to that, and the
+    squarings amplify it: over 600 seeded generator sums X with |f_A|
+    up to about 100 the relative max-entry error against
+    scipy.linalg.expm was at most 1e-12.  An exactly Hermitian input
+    (every X is one) has every product summed on its upper triangle
+    only and mirrored, so e^X comes back exactly Hermitian with a real
+    diagonal.  Raises NonFiniteInput when the input or the result holds
+    NaN or infinity, or when the norm exceeds 2^1022; ToleranceNotMet
+    when tol < 2^-53.
     """
     a = [[complex(v) for v in row] for row in m]
     if not _all_finite(a):
@@ -324,28 +354,32 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
         norm = max((sum(map(abs, row)) for row in a), default=0.0)
     except OverflowError:            # |z| of a finite z can overflow
         norm = math.inf
-    s = 0
-    while 0.5 < norm < math.inf:
-        norm /= 2.0
-        s += 1
-    if norm == math.inf or s >= 1024:    # 2.0 ** 1024 overflows
+    if not norm <= 2.0 ** 1022:       # inf included
         raise NonFiniteInput("matrix norm overflows binary64")
-    # every Taylor term and square of a Hermitian matrix is Hermitian
+    table = next((t for tabled, t in _THETA if tabled <= tol), None)
+    if table is None:
+        raise ToleranceNotMet("tol below 2^-53, the smallest tolerance "
+                              "with a tabulated Taylor degree")
+    choices, (x, e) = [], math.frexp(norm)
+    for (deg, p), theta in zip(_DEGREES, table):
+        y, f = math.frexp(theta)
+        s = max(0, e - f + (x > y)) if norm else 0   # exact, no division
+        choices.append((p + deg // p - 2 + s, s, deg, p))
+    _, s, deg, p = min(choices)   # ties: the fewest squarings
+    # every power and product here is a real polynomial in a
     hermitian = all(a[i][j] == a[j][i].conjugate()
                     for i in range(len(a)) for j in range(i, len(a)))
-    scale = 2.0 ** s
-    scaled = [[v / scale for v in row] for row in a]
-    term = scaled                       # the first Taylor term
-    result = [list(map(add, r, t)) for r, t in zip(_identity(len(a)), term)]
-    k = 1
-    while max(map(abs, chain.from_iterable(term)), default=0.0) >= tol:
-        if k == DEFAULT_MAX_TERMS:
-            raise ToleranceNotMet(f"exponential series above tol {tol} "
-                                  f"after {DEFAULT_MAX_TERMS} terms")
-        k += 1
-        term = [[v / k for v in row]
-                for row in _matmul(term, scaled, hermitian)]
-        result = [list(map(add, r, t)) for r, t in zip(result, term)]
+    scale = 2.0 ** -s                 # exact: s < 1030
+    powers = [[[v * scale for v in row] for row in a]]   # A, A^2, .., A^p
+    for _ in range(p - 1):
+        powers.append(_matmul(powers[-1], powers[0], hermitian))
+    c = [1 / math.factorial(k) for k in range(deg + 1)]
+    # T_m = sum_i B_i (A^p)^i, B_i = sum_(j<p) c_(ip+j) A^j, the last B
+    # also taking c_m A^p; Horner in A^p
+    result = _combine(c[deg - p], c[deg - p + 1:], powers)
+    for i in range(deg - 2 * p, -1, -p):
+        result = _combine(c[i], c[i + 1:i + p], powers,
+                          _matmul(powers[-1], result, hermitian))
     for _ in range(s):
         result = _matmul(result, result, hermitian)
     if not _all_finite(result):
@@ -392,6 +426,5 @@ def hermiticity_defect(e) -> float:
 def unitarity_defect(e) -> float:
     """max |e^H e - I| over the entries."""
     eh = [[v.conjugate() for v in col] for col in zip(*e)]
-    return max(abs(v - w)
-               for row, i_row in zip(_matmul(eh, e), _identity(len(e)))
-               for v, w in zip(row, i_row))
+    return max(abs(v - (i == j)) for i, row in enumerate(_matmul(eh, e))
+               for j, v in enumerate(row))

@@ -66,6 +66,21 @@ def complex_array(m):
                      for i in range(m.n)], dtype=np.complex128)
 
 
+def substitute_numeric(x, fvals):
+    """Every linear-form entry evaluated at float f = fvals, as rows of
+    complex, converting all nine coefficients of every cell."""
+    out = []
+    for row in x.rows:
+        vals = []
+        for form in row:
+            acc = complex(form.constant)
+            for a in range(8):
+                acc += complex(form.coeff(a + 1)) * fvals[a]
+            vals.append(acc)
+        out.append(vals)
+    return out
+
+
 def octonion_transport(psi, x_num):
     """psi'_i = sum_j exp(X)_ij psi_j by per-term sums of Octonions over
     complex coefficients, as a coefficient array (row i is psi'_i)."""

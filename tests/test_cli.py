@@ -273,9 +273,9 @@ class TestSpinor:
     @pytest.mark.parametrize("split", [(), ("--split",)],
                              ids=["standard", "split"])
     @pytest.mark.parametrize("f, message", [
-        # the row-sum norm is inf: halving it never reaches 1/2
+        # the row-sum norm is inf
         ("1e308,1e308,0,0,0,0,0,0", "matrix norm overflows binary64"),
-        # the norm is finite but 2**s is not
+        # the norm is finite but above 2^1022
         ("1e308,0,0,0,0,0,0,0", "matrix norm overflows binary64"),
         ("inf,0,0,0,0,0,0,0", "matrix contains NaN or infinity"),
     ])
@@ -316,8 +316,8 @@ class TestSpinor:
         rc, out, err = run(capsys, "spinor", "--f=1,0,0,0,0,0,0,0",
                            "--tol=1e-200")
         assert (rc, out) == (2, "")
-        assert err == ("error: --tol=1e-200: exponential series above tol "
-                       "1e-200 after 64 terms\n")
+        assert err == ("error: --tol=1e-200: tol below 2^-53, the smallest "
+                       "tolerance with a tabulated Taylor degree\n")
 
 
 class TestMonomialPathsOnly:

@@ -1,5 +1,5 @@
 """The ``verify`` report, pinned byte for byte by committed golden files,
-and ``rotate``, pinned by digest over a grid of planes and modes.
+and ``rotate`` and ``spinor``, pinned by digest over grids of inputs.
 
 ``tests/golden/verify-<reading>.<format>`` is the standard output of
 ``octo-so8 verify --beta-variant <reading> --format <format>``.  The one
@@ -71,12 +71,13 @@ def test_float_pinning_rejects_drift_beyond_bound():
 
 
 # ---------------------------------------------------------------------------
-# rotate, pinned by digest
+# rotate and spinor, pinned by digest
 #
-# tests/golden/rotate-grid.json maps each argv of the grid (joined by
-# spaces) to the sha256 of its exit code, stdout and stderr.  Rewrite it
-# with ``PYTHONPATH=src python tests/test_golden.py`` only when a change
-# to the rotate bytes is intended and recorded.
+# tests/golden/rotate-grid.json and spinor-grid.json map each argv of
+# their grid (joined by spaces) to the sha256 of its exit code, stdout
+# and stderr.  Rewrite both with ``PYTHONPATH=src python
+# tests/test_golden.py`` only when a change to those bytes is intended
+# and recorded.
 
 ROTATE_GRID = GOLDEN / "rotate-grid.json"
 GRID_F = "--f=1,-1/2,3/4,0,2,-3,1/8,5"
@@ -84,6 +85,13 @@ GRID_MODES = (["--format", "md"], ["--format", "json"],
               ["--theta=1/4", GRID_F, "--format", "md"],
               ["--theta=1", GRID_F, "--format", "md"],
               ["--theta=3/8", GRID_F, "--format", "json"])
+SPINOR_GRID = GOLDEN / "spinor-grid.json"
+# the last f overflows e^X under both readings
+SPINOR_F = ("0,0,0,0,0,0,0,0", "0.25,0,0,0,0,0,0,-0.5",
+            "0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9",
+            "1.5,-2.25,0.75,3,-0.125,2,-1,0.5",
+            "-3.7,1.9,-0.42,2.6,4.1,-1.3,0.07,-2.2",
+            "1000,0,0,0,0,0,0,0")
 
 
 def rotate_grid() -> list:
@@ -93,7 +101,14 @@ def rotate_grid() -> list:
             for mode in GRID_MODES]
 
 
-def rotate_digest(argv) -> str:
+def spinor_grid() -> list:
+    return [["spinor", "--beta-variant", reading, f"--f={f}"] + split
+            + ["--format", fmt]
+            for reading in ("sigma", "tensor") for split in ([], ["--split"])
+            for fmt in ("md", "json") for f in SPINOR_F]
+
+
+def cli_digest(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -101,16 +116,38 @@ def rotate_digest(argv) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def test_rotate_grid_matches_digests():
-    want = json.loads(ROTATE_GRID.read_text("utf-8"))
-    grid = rotate_grid()
-    assert sorted(want) == sorted(" ".join(argv) for argv in grid)
-    for argv in grid:
+def check_grid(path, argvs):
+    want = json.loads(path.read_text("utf-8"))
+    assert sorted(want) == sorted(" ".join(argv) for argv in argvs)
+    for argv in argvs:
         key = " ".join(argv)
-        assert rotate_digest(argv) == want[key], f"bytes differ for: {key}"
+        assert cli_digest(argv) == want[key], f"bytes differ for: {key}"
+
+
+def test_rotate_grid_matches_digests():
+    check_grid(ROTATE_GRID, rotate_grid())
+
+
+def test_spinor_grid_matches_digests():
+    check_grid(SPINOR_GRID, spinor_grid())
+
+
+def test_spinor_grid_exits():
+    # every spinor of the grid succeeds but the overflowing f, which
+    # exits 2 naming --f
+    for argv in spinor_grid():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if argv[3] == f"--f={SPINOR_F[-1]}":
+            assert (rc, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith(f"error: {argv[3]}: ")
+        else:
+            assert (rc, err.getvalue()) == (0, "")
 
 
 if __name__ == "__main__":
-    ROTATE_GRID.write_text(json.dumps(
-        {" ".join(argv): rotate_digest(argv) for argv in rotate_grid()},
-        indent=1) + "\n", encoding="utf-8")
+    for path, grid in ((ROTATE_GRID, rotate_grid), (SPINOR_GRID, spinor_grid)):
+        path.write_text(json.dumps(
+            {" ".join(argv): cli_digest(argv) for argv in grid()},
+            indent=1) + "\n", encoding="utf-8")

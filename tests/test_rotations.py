@@ -53,11 +53,11 @@ from octo_so8.rotations import (
     commutator_terms,
     hermiticity_defect,
     numeric_X,
-    substitute_numeric,
     unitarity_defect,
 )
 from oracles import (complex_array, dense_rotate, dense_rotation_operator,
-                     gram_inverse_projection, octonion_transport, reassemble)
+                     gram_inverse_projection, octonion_transport, reassemble,
+                     substitute_numeric)
 
 ONES = [Dyadic(1)] * 8
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
