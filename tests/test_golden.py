@@ -1,5 +1,6 @@
 """The ``verify`` report, pinned byte for byte by committed golden files,
-and ``rotate`` and ``spinor``, pinned by digest over grids of inputs.
+and ``rotate``, ``spinor`` and the audit commands (``tables``, ``gram``,
+``dump-beta``), pinned by digest over grids of inputs.
 
 ``tests/golden/verify-<reading>.<format>`` is the standard output of
 ``octo-so8 verify --beta-variant <reading> --format <format>``.  The one
@@ -71,13 +72,13 @@ def test_float_pinning_rejects_drift_beyond_bound():
 
 
 # ---------------------------------------------------------------------------
-# rotate and spinor, pinned by digest
+# rotate, spinor and the audit commands, pinned by digest
 #
-# tests/golden/rotate-grid.json and spinor-grid.json map each argv of
-# their grid (joined by spaces) to the sha256 of its exit code, stdout
-# and stderr.  Rewrite both with ``PYTHONPATH=src python
-# tests/test_golden.py`` only when a change to those bytes is intended
-# and recorded.
+# tests/golden/rotate-grid.json, spinor-grid.json and audit-grid.json
+# map each argv of their grid (joined by spaces) to the sha256 of its
+# exit code, stdout and stderr.  Rewrite all three with
+# ``PYTHONPATH=src python tests/test_golden.py`` only when a change to
+# those bytes is intended and recorded.
 
 ROTATE_GRID = GOLDEN / "rotate-grid.json"
 GRID_F = "--f=1,-1/2,3/4,0,2,-3,1/8,5"
@@ -92,6 +93,7 @@ SPINOR_F = ("0,0,0,0,0,0,0,0", "0.25,0,0,0,0,0,0,-0.5",
             "1.5,-2.25,0.75,3,-0.125,2,-1,0.5",
             "-3.7,1.9,-0.42,2.6,4.1,-1.3,0.07,-2.2",
             "1000,0,0,0,0,0,0,0")
+AUDIT_GRID = GOLDEN / "audit-grid.json"
 
 
 def rotate_grid() -> list:
@@ -106,6 +108,13 @@ def spinor_grid() -> list:
             + ["--format", fmt]
             for reading in ("sigma", "tensor") for split in ([], ["--split"])
             for fmt in ("md", "json") for f in SPINOR_F]
+
+
+def audit_grid() -> list:
+    return [cmd + ["--beta-variant", reading, "--format", fmt]
+            for cmd in [["tables"], ["gram"]]
+            + [["dump-beta", str(a)] for a in range(1, 9)]
+            for reading in ("sigma", "tensor") for fmt in ("md", "json")]
 
 
 def cli_digest(argv) -> str:
@@ -132,6 +141,10 @@ def test_spinor_grid_matches_digests():
     check_grid(SPINOR_GRID, spinor_grid())
 
 
+def test_audit_grid_matches_digests():
+    check_grid(AUDIT_GRID, audit_grid())
+
+
 def test_spinor_grid_exits():
     # every spinor of the grid succeeds but the overflowing f, which
     # exits 2 naming --f
@@ -147,7 +160,8 @@ def test_spinor_grid_exits():
 
 
 if __name__ == "__main__":
-    for path, grid in ((ROTATE_GRID, rotate_grid), (SPINOR_GRID, spinor_grid)):
+    for path, grid in ((ROTATE_GRID, rotate_grid), (SPINOR_GRID, spinor_grid),
+                       (AUDIT_GRID, audit_grid)):
         path.write_text(json.dumps(
             {" ".join(argv): cli_digest(argv) for argv in grid()},
             indent=1) + "\n", encoding="utf-8")
