@@ -7,9 +7,9 @@ from .claims import (ClaimReport, ClaimResult, TOOLKIT_VERSION,
 from .exact import (CDyadic, CRational, Dyadic, ScalarParseError,
                     parse_cdyadic, parse_dyadic)
 from .fixtures import FixtureError, FixtureStore, load_fixtures
-from .matrices import (BetaSet, EMatrixSet, SignedTable, SquareMatrix,
-                       TableDiff, anticommutator_audit, audit_E_alternates,
-                       beta_set, build_E, compare_tables, gram, signed_table)
+from .matrices import (BetaSet, SignedTable, SquareMatrix, TableDiff,
+                       anticommutator_audit, audit_E_alternates, beta_set,
+                       build_E, compare_tables, gram, signed_table)
 from .octonion import Octonion, SplitBasis, build_split_basis, \
     verify_split_relations
 from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
@@ -18,8 +18,7 @@ from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
                         extract_components, invert_exact, matrix_exp,
                         plane_product, rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor, substitute_matrix)
-from .splitrep import YFixture, audit_Y_blocks, build_split_spinor, \
-    split_transform
+from .splitrep import audit_Y_blocks, build_split_spinor, split_transform
 from .symbolic import FormParseError, LinearForm, parse_linear_form, \
     render_linear_form
 

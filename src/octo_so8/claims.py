@@ -24,7 +24,8 @@ from .matrices import (SIGMA_TERMS, SquareMatrix, anticommutator_audit,
                        audit_E_alternates, beta_set, beta_sigma_expansion,
                        beta_tensor_text, build_E, compare_tables, diff_cells,
                        gram, monomial_sum, signed_table)
-from .octonion import TABLE, Octonion, verify_split_relations
+from .octonion import (TABLE, Octonion, oriented_triples,
+                       verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         SingularRotation, StructureMismatch, assemble_X,
                         block_decompose, commutator_terms,
@@ -32,7 +33,7 @@ from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         invert_exact, matrix_exp, numeric_X, plane_product,
                         rotation_component_map, spinor_transform,
                         standard_spinor, unitarity_defect)
-from .splitrep import YFixture, audit_Y_blocks, build_split_spinor
+from .splitrep import audit_Y_blocks, build_split_spinor
 from .symbolic import render_linear_form
 
 TOOLKIT_VERSION = "0.1.0"
@@ -151,15 +152,15 @@ def _check_eq18_relations(fx, ctx):
 
 
 def _check_eq19_split_spinor(fx, ctx):
-    comps = build_split_spinor().components
+    comps = build_split_spinor()
     records = []
     for m, (a, b) in enumerate([(0, 7), (1, 4), (2, 5), (3, 6)]):
         u, us = comps[m], comps[m + 4]
         records.append({
             "pair": [a, b],
-            "sum_recovers_unit": (u + us) == Octonion.unit(a, CRational(1)),
+            "sum_recovers_unit": (u + us) == Octonion.unit(a),
             "difference_recovers_i_unit":
-                (u - us) == Octonion.unit(b, CRational(0, 1)),
+                (u - us) == Octonion.unit(b) * CRational(0, 1),
             "starred_is_conjugate":
                 us == Octonion([c.conj() for c in u.coeffs]),
         })
@@ -180,11 +181,10 @@ def _check_eq22_blocks(fx, ctx):
     except StructureMismatch as exc:
         return REFUTED, {"compact_form": False,
                          "cells": [list(c) for c in exc.cells]}
-    yfix = YFixture(fx.eq21_y1, fx.eq21_y2, fx.eq23_c, fx.eq24_d)
-    audits, b_minus_c = audit_Y_blocks(yfix, dec)
-    ok = all(a.ok for a in audits)
+    audits, b_minus_c = audit_Y_blocks(fx, dec)
+    ok = all(a["ok"] for a in audits)
     return _status(ok), {
-        "audits": [a.as_dict() for a in audits],
+        "audits": audits,
         "b_minus_c_cells": [
             {"row": i, "col": j, "entry": render_linear_form(e)}
             for i, j, e in b_minus_c.nonzero_cells()],
@@ -274,7 +274,7 @@ def _check_gram_orthogonality(fx, ctx):
 
 def _check_table_48_16(fx, ctx):
     diff = compare_tables(fx.table2, signed_table(ctx.ems))
-    counts = diff.counts()
+    counts = diff.counts
     ok = (counts["identical"] == 48 and counts["sign_flipped"] == 16
           and counts["structurally_different"] == 0)
     return _status(ok), {"stated": {"identical": 48, "sign_flipped": 16},
@@ -283,17 +283,17 @@ def _check_table_48_16(fx, ctx):
 
 def _check_table1_self_consistency(fx, ctx):
     diff = compare_tables(signed_table(ctx.ems), fx.table1)
-    ok = diff.counts()["identical"] == 64
-    return _status(ok), {"counts": diff.counts(), "cells": list(diff.cells)}
+    ok = diff.counts["identical"] == 64
+    return _status(ok), {"counts": diff.counts, "cells": list(diff.cells)}
 
 
 def _check_table2_fixture(fx, ctx):
-    diff = compare_tables(TABLE.to_signed_table(), fx.table2)
-    ok = diff.counts()["identical"] == 64
+    diff = compare_tables(TABLE, fx.table2)
+    ok = diff.counts["identical"] == 64
     return _status(ok), {
-        "counts": diff.counts(),
+        "counts": diff.counts,
         "cells": list(diff.cells),
-        "oriented_triples": [list(t) for t in TABLE.oriented_triples()],
+        "oriented_triples": [list(t) for t in oriented_triples()],
     }
 
 

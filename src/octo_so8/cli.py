@@ -23,13 +23,14 @@ from typing import Optional, Sequence
 from .claims import REFUTED, render_markdown, run_all, to_json
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
-from .matrices import beta_set, build_E, compare_tables, signed_table
+from .matrices import (anticommutator_audit, beta_set, build_E,
+                       compare_tables, gram, signed_table)
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
                         rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor,
                         substitute_terms)
-from .splitrep import split_transform
+from .splitrep import build_split_spinor, split_transform
 from .symbolic import render_linear_form
 
 _FORMATS = ("md", "json")
@@ -138,10 +139,10 @@ def cmd_tables(args) -> int:
         _emit_json({
             "octonion_table": fx.table2.render("e"),
             "derived_e_table": derived.render("E"),
-            "diff": {"counts": diff.counts(), "cells": list(diff.cells)},
+            "diff": {"counts": diff.counts, "cells": list(diff.cells)},
         })
         return 0
-    c = diff.counts()
+    c = diff.counts
     out = ["## Octonion multiplication table (fixture)", ""]
     out += _md_grid(fx.table2.render("e"), "e")
     out += ["", "## Derived E-matrix multiplication table", ""]
@@ -326,11 +327,9 @@ def _spinor(args, fvals) -> int:
     lines = [_render_octonion_line(f"psi{i + 1}'", c["terms"])
              for i, c in enumerate(payload["components"])]
     if args.split:
-        from .splitrep import build_split_spinor
         fx = load_fixtures(_fixture_dir(args))
         y_num = substitute_terms(fx.eq21_y_terms, fvals)
-        phi_out = split_transform(build_split_spinor().components, y_num,
-                                  args.tol)
+        phi_out = split_transform(build_split_spinor(), y_num, args.tol)
         payload["split"] = {
             "y_source": "fixture sum (eq21_Y1 + eq21_Y2)",
             "components": [{"index": i + 1, "terms": _octonion_terms(row)}
@@ -347,7 +346,6 @@ def _spinor(args, fvals) -> int:
 
 
 def cmd_gram(args) -> int:
-    from .matrices import anticommutator_audit, gram
     bs = beta_set(args.beta_variant)
     g = gram(bs)
     grid = g.render()

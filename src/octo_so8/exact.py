@@ -90,12 +90,6 @@ class CRational:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def inv(self) -> "CRational":
         a, b = self.a, self.b
         if a == 0 and b == 0:

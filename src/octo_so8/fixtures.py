@@ -184,8 +184,8 @@ class FixtureStore(NamedTuple):
     eq14: tuple            # 8 linear forms, the per-component flow
     eq21_y1: SquareMatrix
     eq21_y2: SquareMatrix
-    eq21_y: SquareMatrix   # eq21_y1 + eq21_y2, summed once per parse
-    eq21_y_terms: tuple    # eq21_y cells: (const, ((a, c_(a+1)), ...)), c != 0
+    eq21_y_terms: tuple    # Y = eq21_y1 + eq21_y2 cells, summed once per
+                           # parse: (const, ((a, c_(a+1)), ...)), c != 0
     eq23_c: SquareMatrix   # 4x4
     eq24_d: SquareMatrix   # 4x4
     digests: dict          # filename -> sha256 hex
@@ -258,10 +258,9 @@ def _parse(raw: tuple) -> FixtureStore:
                                          "eq21_Y1.txt")),
         eq21_y2=(y2 := parse_form_matrix(text["eq21_Y2.txt"],
                                          "eq21_Y2.txt")),
-        eq21_y=(y := y1 + y2),
         eq21_y_terms=tuple(tuple((complex(e.constant), tuple(
             (a, complex(c)) for a, c in enumerate(e.coeffs[1:]) if c))
-            for e in row) for row in y.rows),
+            for e in row) for row in (y1 + y2).rows),
         eq23_c=parse_form_matrix(text["eq23_C.txt"], "eq23_C.txt", size=4),
         eq24_d=parse_form_matrix(text["eq24_D.txt"], "eq24_D.txt", size=4),
         digests={},

@@ -46,10 +46,6 @@ class SquareMatrix:
         return cls([[_ONE if i == j else _ZERO for j in range(n)]
                     for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int) -> "SquareMatrix":
-        return cls([[_ZERO] * n for _ in range(n)])
-
     def at(self, i: int, j: int):
         """0-indexed entry access."""
         return self.rows[i][j]
@@ -127,8 +123,8 @@ class SquareMatrix:
                     out.append((i + 1, j + 1, e))
         return out
 
-    def render(self, entry_renderer: Callable = str):
-        return [[entry_renderer(e) for e in row] for row in self.rows]
+    def render(self):
+        return [[str(e) for e in row] for row in self.rows]
 
     def __repr__(self):
         return f"SquareMatrix({self.n}x{self.n})"
@@ -145,15 +141,15 @@ def from_blocks(tl: SquareMatrix, tr: SquareMatrix,
     return SquareMatrix(rows)
 
 
-def diff_cells(a: SquareMatrix, b: SquareMatrix, renderer: Callable = str):
+def diff_cells(a: SquareMatrix, b: SquareMatrix):
     """1-indexed cells where the matrices differ, with both renderings."""
     out = []
     for i in range(a.n):
         for j in range(a.n):
             if not a.at(i, j) == b.at(i, j):
                 out.append({"row": i + 1, "col": j + 1,
-                            "left": renderer(a.at(i, j)),
-                            "right": renderer(b.at(i, j))})
+                            "left": str(a.at(i, j)),
+                            "right": str(b.at(i, j))})
     return out
 
 
@@ -224,8 +220,8 @@ class Monomial:
         return SquareMatrix([[self.at(i, j) for j in range(self.n)]
                              for i in range(self.n)])
 
-    def render(self, entry_renderer: Callable = str):
-        return self.to_dense().render(entry_renderer)
+    def render(self):
+        return self.to_dense().render()
 
     def __repr__(self):
         return f"Monomial(perm={self.perm}, phase={self.phase})"
@@ -393,20 +389,12 @@ def _beta_product(bs: BetaSet, idxs) -> Monomial:
     return acc
 
 
-class EMatrixSet(NamedTuple):
-    variant: str
-    mats: tuple   # E_0 .. E_7
-
-    def e(self, k: int) -> Monomial:
-        return self.mats[k]
+def build_E(bs: BetaSet) -> tuple:
+    """E_0 .. E_7."""
+    return tuple(_beta_product(bs, E_DEFS[k]) for k in range(8))
 
 
-def build_E(bs: BetaSet) -> EMatrixSet:
-    return EMatrixSet(bs.variant,
-                      tuple(_beta_product(bs, E_DEFS[k]) for k in range(8)))
-
-
-def audit_E_alternates(bs: BetaSet, ems: EMatrixSet):
+def audit_E_alternates(bs: BetaSet, ems: tuple):
     """Check every alternate product against its primary definition."""
     records = []
     for k in sorted(E_ALTERNATES):
@@ -416,14 +404,14 @@ def audit_E_alternates(bs: BetaSet, ems: EMatrixSet):
                 "e_index": k,
                 "primary": "*".join(f"beta{a}" for a in E_DEFS[k]),
                 "alternate": "*".join(f"beta{a}" for a in alt),
-                "equal": m == ems.mats[k],
+                "equal": m == ems[k],
             })
     # E_7 also factors through E_3 * E_6
     records.append({
         "e_index": 7,
         "primary": "*".join(f"beta{a}" for a in E_DEFS[7]),
         "alternate": "E3*E6",
-        "equal": (ems.mats[3] @ ems.mats[6]) == ems.mats[7],
+        "equal": (ems[3] @ ems[6]) == ems[7],
     })
     return records
 
@@ -448,27 +436,20 @@ class SignedTable(NamedTuple):
         return [[tok(c) for c in row] for row in self.cells]
 
 
-def signed_table(ems: EMatrixSet) -> SignedTable:
+def signed_table(ems: tuple) -> SignedTable:
     """Multiplication table of the E family, matched against +/-E_k
     (the first match in the order +E_0, -E_0, +E_1, ...)."""
     lookup: dict = {}
-    for k, e in enumerate(ems.mats):
+    for k, e in enumerate(ems):
         lookup.setdefault(e, (1, k))
         lookup.setdefault(-e, (-1, k))
-    return SignedTable(tuple(tuple(lookup.get(a @ b) for b in ems.mats)
-                             for a in ems.mats))
+    return SignedTable(tuple(tuple(lookup.get(a @ b) for b in ems)
+                             for a in ems))
 
 
 class TableDiff(NamedTuple):
-    identical: int
-    sign_flipped: int
-    structurally_different: int
+    counts: dict   # {"identical", "sign_flipped", "structurally_different"}
     cells: tuple   # non-identical cells, row-major
-
-    def counts(self):
-        return {"identical": self.identical,
-                "sign_flipped": self.sign_flipped,
-                "structurally_different": self.structurally_different}
 
 
 def _cell_token(c) -> str:
@@ -478,21 +459,21 @@ def _cell_token(c) -> str:
 
 
 def compare_tables(left: SignedTable, right: SignedTable) -> TableDiff:
-    identical = flipped = different = 0
+    counts = {"identical": 0, "sign_flipped": 0, "structurally_different": 0}
     cells = []
     for i in range(8):
         for j in range(8):
             a, b = left.cell(i, j), right.cell(i, j)
             if a == b and a is not None:
-                identical += 1
+                counts["identical"] += 1
                 continue
             if (a is not None and b is not None
                     and a[1] == b[1] and a[0] == -b[0]):
-                flipped += 1
+                counts["sign_flipped"] += 1
                 kind = "sign-flipped"
             else:
-                different += 1
+                counts["structurally_different"] += 1
                 kind = "structurally-different"
             cells.append({"row": i, "col": j, "left": _cell_token(a),
                           "right": _cell_token(b), "kind": kind})
-    return TableDiff(identical, flipped, different, tuple(cells))
+    return TableDiff(counts, tuple(cells))

@@ -30,32 +30,23 @@ _T = (
 )
 
 
-class StructureTable:
-    """The verbatim basis multiplication table."""
-
-    def __init__(self, cells=_T):
-        self.cells = tuple(tuple(row) for row in cells)
-
-    def to_signed_table(self) -> SignedTable:
-        return SignedTable(self.cells)
-
-    def oriented_triples(self):
-        """The seven oriented imaginary triples (i, j, k) with
-        e_i e_j = e_k, smallest index first, implied by the table."""
-        triples = []
-        seen = set()
-        for i in range(1, 8):
-            for j in range(i + 1, 8):
-                sign, k = self.cells[i][j]
-                key = frozenset((i, j, k))
-                if key in seen:
-                    continue
-                seen.add(key)
-                triples.append((i, j, k) if sign > 0 else (i, k, j))
-        return triples
+TABLE = SignedTable(_T)
 
 
-TABLE = StructureTable()
+def oriented_triples():
+    """The seven oriented imaginary triples (i, j, k) with
+    e_i e_j = e_k, smallest index first, implied by the table."""
+    triples = []
+    seen = set()
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            sign, k = _T[i][j]
+            key = frozenset((i, j, k))
+            if key in seen:
+                continue
+            seen.add(key)
+            triples.append((i, j, k) if sign > 0 else (i, k, j))
+    return triples
 
 
 class Octonion:
@@ -72,14 +63,14 @@ class Octonion:
         raise AttributeError("Octonion is immutable")
 
     @classmethod
-    def unit(cls, k: int, one=1) -> "Octonion":
-        c = [one * 0] * 8
-        c[k] = one
+    def unit(cls, k: int) -> "Octonion":
+        c = [0] * 8
+        c[k] = 1
         return cls(c)
 
     @classmethod
-    def zero(cls, zero=0) -> "Octonion":
-        return cls([zero] * 8)
+    def zero(cls) -> "Octonion":
+        return cls([0] * 8)
 
     def __add__(self, other):
         if not isinstance(other, Octonion):
@@ -192,12 +183,11 @@ class IdentityCheck(NamedTuple):
     ok: bool
 
 
-def verify_split_relations(basis: SplitBasis = None):
+def verify_split_relations():
     """Evaluate the whole split-basis relation family; one record per
     identity instance, exact verdicts."""
-    b = basis or build_split_basis()
-    u, us = b.u, b.u_star
-    zero = Octonion.zero(CRational(0))
+    u, us = build_split_basis()
+    zero = Octonion.zero()
     checks = []
 
     def rec(name, lhs, rhs):

@@ -411,9 +411,9 @@ def spinor_transform(psi: Sequence[Octonion], x_num,
 
 
 def standard_spinor() -> list:
-    """(1, e1, ..., e7) as exact bioctonions; its coefficient array is
-    the identity."""
-    return [Octonion.unit(k, CRational(1)) for k in range(8)]
+    """(1, e1, ..., e7) with int coefficients; its coefficient array
+    is the identity."""
+    return [Octonion.unit(k) for k in range(8)]
 
 
 def hermiticity_defect(e) -> float:

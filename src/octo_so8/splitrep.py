@@ -10,61 +10,37 @@ transcription.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .matrices import SquareMatrix, from_blocks, diff_cells
+from .fixtures import FixtureStore
+from .matrices import from_blocks, diff_cells
 from .octonion import build_split_basis
 from .rotations import BlockDecomp, spinor_transform
 
 
-class SplitSpinor(NamedTuple):
-    components: tuple   # 8 bioctonions
-
-
-def build_split_spinor() -> SplitSpinor:
+def build_split_spinor() -> tuple:
     """phi = (u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
-    return SplitSpinor(build_split_basis().ordered())
+    return build_split_basis().ordered()
 
 
-class YFixture(NamedTuple):
-    """The two verbatim symbolic matrices and the C/D blocks."""
-    first: SquareMatrix    # claimed [[A, A], [B, B]]
-    second: SquareMatrix   # claimed [[C, -C], [D, -D]]
-    c_block: SquareMatrix  # 4x4
-    d_block: SquareMatrix  # 4x4
-
-
-class BlockAudit(NamedTuple):
-    name: str
-    ok: bool
-    cells: tuple   # diff cells, empty when ok
-
-    def as_dict(self):
-        return {"name": self.name, "ok": self.ok, "cells": list(self.cells)}
-
-
-def audit_Y_blocks(fix: YFixture, decomp: BlockDecomp):
+def audit_Y_blocks(fx: FixtureStore, decomp: BlockDecomp):
     """Three sub-audits of the transcribed split-frame matrices.
 
-    (a) first matrix == [[A, A], [B, B]] with A, B the derived blocks;
-    (b) second matrix == [[C, -C], [D, -D]] from the transcribed C, D;
+    (a) eq21_y1 == [[A, A], [B, B]] with A, B the derived blocks;
+    (b) eq21_y2 == [[C, -C], [D, -D]] from the transcribed C, D;
     (c) the stated top-left block of the total, A + B, equals the formal
         top-left A + C  (equivalently B == C).
-    Returns (audits, b_minus_c) where b_minus_c is the 4x4 difference.
+    Returns (audits, b_minus_c): each audit a {"name", "ok", "cells"}
+    dict, cells empty when ok, and b_minus_c the 4x4 difference.
     """
-    a, b = decomp.a, decomp.b
-    first_expected = from_blocks(a, a, b, b)
-    second_expected = from_blocks(fix.c_block, -fix.c_block,
-                                  fix.d_block, -fix.d_block)
-    d1 = diff_cells(fix.first, first_expected)
-    d2 = diff_cells(fix.second, second_expected)
-    d3 = diff_cells(b, fix.c_block)
-    audits = (
-        BlockAudit("first-matrix-block-form", not d1, tuple(d1)),
-        BlockAudit("second-matrix-block-form", not d2, tuple(d2)),
-        BlockAudit("stated-sum-top-left", not d3, tuple(d3)),
-    )
-    return audits, b - fix.c_block
+    a, b, c, d = decomp.a, decomp.b, fx.eq23_c, fx.eq24_d
+    audits = [
+        {"name": name, "ok": not cells, "cells": cells}
+        for name, cells in (
+            ("first-matrix-block-form",
+             diff_cells(fx.eq21_y1, from_blocks(a, a, b, b))),
+            ("second-matrix-block-form",
+             diff_cells(fx.eq21_y2, from_blocks(c, -c, d, -d))),
+            ("stated-sum-top-left", diff_cells(b, c)))]
+    return audits, b - c
 
 
 # The split spinor is transported exactly like the standard one.

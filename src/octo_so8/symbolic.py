@@ -51,10 +51,6 @@ class LinearForm:
     def constant(self):
         return self.coeffs[0]
 
-    def coeff(self, k: int):
-        """Coefficient of f_k, 1-indexed."""
-        return self.coeffs[k]
-
     def __add__(self, other):
         if not isinstance(other, LinearForm):
             return NotImplemented

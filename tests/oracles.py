@@ -75,7 +75,7 @@ def substitute_numeric(x, fvals):
         for form in row:
             acc = complex(form.constant)
             for a in range(8):
-                acc += complex(form.coeff(a + 1)) * fvals[a]
+                acc += complex(form.coeffs[a + 1]) * fvals[a]
             vals.append(acc)
         out.append(vals)
     return out
@@ -88,7 +88,7 @@ def octonion_transport(psi, x_num):
     numeric = [Octonion([complex(c) for c in o.coeffs]) for o in psi]
     out = []
     for i in range(len(psi)):
-        acc = Octonion.zero(0j)
+        acc = Octonion.zero()
         for j in range(len(psi)):
             acc = acc + complex(e[i][j]) * numeric[j]
         out.append(acc.coeffs)

@@ -33,8 +33,13 @@ class TestLoading:
         assert sorted(fx.eq2) == list(range(1, 9))
 
     def test_split_y_is_summed_once(self, fx):
-        assert fx.eq21_y == fx.eq21_y1 + fx.eq21_y2
-        assert load_fixtures().eq21_y is fx.eq21_y
+        y = fx.eq21_y1 + fx.eq21_y2
+        for y_row, terms_row in zip(y.rows, fx.eq21_y_terms, strict=True):
+            for form, (const, terms) in zip(y_row, terms_row, strict=True):
+                assert const == complex(form.constant)
+                assert terms == tuple((a, complex(c)) for a, c in
+                                      enumerate(form.coeffs[1:]) if c)
+        assert load_fixtures().eq21_y_terms is fx.eq21_y_terms
 
     def test_directory_copy_loads_identically(self, fx, data_copy):
         other = load_fixtures(str(data_copy))

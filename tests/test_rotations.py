@@ -141,7 +141,7 @@ class TestRotationOperator:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularRotation):
-            invert_exact(SquareMatrix.zeros(2))
+            invert_exact(SquareMatrix([[CRational(0)] * 2] * 2))
 
 
 class TestExactRotation:
@@ -460,8 +460,8 @@ class TestNumericExponential:
 
     @pytest.mark.parametrize("reading", ["sigma", "tensor"])
     def test_relative_error_on_generator_sums(self, reading):
-        # tol bounds only the last Taylor term of the scaled series; the
-        # error of e^X itself stays under the spinor bound of 1e-9
+        # tol bounds the backward error, ||dX||_inf <= tol*||X||_inf;
+        # the forward error of e^X stays under the spinor bound of 1e-9
         rng = np.random.default_rng(20261018)
         bs = beta_set(reading)
         worst = 0.0
@@ -589,7 +589,7 @@ class TestTransportOracle:
     def cases(self, fx, reading, f):
         bs = beta_set(reading)
         return [(standard_spinor(), numeric_X(f, bs)),
-                (build_split_spinor().components,
+                (build_split_spinor(),
                  substitute_numeric(fx.eq21_y1 + fx.eq21_y2, f))]
 
     @pytest.mark.parametrize("reading", READINGS)

@@ -22,7 +22,7 @@ forms = st.builds(LinearForm, st.lists(small_cdyadics, min_size=9, max_size=9))
 class TestFormAlgebra:
     def test_symbol_and_const(self):
         f3 = LinearForm.symbol(3)
-        assert f3.coeff(3) == CDyadic(1)
+        assert f3.coeffs[3] == CDyadic(1)
         assert f3.constant == CDyadic(0)
         half = LinearForm([Dyadic(1, 1)] + [0] * 8)
         assert half.constant == CDyadic(1, 0, 2)
