@@ -7,23 +7,29 @@ exceptions; only operational failures (missing files, parse errors)
 raise.  Checkers return (status, details) with status one of
 "confirmed", "refuted", "degenerate".
 
-Every checker is exact except exp-action, which runs the numeric
+What the checkers derive from the generators alone (X and its blocks,
+[beta1 beta2, X], E and its table, the Gram matrix, the plane classes,
+the eq 18 relations) lives on ``context(bs)``: built on first use, once
+per generator reading in a process.  The fixture load, every comparison
+against fixture data, the exp-action claim and rendering run on every
+call.  Every checker is exact except exp-action, which runs the numeric
 exponential over lists of complex.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .exact import CRational
 from .fixtures import FixtureStore
-from .matrices import (SIGMA_TERMS, SquareMatrix, anticommutator_audit,
-                       audit_E_alternates, beta_set, beta_sigma_expansion,
-                       beta_tensor_text, build_E, compare_tables, diff_cells,
-                       gram, monomial_sum, signed_table)
+from .matrices import (SIGMA_TERMS, BetaSet, SquareMatrix,
+                       anticommutator_audit, audit_E_alternates, beta_set,
+                       beta_sigma_expansion, beta_tensor_text, build_E,
+                       compare_tables, diff_cells, gram, monomial_sum,
+                       signed_table)
 from .octonion import (TABLE, Octonion, oriented_triples,
                        verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
@@ -48,23 +54,58 @@ def _status(ok: bool) -> str:
 
 
 class _Context:
-    """Derived objects shared by the checkers of one run."""
+    """The derived objects of one generator reading, each built on first
+    use.  None depends on the fixtures, so ``context`` keeps one context
+    per BetaSet; the checkers build every details list and dict afresh."""
 
-    def __init__(self, fixtures: FixtureStore, variant: str = "sigma"):
-        self.fixtures = fixtures
-        self.variant = variant
+    def __init__(self, bs: BetaSet):
+        self.bs, self.variant = bs, bs.variant
 
-    @functools.cached_property
-    def bs(self):
-        return beta_set(self.variant)
+    x = cached_property(lambda self: assemble_X(self.bs))
+    x_flags = cached_property(lambda self: (self.x.is_hermitian(),
+                                            self.x.is_traceless()))
+    ems = cached_property(lambda self: build_E(self.bs))
+    table = cached_property(lambda self: signed_table(self.ems))
+    gram_matrix = cached_property(lambda self: gram(self.bs))
+    pairs = cached_property(lambda self: tuple(anticommutator_audit(self.bs)))
+    planes = cached_property(
+        lambda self: tuple(duplicate_rotation_scan(self.bs)))
+    split_relations = cached_property(
+        lambda self: tuple(verify_split_relations()))
 
-    @functools.cached_property
-    def ems(self):
-        return build_E(self.bs)
+    @cached_property
+    def blocks(self):
+        """(X's BlockDecomp, ()), or (None, the cells off compact form)."""
+        try:
+            return block_decompose(self.x), ()
+        except StructureMismatch as exc:
+            return None, tuple(exc.cells)
 
-    @functools.cached_property
-    def x(self):
-        return assemble_X(self.bs)
+    @cached_property
+    def comm(self):
+        """[beta1 beta2, X]."""
+        n = plane_product(1, 2, self.bs)
+        return monomial_sum(commutator_terms(n, SYMBOLS, self.bs),
+                            ZERO_FORM)
+
+    @cached_property
+    def gram_singular(self):
+        try:
+            invert_exact(self.gram_matrix)
+        except SingularRotation:
+            return True
+        return False
+
+    @cached_property
+    def eq14(self):
+        """The component map of plane (1,2); None if the Gram is singular."""
+        try:
+            return rotation_component_map(1, 2, self.bs)
+        except DegenerateBasis:
+            return None
+
+
+context = lru_cache(maxsize=8)(_Context)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +126,11 @@ def _check_beta8_consistency(fx, ctx):
 
 
 def _check_dup_rotations(fx, ctx):
-    classes = duplicate_rotation_scan(ctx.bs)
-    cls = next(c for c in classes if (1, 2) in c)
+    cls = next(c for c in ctx.planes if (1, 2) in c)
     ok = (5, 6) in cls and (7, 8) in cls
     return _status(ok), {
         "class_of_plane_1_2": [list(p) for p in cls],
-        "partition": [[list(p) for p in c] for c in classes],
+        "partition": [[list(p) for p in c] for c in ctx.planes],
     }
 
 
@@ -104,9 +144,7 @@ def _check_eq12_fixture(fx, ctx):
 
 
 def _check_eq13_increment(fx, ctx):
-    n = plane_product(1, 2, ctx.bs)
-    comm = monomial_sum(commutator_terms(n, SYMBOLS, ctx.bs), ZERO_FORM)
-    cells = diff_cells(comm, fx.eq13.scale(2))
+    cells = diff_cells(ctx.comm, fx.eq13.scale(2))
     return _status(not cells), {
         "checked": "[beta1 beta2, X] == 2 * stated increment matrix",
         "cells": cells,
@@ -114,9 +152,7 @@ def _check_eq13_increment(fx, ctx):
 
 
 def _check_eq14_map(fx, ctx):
-    try:
-        cm = rotation_component_map(1, 2, ctx.bs)
-    except DegenerateBasis:
+    if (cm := ctx.eq14) is None:
         return DEGENERATE, {"reason": "generator Gram matrix is singular"}
     lines = []
     for a in range(8):
@@ -141,7 +177,7 @@ def _check_eq15_alternates(fx, ctx):
 
 
 def _check_eq18_relations(fx, ctx):
-    checks = verify_split_relations()
+    checks = ctx.split_relations
     failed = [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs}
               for c in checks if not c.ok]
     return _status(not failed), {
@@ -176,11 +212,10 @@ def _check_eq2_fixture(fx, ctx):
 
 
 def _check_eq22_blocks(fx, ctx):
-    try:
-        dec = block_decompose(ctx.x)
-    except StructureMismatch as exc:
+    dec, bad = ctx.blocks
+    if bad:
         return REFUTED, {"compact_form": False,
-                         "cells": [list(c) for c in exc.cells]}
+                         "cells": [list(c) for c in bad]}
     audits, b_minus_c = audit_Y_blocks(fx, dec)
     ok = all(a["ok"] for a in audits)
     return _status(ok), {
@@ -197,11 +232,10 @@ def _check_eq6_fixture(fx, ctx):
 
 
 def _check_eq8_eq9_blocks(fx, ctx):
-    try:
-        dec = block_decompose(ctx.x)
-    except StructureMismatch as exc:
+    dec, bad = ctx.blocks
+    if bad:
         return REFUTED, {"compact_form": False,
-                         "cells": [list(c) for c in exc.cells]}
+                         "cells": [list(c) for c in bad]}
     a_cells = diff_cells(dec.a, fx.eq6.block(0, 0, 4))
     b_cells = diff_cells(dec.b, fx.eq6.block(1, 0, 4))
     ok = not a_cells and not b_cells
@@ -246,34 +280,27 @@ def _check_exp_action(fx, ctx):
 
 
 def _check_gram_orthogonality(fx, ctx):
-    g = gram(ctx.bs)
     target = SquareMatrix.identity(8).scale(CRational(8))
-    cells = diff_cells(g, target)
+    cells = diff_cells(ctx.gram_matrix, target)
     details = {
         "variant": ctx.variant,
         "cells_off_8I": cells,
-        "anticommuting_pairs": [list(p) for p in anticommutator_audit(ctx.bs)],
+        "anticommuting_pairs": [list(p) for p in ctx.pairs],
     }
     if ctx.variant != "tensor":
-        gt = gram(beta_set("tensor"))
-        details["tensor_reading_entry_1_8"] = str(gt.at(0, 7))
-        try:
-            invert_exact(gt)
-            details["tensor_reading_singular"] = False
-        except SingularRotation:
-            details["tensor_reading_singular"] = True
+        tensor = context(beta_set("tensor"))
+        details["tensor_reading_entry_1_8"] = str(tensor.gram_matrix.at(0, 7))
+        details["tensor_reading_singular"] = tensor.gram_singular
     if not cells:
         return CONFIRMED, details
-    try:
-        invert_exact(g)
-    except SingularRotation:
+    if ctx.gram_singular:
         details["gram_singular"] = True
         return DEGENERATE, details
     return REFUTED, details
 
 
 def _check_table_48_16(fx, ctx):
-    diff = compare_tables(fx.table2, signed_table(ctx.ems))
+    diff = compare_tables(fx.table2, ctx.table)
     counts = diff.counts
     ok = (counts["identical"] == 48 and counts["sign_flipped"] == 16
           and counts["structurally_different"] == 0)
@@ -282,7 +309,7 @@ def _check_table_48_16(fx, ctx):
 
 
 def _check_table1_self_consistency(fx, ctx):
-    diff = compare_tables(signed_table(ctx.ems), fx.table1)
+    diff = compare_tables(ctx.table, fx.table1)
     ok = diff.counts["identical"] == 64
     return _status(ok), {"counts": diff.counts, "cells": list(diff.cells)}
 
@@ -298,7 +325,7 @@ def _check_table2_fixture(fx, ctx):
 
 
 def _check_x_traceless_hermitian(fx, ctx):
-    herm, traceless = ctx.x.is_hermitian(), ctx.x.is_traceless()
+    herm, traceless = ctx.x_flags
     return _status(herm and traceless), {"hermitian": herm,
                                          "traceless": traceless}
 
@@ -353,7 +380,7 @@ class ClaimReport(NamedTuple):
 
 
 def run_all(fixtures: FixtureStore, variant: str = "sigma") -> ClaimReport:
-    ctx = _Context(fixtures, variant)
+    ctx = context(beta_set(variant))
     results = []
     for claim in sorted(CLAIMS, key=lambda c: c.id):
         status, details = claim.checker(fixtures, ctx)

@@ -20,11 +20,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .claims import REFUTED, render_markdown, run_all, to_json
+from .claims import REFUTED, context, render_markdown, run_all, to_json
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
-from .matrices import (anticommutator_audit, beta_set, build_E,
-                       compare_tables, gram, signed_table)
+from .matrices import beta_set, compare_tables
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
                         rotate_exact, rotation_component_map,
@@ -133,7 +132,7 @@ def _md_grid(tokens, prefix: str):
 
 def cmd_tables(args) -> int:
     fx = load_fixtures(_fixture_dir(args))
-    derived = signed_table(build_E(beta_set(args.beta_variant)))
+    derived = context(beta_set(args.beta_variant)).table
     diff = compare_tables(fx.table2, derived)
     if args.format == "json":
         _emit_json({
@@ -346,10 +345,9 @@ def _spinor(args, fvals) -> int:
 
 
 def cmd_gram(args) -> int:
-    bs = beta_set(args.beta_variant)
-    g = gram(bs)
-    grid = g.render()
-    pairs = [list(p) for p in anticommutator_audit(bs)]
+    ctx = context(beta_set(args.beta_variant))
+    grid = ctx.gram_matrix.render()
+    pairs = [list(p) for p in ctx.pairs]
     if args.format == "json":
         _emit_json({"variant": args.beta_variant, "gram": grid,
                     "anticommuting_pairs": pairs})
