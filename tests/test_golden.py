@@ -1,6 +1,8 @@
-"""The ``verify`` report, pinned byte for byte by committed golden files,
-and ``rotate``, ``spinor`` and the audit commands (``tables``, ``gram``,
-``dump-beta``), pinned by digest over grids of inputs.
+"""The ``verify`` report, pinned byte for byte by committed golden files;
+``rotate``, ``spinor`` and the audit commands (``tables``, ``gram``,
+``dump-beta``), pinned by digest over grids of inputs; and the token
+language of scalars, linear forms and theta-affine cells, pinned by a
+grid of accepted renderings and rejection messages.
 
 ``tests/golden/verify-<reading>.<format>`` is the standard output of
 ``octo-so8 verify --beta-variant <reading> --format <format>``.  The one
@@ -15,11 +17,16 @@ import hashlib
 import io
 import json
 import re
+import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from octo_so8 import parse_cdyadic, parse_dyadic, parse_linear_form
 from octo_so8.cli import main
+from octo_so8.fixtures import FIXTURE_FILES
+from octo_so8.symbolic import parse_theta_affine
 
 GOLDEN = Path(__file__).parent / "golden"
 EXP_FLOATS = ("diagonal_oracle_max_error", "hermiticity_defect",
@@ -76,9 +83,9 @@ def test_float_pinning_rejects_drift_beyond_bound():
 #
 # tests/golden/rotate-grid.json, spinor-grid.json and audit-grid.json
 # map each argv of their grid (joined by spaces) to the sha256 of its
-# exit code, stdout and stderr.  Rewrite all three with
-# ``PYTHONPATH=src python tests/test_golden.py`` only when a change to
-# those bytes is intended and recorded.
+# exit code, stdout and stderr.  Rewrite all three, and the token grid
+# below, with ``PYTHONPATH=src python tests/test_golden.py`` only when a
+# change to those bytes is intended and recorded.
 
 ROTATE_GRID = GOLDEN / "rotate-grid.json"
 GRID_F = "--f=1,-1/2,3/4,0,2,-3,1/8,5"
@@ -159,9 +166,157 @@ def test_spinor_grid_exits():
             assert (rc, err.getvalue()) == (0, "")
 
 
+# ---------------------------------------------------------------------------
+# the token language, pinned by value and by message
+#
+# tests/golden/token-grid.json maps "<reader> <token>" to "= <canonical
+# rendering>" for an accepted token and "! <exception>: <message>" for a
+# rejected one, under each of the four readers; "cli <argv>" and
+# "fixture <file> <line> <col> <token>" to the exit code and stderr of
+# a command that reads the token from a flag or from a fixture cell.
+# Strings over 160 characters are clipped around their length and
+# sha256, so that the huge-number tokens stay readable.
+
+TOKEN_GRID = GOLDEN / "token-grid.json"
+HUGE = "1" + "0" * 5000          # over the interpreter's 4,300-digit limit
+BIG = "9" * 4300                 # at the limit
+TOKENS = (
+    # canonical and non-canonical scalars
+    "0", "1", "-1", "+1", "3", "00", "007", "0/1", "2/4", "1/1", "-12/16",
+    "1/2", "-1/2", "+1/2", "i", "-i", "+i", "2i", "0i", "1/2i", "-3/4i",
+    "1+i", "1-i", "-1/2+1/2i", "3/4-5/8i", "i+1", "-i-1", "+1+i", "0+0i",
+    " 1/4 ", "\t-i\n", "1 +i", "1\n+i", "1/2\n-i", "\u0663", "1/\u0664",
+    "1+2", "i+i", "1/2+1/4", "2i-i", "0i+0i", BIG, "-" + BIG + "i",
+    # malformed scalars
+    "", " ", "\n", "x", "1.5", "1e3", "0x10", "1_0", "1/3", "1/0", "1/00",
+    "1/03", "3/6", "-1/-2", "1//2", "1/2/4", "/2", "1/", "i/2", "1/2i/2",
+    "ii", "i2", "2ii", "1i2", "+", "-", "--1", "+-1", "1+", "1-", "1++2",
+    "1+-i", "-+i", HUGE, "-1/" + HUGE, "1/" + HUGE + "i", BIG + "9",
+    # parentheses
+    "(1)", "(1", "1)", ")(", "(1+i)", "(1+i)i", "((1))", "(1)(2)", "()",
+    "( )", "(-)", "(--1)", "(1+)", "(1+2)", "(i*2)", "(()", "(()))",
+    "(1(2))", "(1+(2))",
+    # linear forms
+    "f0", "f1", "f8", "f9", "F1", "-f1", "+f1", "f 1", "f1 + f2",
+    "2*f2-2*i*f4", "-f4-i*f2", "i*f8", "i*i*f1", "(1+i)*f3", "f3*(1+i)",
+    "(1/2-1/4i)*f2+1", "2*(i)*f1", "(-1)*f1", "f1*2", "1/2*f1", "f1+f1",
+    "f1-f1", "f1+f2+f3+f4+f5+f6+f7+f8", "3-f2+i", "(1+i)*(1-i)",
+    "(1+i)*(1-i)*f7", "f1*(1/3)", HUGE + "*f1", "f1*" + BIG,
+    # malformed forms
+    "f1*f2", "f1*f1", "2f1", "f1f2", "*f1", "f1*", "f1**f2", "-*f1",
+    "f1*+f2", "2*-f1", "(f1)", "(f1)*2", "f1*(", "(f1*f2)", "f1*(1",
+    "f1+(1+i", "f1+)", ")f1", "f1(2)", "f1()", "(2)f1", "x+--f1", "x+(",
+    "f1**f2+--", "1/3*f1+f1*f2", "f1*f2*x", "x*f1*f2", "f1+f2*f3",
+    # theta-affine cells
+    "theta", "-theta", "+theta", "2*theta", "theta*2", "1-2*theta",
+    "theta-1/2", "i*theta", "(1-i)*theta", "theta*theta", "theta+theta",
+    "theta+f1", "thetas", "th", "(theta)", "1/2*theta*i", "f1*theta",
+)
+READERS = {
+    "cdyadic": lambda t: str(parse_cdyadic(t)),
+    "dyadic": lambda t: str(parse_dyadic(t)),
+    "form": lambda t: str(parse_linear_form(t)),
+    "theta": lambda t: "{}; {}*theta".format(*parse_theta_affine(t)),
+}
+F7 = "1,-1/2,3/4,0,2,-3,1/8,"
+CLI_ARGVS = [["rotate", "1", "2", f"--theta={t}", "--format", "json"]
+             for t in ("1/4", " -1/2 ", "", "1/3", "x", "1+i", "--1", "(1)",
+                       "f1", HUGE)] + [
+    ["rotate", "1", "2", "--theta=1/4", f"--f={f}", "--format", "json"]
+    for f in ("1,2,3", F7 + "5", F7 + " 5 ", F7, F7 + "1/3", F7 + "i",
+              F7 + "1e3", F7 + HUGE)] + [
+    ["spinor", f"--f={f}", "--format", "json"]
+    for f in ("0,0,0,0,0,0,0,1/2", "0,0,0,0,0,0,0,1/3", "0,0,0,0,0,0,0,x",
+              "0,0,0,0,0,0,0,0.25", "0,0,0,0,0,0,0,1/" + HUGE)]
+# (file, 1-indexed line, 1-indexed column, token) written into a copy
+# of the bundled fixtures read by ``verify --fixtures``
+FIXTURE_CELLS = [("eq6_X.txt", 1, 1, t) for t in ("x", "1/3", "f1*f2", HUGE)] + [
+    ("eq12_R12.txt", 3, 5, "f1"), ("eq12_R12.txt", 8, 8, "theta*theta"),
+    ("eq13_delta.txt", 2, 7, "(1"), ("eq21_Y2.txt", 5, 1, "--f1"),
+    ("eq23_C.txt", 4, 4, "f1*"), ("eq24_D.txt", 2, 2, "f1+"),
+    ("eq14_map.txt", 3, 2, "f9"), ("eq14_map.txt", 8, 2, "1" + HUGE)]
+
+
+def _clip(s: str) -> str:
+    if len(s) <= 160:
+        return s
+    digest = hashlib.sha256(s.encode("utf-8")).hexdigest()[:16]
+    return f"{s[:60]}<...{len(s)} chars, sha256 {digest}...>{s[-60:]}"
+
+
+def _outcome(read, tok: str) -> str:
+    try:
+        return "= " + _clip(read(tok))
+    except Exception as exc:   # the type is part of what is pinned
+        return f"! {type(exc).__name__}: {_clip(str(exc))}"
+
+
+def _run(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    stdout = out.getvalue()
+    shown = hashlib.sha256(stdout.encode("utf-8")).hexdigest() if stdout else ""
+    return f"{rc} [{shown}] {_clip(err.getvalue())}"
+
+
+def _with_cell(directory: Path, name: str, line: int, col: int, tok: str):
+    """Write the bundled ``name`` into directory with one cell replaced."""
+    rows = (resources.files("octo_so8") / "data" / name).read_text(
+        "utf-8").split("\n")
+    cells = rows[line - 1].split()
+    cells[col - 1] = tok
+    rows[line - 1] = " ".join(cells)
+    (directory / name).write_text("\n".join(rows), encoding="utf-8")
+
+
+def token_grid() -> dict:
+    grid = {f"{name} {_clip(tok)}": _outcome(read, tok)
+            for name, read in READERS.items() for tok in TOKENS}
+    grid.update({"cli " + _clip(" ".join(argv)): _run(argv)
+                 for argv in CLI_ARGVS})
+    data = resources.files("octo_so8") / "data"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in FIXTURE_FILES:
+            (root / name).write_bytes((data / name).read_bytes())
+        for name, line, col, tok in FIXTURE_CELLS:
+            _with_cell(root, name, line, col, tok)
+            key = f"fixture {name} {line} {col} {_clip(tok)}"
+            grid[key] = _run(["verify", "--fixtures", tmp])
+            (root / name).write_bytes((data / name).read_bytes())
+    return grid
+
+
+def test_token_grid_matches():
+    want = json.loads(TOKEN_GRID.read_text("utf-8"))
+    got = token_grid()
+    assert sorted(got) == sorted(want)
+    differ = {k: (want[k], got[k]) for k in want if got[k] != want[k]}
+    assert not differ
+
+
+def test_token_grid_covers_every_message():
+    # each message format raised in exact.py and symbolic.py, and each
+    # prefix the CLI puts on it, shows in the grid at least once
+    values = "\n".join(json.loads(TOKEN_GRID.read_text("utf-8")).values())
+    for needle in ("empty scalar token", "bad scalar token",
+                   "bad scalar atom", "is not a power of two",
+                   "duplicate real part", "duplicate imaginary part",
+                   "expected a real dyadic", "empty expression",
+                   "unbalanced '('", "unbalanced ')'", "consecutive signs",
+                   "dangling sign", "empty factor", "two symbols in one term",
+                   "error: --theta=", "error: --f=", "column 1: ",
+                   "eq14_map.txt:3: "):
+        assert needle in values, needle
+
+
 if __name__ == "__main__":
     for path, grid in ((ROTATE_GRID, rotate_grid), (SPINOR_GRID, spinor_grid),
                        (AUDIT_GRID, audit_grid)):
         path.write_text(json.dumps(
             {" ".join(argv): cli_digest(argv) for argv in grid()},
             indent=1) + "\n", encoding="utf-8")
+    TOKEN_GRID.write_text(json.dumps(token_grid(), indent=1,
+                                     ensure_ascii=False) + "\n",
+                          encoding="utf-8")
