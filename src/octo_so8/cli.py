@@ -170,17 +170,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _f_parts(text: str) -> list:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 8:
-        raise ScalarParseError("need exactly 8 comma-separated f values")
-    return parts
-
-
-def _parse_f_exact(text: str) -> list:
-    return [parse_dyadic(p) for p in _f_parts(text)]
-
-
 def _flag_value(flag: str, text: str, parse):
     """parse(text); a ScalarParseError names the flag and its value."""
     try:
@@ -189,14 +178,20 @@ def _flag_value(flag: str, text: str, parse):
         raise ScalarParseError(f"{flag}={text}: {exc}") from None
 
 
-def _parse_f_numeric(text: str) -> list:
-    out = []
-    for p in _f_parts(text):
-        try:
-            out.append(float(p))
-        except ValueError:
-            out.append(float(parse_dyadic(p)))
-    return out
+def _f_values(text: str, parse) -> list:
+    """The eight comma-separated values of ``--f``, each read by parse."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 8:
+        raise ScalarParseError("need exactly 8 comma-separated f values")
+    return [parse(p) for p in parts]
+
+
+def _float(tok: str) -> float:
+    """A decimal literal, or else a dyadic token, as a float."""
+    try:
+        return float(tok)
+    except ValueError:
+        return float(parse_dyadic(tok))
 
 
 def _max_abs_cells(m) -> float:
@@ -208,8 +203,8 @@ def cmd_rotate(args) -> int:
     k, l = args.k, args.l
     n = plane_product(k, l, bs)   # validates the plane
     theta = _flag_value("--theta", args.theta, parse_dyadic)
-    fvals = (None if args.f is None
-             else _flag_value("--f", args.f, _parse_f_exact))
+    fvals = (None if args.f is None else _flag_value(
+        "--f", args.f, lambda t: _f_values(t, parse_dyadic)))
     try:     # the lines once per command: both rotations below use them
         cm = rotation_component_map(k, l, bs, fvals)
     except DegenerateBasis as exc:
@@ -302,7 +297,7 @@ def _render_octonion_line(label: str, terms) -> str:
 
 
 def cmd_spinor(args) -> int:
-    fvals = _flag_value("--f", args.f, _parse_f_numeric)
+    fvals = _flag_value("--f", args.f, lambda t: _f_values(t, _float))
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol={args.tol:g}: must be positive and finite")
     try:

@@ -8,7 +8,9 @@ of two); exact conjugation leaves the dyadics once it divides by
 1 + theta**2, and the same type carries on.
 
 Dyadic values are checked only at the edge: ``parse_cdyadic`` rejects
-denominators that are not powers of two.  ``CDyadic`` is a second name
+denominators that are not powers of two.  The one term scanner for
+token text, behind ``parse_cdyadic``, ``parse_dyadic`` and the form
+readers of ``symbolic``, lives at the end of this module.  ``CDyadic`` is a second name
 for ``CRational``, and ``Dyadic(num, exp)`` builds num / 2**exp with no
 arithmetic of its own.
 
@@ -19,6 +21,7 @@ take int operands, and an integral value hashes like the equal int.
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 
 
@@ -180,12 +183,43 @@ class Dyadic(CRational):
 
 
 # ---------------------------------------------------------------------------
-# text rendering / parsing
+# the term scanner
 #
-# A token is one or two signed atoms, at most one real and one imaginary,
-# each an integer or integer/power-of-two with an optional trailing "i".
+# Scalar tokens, linear forms over f1..f8 and theta-affine cells share
+# one language, written without whitespace:
+#
+#   term   := [+-] factor ('*' factor)*
+#   factor := 'i' | 'f'<1-8> | 'theta' | n['/'2^k]['i'] | '(' scalar ')'
+#
+# A scalar is the same scan split at every sign: each term one number
+# atom, at most one of them real and one imaginary.
 
-_ATOM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?(i?)$")
+_FORM_TERM = re.compile(r"([+-]?)((?:\([^()]*\)|[^-+()])*)")
+_SCALAR_TERM = re.compile(r"([+-]?)([^-+]*)")
+_STAR = re.compile(r"\*(?![^(]*\))")      # a '*' outside parentheses
+_NUMBER = re.compile(r"(?:(\d+)(?:/(\d+))?)?(i?)$")
+
+
+class FormParseError(ScalarParseError):
+    """Raised on a malformed linear-form or theta-affine token."""
+
+
+def _terms(s: str, term: re.Pattern) -> list:
+    """The (sign, body) pairs of s, each body a non-empty run of ``term``."""
+    out, pos = [], 0
+    while pos < len(s):
+        m = term.match(s, pos)
+        pos = m.end()
+        if not m[2]:
+            stop = s[pos:pos + 1]
+            if stop == "(" and s.count("(") <= s.count(")"):
+                raise FormParseError(f"nested parentheses in {s!r}")
+            raise FormParseError(
+                f"unbalanced {stop!r} in {s!r}" if stop in ("(", ")")
+                else f"consecutive signs in {s!r}" if stop
+                else f"dangling sign in {s!r}")
+        out.append(m.groups())
+    return out
 
 
 def parse_dyadic(tok: str) -> CRational:
@@ -201,22 +235,55 @@ def parse_cdyadic(tok: str) -> CRational:
     s = tok.strip()
     if not s:
         raise ScalarParseError("empty scalar token")
-    # split into signed atoms: every +/- is a term separator here
-    atoms = re.findall(r"[+-]?[^+-]+", s)
-    if not atoms or "".join(atoms) != s:
-        raise ScalarParseError(f"bad scalar token {tok!r}")
+    try:
+        terms = _terms(s, _SCALAR_TERM)
+    except FormParseError:
+        raise ScalarParseError(f"bad scalar token {tok!r}") from None
     parts = {}
-    for atom in atoms:
-        m = _ATOM.match(atom)
-        if not m or (m.group(2) is None and m.group(4) != "i"):
-            raise ScalarParseError(f"bad scalar atom {atom!r} in {tok!r}")
-        num = int(m.group(2) or 1) * (-1 if m.group(1) == "-" else 1)
-        den = int(m.group(3) or 1)
+    for sign, body in terms:
+        m = _NUMBER.match(body)
+        if m is None or not (m[1] or m[3]):
+            raise ScalarParseError(f"bad scalar atom {sign + body!r} in {tok!r}")
+        try:
+            num, den = int(m[1] or 1), int(m[2] or 1)
+        except ValueError:   # past the interpreter's int digit limit
+            raise ScalarParseError(
+                f"scalar atom {(sign + body)[:12] + '...'!r} has more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
         if den <= 0 or den & (den - 1):
             raise ScalarParseError(f"denominator {den} is not a power of two")
-        kind = "imaginary" if m.group(4) else "real"
+        kind = "imaginary" if m[3] else "real"
         if kind in parts:
             raise ScalarParseError(f"duplicate {kind} part in {tok!r}")
-        parts[kind] = num, den
+        parts[kind] = -num if sign == "-" else num, den
     (a, b), (c, d) = parts.get("real", (0, 1)), parts.get("imaginary", (0, 1))
     return CRational(a * d, c * b, b * d)
+
+
+def parse_terms(text: str, symbols: tuple) -> list:
+    """The coefficients of an expression over the names in ``symbols``:
+    the constant first, then one per name in order.  Whitespace is
+    ignored; a term carries at most one name."""
+    s = "".join(text.split())
+    if not s:
+        raise FormParseError("empty expression")
+    coeffs = [CRational(0)] * (len(symbols) + 1)
+    for sign, body in _terms(s, _FORM_TERM):
+        factors = _STAR.split(body)
+        if "" in factors:
+            raise FormParseError(f"empty factor in {body!r}")
+        coeff, k = CRational(-1 if sign == "-" else 1), 0
+        for f in factors:
+            if f in symbols:
+                if k:
+                    raise FormParseError(f"two symbols in one term: {text!r}")
+                k = symbols.index(f) + 1
+                continue
+            if f.startswith("(") and f.endswith(")"):
+                f = f[1:-1]
+            try:
+                coeff = coeff * parse_cdyadic(f)
+            except ScalarParseError as exc:
+                raise FormParseError(str(exc)) from None
+        coeffs[k] = coeffs[k] + coeff
+    return coeffs

@@ -118,37 +118,33 @@ def parse_term_lines(text: str, filename: str) -> dict:
     return out
 
 
-def parse_form_matrix(text: str, filename: str, size: int = 8) -> SquareMatrix:
-    """size x size grid of whitespace-free linear-form cells."""
+def _token_cells(text: str, filename: str, size: int, parse) -> list:
+    """size x size grid of whitespace-free term-language cells, each
+    read by ``parse``; a bad cell fails at its line and column."""
     rows = []
     for lineno, line in _rows(text, filename, size):
         row = []
         for col, tok in enumerate(_cells(line, filename, lineno, size),
                                   start=1):
             try:
-                row.append(parse_linear_form(tok))
+                row.append(parse(tok))
             except ScalarParseError as exc:
                 _fail(filename, lineno, f"column {col}: {exc}")
         rows.append(tuple(row))
-    return SquareMatrix(tuple(rows))
+    return rows
+
+
+def parse_form_matrix(text: str, filename: str, size: int = 8) -> SquareMatrix:
+    """size x size grid of linear-form cells."""
+    return SquareMatrix(tuple(_token_cells(text, filename, size,
+                                           parse_linear_form)))
 
 
 def parse_theta_grid(text: str, filename: str):
     """8x8 grid of theta-affine cells, split into (const, theta) parts."""
-    const_rows, theta_rows = [], []
-    for lineno, line in _rows(text, filename, 8):
-        crow, trow = [], []
-        for col, tok in enumerate(_cells(line, filename, lineno, 8),
-                                  start=1):
-            try:
-                c, t = parse_theta_affine(tok)
-            except ScalarParseError as exc:
-                _fail(filename, lineno, f"column {col}: {exc}")
-            crow.append(c)
-            trow.append(t)
-        const_rows.append(tuple(crow))
-        theta_rows.append(tuple(trow))
-    return SquareMatrix(tuple(const_rows)), SquareMatrix(tuple(theta_rows))
+    rows = _token_cells(text, filename, 8, parse_theta_affine)
+    return tuple(SquareMatrix(tuple(tuple(cell[k] for cell in row)
+                                    for row in rows)) for k in (0, 1))
 
 
 def parse_map_lines(text: str, filename: str) -> tuple:

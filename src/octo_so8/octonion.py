@@ -151,16 +151,8 @@ def _zeroish(a) -> bool:
 # u_0 = (e0 + i e7)/2 and u_m = (e_m + i e_{m+3})/2 for m = 1..3, with
 # the starred elements their bioctonion conjugates (i -> -i).
 
-class SplitBasis(NamedTuple):
-    u: tuple        # u_0..u_3
-    u_star: tuple   # u_0*..u_3*
-
-    def ordered(self):
-        """(u0, u1, u2, u3, u0*, u1*, u2*, u3*)"""
-        return self.u + self.u_star
-
-
-def build_split_basis() -> SplitBasis:
+def build_split_basis() -> tuple:
+    """(u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
     pairs = [(0, 7), (1, 4), (2, 5), (3, 6)]
     u, us = [], []
     for a, b in pairs:
@@ -169,7 +161,7 @@ def build_split_basis() -> SplitBasis:
         coeffs[b] = CRational(0, 1, 2)
         u.append(Octonion(coeffs))
         us.append(Octonion([c.conj() for c in coeffs]))
-    return SplitBasis(tuple(u), tuple(us))
+    return tuple(u + us)
 
 
 _EPS = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
@@ -186,7 +178,8 @@ class IdentityCheck(NamedTuple):
 def verify_split_relations():
     """Evaluate the whole split-basis relation family; one record per
     identity instance, exact verdicts."""
-    u, us = build_split_basis()
+    b = build_split_basis()
+    u, us = b[:4], b[4:]
     zero = Octonion.zero()
     checks = []
 

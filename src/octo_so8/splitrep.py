@@ -18,7 +18,7 @@ from .rotations import BlockDecomp, spinor_transform
 
 def build_split_spinor() -> tuple:
     """phi = (u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
-    return build_split_basis().ordered()
+    return build_split_basis()
 
 
 def audit_Y_blocks(fx: FixtureStore, decomp: BlockDecomp):

@@ -9,17 +9,16 @@ multiply.  A form is never a scalar: it equals only a form, and
 
 The token grammar (used by fixture files and the CLI) writes a form as
 sign-joined terms with ``*`` separators and no whitespace:
-``-f4-i*f2``, ``2*f2-2*i*f4``, ``i*f8``, ``0``.
+``-f4-i*f2``, ``2*f2-2*i*f4``, ``i*f8``, ``0``.  Its one scanner,
+shared with scalar tokens, is ``exact.parse_terms``.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from typing import Sequence
 
-from .exact import (CRational, ScalarParseError, as_scalar,
-                    parse_cdyadic)
+from .exact import as_scalar, parse_terms
 
 
 class LinearForm:
@@ -117,150 +116,29 @@ def _wrap_mixed(token: str) -> str:
     return "(" + token + ")" if "+" in token[1:] or "-" in token[1:] else token
 
 
-def _coeff_token(c) -> str:
-    """Render a coefficient for use in front of 'fk'.
-
-    Returns None for 0, '' for 1, '-' for -1, and otherwise the scalar
-    token and '*' ('i*', '-1/2*'); mixed complex coefficients come back
-    parenthesized.
-    """
-    if c.is_zero():
-        return None
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return _wrap_mixed(str(c)) + "*"
-
-
 def render_linear_form(form: LinearForm) -> str:
-    parts = []
-    for k in range(1, 9):
-        tok = _coeff_token(form.coeffs[k])
-        if tok is None:
-            continue
-        parts.append(tok + f"f{k}")
-    c0 = form.coeffs[0]
-    if not c0.is_zero():
-        parts.append(_wrap_mixed(str(c0)))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    """The canonical token: the f terms in order, then the constant;
+    a coefficient of 1 or -1 is left out, and "0" is the zero form."""
+    parts = [("" if c == 1 else "-" if c == -1 else _wrap_mixed(str(c)) + "*")
+             + f"f{k}" for k, c in enumerate(form.coeffs[1:], start=1) if c]
+    if form.coeffs[0]:
+        parts.append(_wrap_mixed(str(form.coeffs[0])))
+    # a canonical scalar token never holds "+-"
+    return "+".join(parts).replace("+-", "-") or "0"
 
 
 # ---------------------------------------------------------------------------
-# parsing
-#
-# term  := [+-] factor ('*' factor)*
-# factor:= 'i' | 'f'<1-8> | 'theta' | number['/'number]['i'] | '(' scalar ')'
-#
-# Symbols allowed in a given context are passed in; each term may carry
-# at most one symbol factor.
+# parsing: thin callers of the term scanner in ``exact``
 
-_FSYM = re.compile(r"f([1-8])$")
-
-
-class FormParseError(ScalarParseError):
-    pass
-
-
-def _split_terms(s: str):
-    """Split on +/- at depth 0; keeps each term's sign."""
-    terms = []
-    depth = 0
-    cur = ""
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormParseError(f"unbalanced ')' in {s!r}")
-        if ch in "+-" and depth == 0:
-            if cur in ("+", "-"):
-                raise FormParseError(f"consecutive signs in {s!r}")
-            if cur:
-                terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if depth != 0:
-        raise FormParseError(f"unbalanced '(' in {s!r}")
-    if cur in ("", "+", "-"):
-        raise FormParseError(f"dangling sign in {s!r}")
-    terms.append(cur)
-    return terms
-
-
-def _split_factors(term: str):
-    factors = []
-    depth = 0
-    cur = ""
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            factors.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    factors.append(cur)
-    if any(not f for f in factors):
-        raise FormParseError(f"empty factor in {term!r}")
-    return factors
-
-
-def parse_linear_expr(text: str, symbols: Sequence[str]) -> dict:
-    """Parse an expression into {symbol_name: CRational}; '' keys the
-    constant.
-
-    ``symbols`` lists the symbol names allowed (e.g. f1..f8, or theta).
-    """
-    s = "".join(text.split())
-    if not s:
-        raise FormParseError("empty expression")
-    out = {name: CRational(0) for name in symbols}
-    out[""] = CRational(0)
-    for term in _split_terms(s):
-        sign = 1
-        if term[0] in "+-":
-            sign = -1 if term[0] == "-" else 1
-            term = term[1:]
-        coeff = CRational(sign)
-        sym = None
-        for factor in _split_factors(term):
-            if factor in symbols:
-                if sym is not None:
-                    raise FormParseError(f"two symbols in one term: {text!r}")
-                sym = factor
-                continue
-            if factor.startswith("(") and factor.endswith(")"):
-                factor = factor[1:-1]
-            try:
-                coeff = coeff * parse_cdyadic(factor)
-            except FormParseError:
-                raise
-            except ScalarParseError as exc:
-                # unknown names land here too; report at form level
-                raise FormParseError(str(exc)) from None
-        key = sym if sym is not None else ""
-        out[key] = out[key] + coeff
-    return out
+_F_NAMES = tuple(f"f{k}" for k in range(1, 9))
 
 
 # fixtures repeat few tokens; a LinearForm is immutable, errors are not cached
 @functools.lru_cache(maxsize=1024)
 def parse_linear_form(text: str) -> LinearForm:
-    d = parse_linear_expr(text, [f"f{k}" for k in range(1, 9)])
-    return LinearForm([d[""]] + [d[f"f{k}"] for k in range(1, 9)])
+    return LinearForm(parse_terms(text, _F_NAMES))
 
 
 def parse_theta_affine(text: str) -> tuple:
     """Parse a token over {1, theta} into (const, theta_coeff) scalars."""
-    d = parse_linear_expr(text, ["theta"])
-    return d[""], d["theta"]
+    return tuple(parse_terms(text, ("theta",)))

@@ -1,9 +1,12 @@
 """Test-side oracles: the dense, general-purpose forms of facts the
 package computes through the monomial structure, the per-term spinor
-transport, plus block-algebra helpers only the tests need."""
+transport, a token reader over Fractions, plus block-algebra helpers
+only the tests need."""
 
 import functools
 import operator
+import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,3 +96,86 @@ def octonion_transport(psi, x_num):
             acc = acc + complex(e[i][j]) * numeric[j]
         out.append(acc.coeffs)
     return np.array(out, dtype=np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# token reader: recursive descent over (re, im) Fraction pairs, sharing
+# no code with the package's scanner
+
+_ZERO = (Fraction(0), Fraction(0))
+_SIGNED_NUMBER = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?(i?)|(i))")
+
+
+def _number(num, den, imag):
+    d = int(den or 1)
+    if d <= 0 or d & (d - 1):
+        raise ValueError(f"denominator {d} is not a power of two")
+    v = Fraction(int(num), d)
+    return (Fraction(0), v) if imag else (v, Fraction(0))
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd(x, y, sign=1):
+    return (x[0] + sign * y[0], x[1] + sign * y[1])
+
+
+def _read_scalar(s):
+    """A signed sum of number atoms, at most one real and one imaginary."""
+    total, seen, pos = _ZERO, set(), 0
+    while pos < len(s):
+        m = _SIGNED_NUMBER.match(s, pos)
+        if m is None or (pos and not m[1]):
+            raise ValueError(f"bad scalar {s!r}")
+        imag = bool(m[4] or m[5])
+        if imag in seen:
+            raise ValueError(f"duplicate part in {s!r}")
+        seen.add(imag)
+        total = _cadd(total, _number(m[2] or 1, m[3], imag),
+                      -1 if m[1] == "-" else 1)
+        pos = m.end()
+    if not seen:
+        raise ValueError("empty scalar")
+    return total
+
+
+def read_terms(text, names):
+    """[constant, coefficient of names[0], ...] of a token of the term
+    language, each an (re, im) pair of Fractions; whitespace is ignored.
+    Raises ValueError on a non-dyadic denominator or malformed text."""
+    s, pos = "".join(text.split()), 0
+    factor = re.compile("|".join(map(re.escape, names))
+                        + r"|(\d+)(?:/(\d+))?(i?)|(i)")
+    out = [_ZERO] * (len(names) + 1)
+    if not s:
+        raise ValueError("empty expression")
+    while pos < len(s):
+        sign = s[pos] if s[pos] in "+-" else ""
+        if pos and not sign:
+            raise ValueError(f"no sign at {pos} in {s!r}")
+        pos += len(sign)
+        coeff, k = (Fraction(-1 if sign == "-" else 1), Fraction(0)), 0
+        while True:
+            if s.startswith("(", pos):
+                end = s.index(")", pos)
+                value, pos = _read_scalar(s[pos + 1:end]), end + 1
+            else:
+                m = factor.match(s, pos)
+                if m is None:
+                    raise ValueError(f"no factor at {pos} in {s!r}")
+                pos = m.end()
+                value = (Fraction(1), Fraction(0))
+                if m.lastindex is None:
+                    if k:
+                        raise ValueError(f"two names in a term of {s!r}")
+                    k = names.index(m[0]) + 1
+                else:
+                    value = _number(m[1] or 1, m[2], m[3] or m[4])
+            coeff = _cmul(coeff, value)
+            if not s.startswith("*", pos):
+                break
+            pos += 1
+        out[k] = _cadd(out[k], coeff)
+    return out

@@ -89,9 +89,10 @@ def test_criterion_02_split_relation_family(report):
     verdicts = _claim(report, "eq18-relations").details["verdicts"]
     ok &= len(verdicts) == 64 and all(v["ok"] for v in verdicts)
     b = build_split_basis()
-    ok &= b.u[1] * b.u[2] == b.u_star[3]
-    ok &= b.u[0] * b.u[0] == b.u[0]
-    ok &= (b.u[0] * b.u_star[0]).is_zero()
+    u, u_star = b[:4], b[4:]
+    ok &= u[1] * u[2] == u_star[3]
+    ok &= u[0] * u[0] == u[0]
+    ok &= (u[0] * u_star[0]).is_zero()
     _record(2, "split-relation-family", ok)
 
 

@@ -90,6 +90,18 @@ class TestVerify:
         rc, _, _ = run(capsys, "tables", "--fixtures", str(data_copy))
         assert rc == 0
 
+    def test_huge_number_cell_names_file_line_and_column(self, capsys,
+                                                         data_copy):
+        # past the interpreter's 4,300-digit int limit
+        path = data_copy / "eq6_X.txt"
+        rows = path.read_text("utf-8").split("\n")
+        rows[0] = " ".join(["1" + "0" * 5000] + rows[0].split()[1:])
+        path.write_text("\n".join(rows), encoding="utf-8")
+        rc, out, err = run(capsys, "verify", "--fixtures", str(data_copy))
+        assert (rc, out) == (2, "")
+        assert err == ("error: eq6_X.txt:1: column 1: scalar atom "
+                       "'100000000000...' has more than 4300 digits\n")
+
 
 class TestRotate:
     def test_symbolic_map_flags_mismatches(self, capsys):
@@ -149,6 +161,16 @@ class TestRotate:
         assert "  first-order residual max-entry: 0.5\n" in out
         payload = run_json(capsys, *argv)
         assert payload["first_order"]["residual_max"] == 0.5
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta", "1" + "0" * 5000),
+        ("--f", "1,0,0,0,0,0,0,-1/1" + "0" * 5000)])
+    def test_huge_number_names_the_flag(self, capsys, flag, value):
+        rc, out, err = run(capsys, "rotate", "1", "2", "--theta=1/4",
+                           "--f=1,0,0,0,0,0,0,0", f"{flag}={value}")
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {flag}={value}: scalar atom '")
+        assert err.endswith("...' has more than 4300 digits\n")
 
     def test_non_dyadic_theta(self, capsys):
         rc, _, err = run(capsys, "rotate", "1", "2", "--theta", "1/3",

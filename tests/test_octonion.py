@@ -95,7 +95,7 @@ class TestSplitBasis:
         b = build_split_basis()
         pairs = [(0, 7), (1, 4), (2, 5), (3, 6)]
         for m, (a, bidx) in enumerate(pairs):
-            u = b.u[m]
+            u = b[:4][m]
             for k, c in enumerate(u.coeffs):
                 if k == a:
                     assert complex(c) == 0.5
@@ -111,17 +111,18 @@ class TestSplitBasis:
 
     def test_spot_checks(self):
         b = build_split_basis()
-        u, us = b.u, b.u_star
+        u, us = b[:4], b[4:]
         assert u[1] * u[2] == us[3]
         assert u[0] * u[0] == u[0]
         assert (u[0] * us[0]).is_zero()
 
     def test_zero_divisors_have_zero_norm(self):
         b = build_split_basis()
-        assert b.u[0].norm().is_zero()
-        assert not (b.u[0] + b.u_star[0]).norm().is_zero()
+        assert b[:4][0].norm().is_zero()
+        assert not (b[:4][0] + b[4:][0]).norm().is_zero()
 
     def test_element_lookup(self):
         b = build_split_basis()
-        assert b.ordered()[6] == b.u_star[2]
-        assert b.ordered()[0] == b.u[0]
+        assert len(b) == 8
+        assert b[6] == b[4:][2]
+        assert b[0] == b[:4][0]

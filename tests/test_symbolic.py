@@ -1,7 +1,10 @@
 """Linear forms over f1..f8 and the form-token grammar."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
+from oracles import read_terms
 
 from octo_so8 import (
     CDyadic,
@@ -120,3 +123,98 @@ class TestFormGrammar:
         assert parse_theta_affine("1-2*theta") == (CDyadic(1), CDyadic(-2))
         with pytest.raises(FormParseError):
             parse_theta_affine("f1")
+
+
+# ---------------------------------------------------------------------------
+# non-canonical tokens from the grammar, read against tests/oracles.py
+#
+# term   := [+-] factor ('*' factor)*
+# factor := 'i' | 'f'<1-8> | 'theta' | n['/'2^k]['i'] | '(' scalar ')'
+
+F_NAMES = tuple(f"f{k}" for k in range(1, 9))
+
+
+@st.composite
+def number_atoms(draw, imag=None):
+    """n, n/d or a bare i, with a trailing i when imag; d is sometimes
+    not a power of two."""
+    if imag is None:
+        imag = draw(st.booleans())
+    if imag and draw(st.integers(0, 3)) == 0:
+        return "i"
+    num = str(draw(st.integers(0, 40)))
+    den = draw(st.sampled_from(["", "", "/1", "/2", "/4", "/8", "/16",
+                                "/3", "/6", "/12"]))
+    return num + den + ("i" if imag else "")
+
+
+@st.composite
+def scalar_factors(draw):
+    """A parenthesised signed scalar, one or two atoms in either order."""
+    first = draw(st.booleans())
+    atoms = [draw(number_atoms(imag=first))]
+    if draw(st.booleans()):
+        atoms.append(draw(number_atoms(imag=not first)))
+    signs = [draw(st.sampled_from(["", "+", "-"]))] + [
+        draw(st.sampled_from(["+", "-"])) for _ in atoms[1:]]
+    return "(" + "".join(s + a for s, a in zip(signs, atoms)) + ")"
+
+
+@st.composite
+def form_tokens(draw, names=F_NAMES):
+    """Sign-joined terms of up to four factors, at most one name each;
+    names repeat across terms and spaces fall between terms."""
+    pool = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        factors = draw(st.lists(st.one_of(
+            number_atoms(), st.just("i"), scalar_factors()), max_size=3))
+        if draw(st.booleans()) or not factors:
+            factors.insert(draw(st.integers(0, len(factors))),
+                           draw(st.sampled_from(pool)))
+        sign = draw(st.sampled_from(["", "+", "-"] if not terms
+                                    else ["+", "-", " +", "- "]))
+        terms.append(sign + "*".join(factors))
+    return "".join(terms)
+
+
+def _fractions(coeffs):
+    return [(Fraction(c.a, c.d), Fraction(c.b, c.d)) for c in coeffs]
+
+
+class TestAgainstOracle:
+    @given(form_tokens())
+    def test_linear_form(self, tok):
+        try:
+            want = read_terms(tok, F_NAMES)
+        except ValueError as exc:
+            assert "not a power of two" in str(exc)
+            with pytest.raises(FormParseError, match="not a power of two"):
+                parse_linear_form(tok)
+            return
+        assert _fractions(parse_linear_form(tok).coeffs) == want
+
+    @given(form_tokens(names=("theta",)))
+    def test_theta_affine(self, tok):
+        try:
+            want = read_terms(tok, ("theta",))
+        except ValueError as exc:
+            assert "not a power of two" in str(exc)
+            with pytest.raises(FormParseError, match="not a power of two"):
+                parse_theta_affine(tok)
+            return
+        assert _fractions(parse_theta_affine(tok)) == want
+
+    def test_strategy_reaches_the_cases(self):
+        # i*i chains, mixed parenthesised scalars and non-dyadic
+        # denominators all occur in the drawn tokens
+        seen = set()
+
+        @given(form_tokens())
+        def draw(tok):
+            seen.update(k for k, hit in (
+                ("i*i", "i*i" in tok), ("mixed", "i)" in tok and "(" in tok),
+                ("non-dyadic", any(f"/{d}" in tok for d in (3, 6, 12))))
+                if hit)
+        draw()
+        assert seen == {"i*i", "mixed", "non-dyadic"}
