@@ -7,12 +7,11 @@ Every constant in the transcribed source material is dyadic (d a power
 of two); exact conjugation leaves the dyadics once it divides by
 1 + theta**2, and the same type carries on.
 
-Dyadic values are checked only at the edge: ``parse_cdyadic`` rejects
-denominators that are not powers of two.  The one term scanner for
-token text, behind ``parse_cdyadic``, ``parse_dyadic`` and the form
-readers of ``symbolic``, lives at the end of this module.  ``CDyadic`` is a second name
-for ``CRational``, and ``Dyadic(num, exp)`` builds num / 2**exp with no
-arithmetic of its own.
+Dyadic values are checked only at the edge: ``parse_cdyadic``, at the
+end of this module with the one term scanner for all token text,
+rejects denominators that are not powers of two.  ``CDyadic`` is a
+second name for ``CRational``, and ``Dyadic(num, exp)`` builds
+num / 2**exp with no arithmetic of its own.
 
 A ``CRational`` is built from ints only.  Arithmetic and ``==`` also
 take int operands, and an integral value hashes like the equal int.
@@ -205,13 +204,15 @@ class FormParseError(ScalarParseError):
 
 
 def _terms(s: str, term: re.Pattern) -> list:
-    """The (sign, body) pairs of s, each body a non-empty run of ``term``."""
+    """s as (sign, body) matches of ``term``; an empty body is an error."""
     out, pos = [], 0
     while pos < len(s):
         m = term.match(s, pos)
         pos = m.end()
         if not m[2]:
             stop = s[pos:pos + 1]
+            # a '(' that opens no flat group although a ')' is left for
+            # it has another '(' inside
             if stop == "(" and s.count("(") <= s.count(")"):
                 raise FormParseError(f"nested parentheses in {s!r}")
             raise FormParseError(
@@ -243,7 +244,8 @@ def parse_cdyadic(tok: str) -> CRational:
     for sign, body in terms:
         m = _NUMBER.match(body)
         if m is None or not (m[1] or m[3]):
-            raise ScalarParseError(f"bad scalar atom {sign + body!r} in {tok!r}")
+            raise ScalarParseError(
+                f"bad scalar atom {sign + body!r} in {tok!r}")
         try:
             num, den = int(m[1] or 1), int(m[2] or 1)
         except ValueError:   # past the interpreter's int digit limit
