@@ -7,20 +7,23 @@ exceptions; only operational failures (missing files, parse errors)
 raise.  Checkers return (status, details) with status one of
 "confirmed", "refuted", "degenerate".
 
-What the checkers derive from the generators alone (X and its blocks,
-[beta1 beta2, X], E and its table, the Gram matrix, the plane classes,
-the eq 18 relations) lives on ``context(bs)``: built on first use, once
-per generator reading in a process.  The fixture load, every comparison
-against fixture data, the exp-action claim and rendering run on every
-call.  Every checker is exact except exp-action, which runs the numeric
-exponential over lists of complex.
+Everything the checkers derive without reading a fixture lives on
+``context(bs)``, built on first use, once per generator reading in a
+process: X and its blocks, Y1 = [[A, A], [B, B]], [beta1 beta2, X] and
+its half, E with its table and alternates, the Gram matrix, the plane
+classes, the eq 18 and eq 19 records, the beta equalities, the oriented
+triples and the exp-action numbers (read off the sigma context).  Each
+call loads the fixtures, redoes every comparison against them, builds
+every details list and dict afresh and renders.  Every checker is exact
+except exp-action, which runs the numeric exponential over lists of
+complex.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple
 
 from .exact import CRational
@@ -28,8 +31,8 @@ from .fixtures import FixtureStore
 from .matrices import (SIGMA_TERMS, BetaSet, SquareMatrix,
                        anticommutator_audit, audit_E_alternates, beta_set,
                        beta_sigma_expansion, beta_tensor_text, build_E,
-                       compare_tables, diff_cells, gram, monomial_sum,
-                       signed_table)
+                       compare_tables, diff_cells, from_blocks, gram,
+                       monomial_sum, signed_table)
 from .octonion import (TABLE, Octonion, oriented_triples,
                        verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
@@ -104,6 +107,54 @@ class _Context:
         except DegenerateBasis:
             return None
 
+    half_comm = cached_property(
+        lambda self: self.comm.scale(CRational(1, 0, 2)))
+    alternates = cached_property(
+        lambda self: tuple(audit_E_alternates(self.bs, self.ems)))
+    beta_equal = cached_property(lambda self: tuple(
+        beta_sigma_expansion(a) == beta_tensor_text(a) for a in range(1, 8)))
+    beta8_cells = cached_property(lambda self: tuple(
+        diff_cells(beta_sigma_expansion(8), beta_tensor_text(8))))
+    triples = cached_property(lambda self: tuple(oriented_triples()))
+
+    @cached_property
+    def y1(self):
+        """[[A, A], [B, B]] from X's blocks: the derived first Y matrix."""
+        a, b = self.blocks[0]
+        return from_blocks(a, a, b, b)
+
+    @cached_property
+    def split_spinor(self):
+        """(len(phi), ((a, b), sum, difference, starred) for each pair)."""
+        phi = build_split_spinor()
+        return len(phi), tuple(
+            ((a, b), (u + us) == Octonion.unit(a),
+             (u - us) == Octonion.unit(b) * CRational(0, 1),
+             us == Octonion([c.conj() for c in u.coeffs]))
+            for u, us, (a, b) in zip(phi, phi[4:],
+                                     [(0, 7), (1, 4), (2, 5), (3, 6)]))
+
+    @cached_property
+    def exp_action(self):
+        """(zero exponent exact, zero action fixes the spinor, diagonal
+        oracle error, hermiticity defect, unitarity defect) of e^X."""
+        zero = [[0j] * 8 for _ in range(8)]
+        identity = [[complex(i == j) for j in range(8)] for i in range(8)]
+        identity_exact = matrix_exp(zero) == identity
+        # the standard spinor's coefficient array is the identity
+        spinor_fixed = spinor_transform(standard_spinor(), zero) == identity
+        # scalar oracle: an f8-only vector makes X diagonal, so exp is
+        # elementwise on the diagonal signs
+        ln2 = math.log(2.0)
+        e = matrix_exp(numeric_X([0.0] * 7 + [ln2], self.bs))
+        signs = [1, 1, -1, -1, -1, -1, 1, 1]
+        oracle = [[math.exp(s * ln2) if i == j else 0.0 for j in range(8)]
+                  for i, s in enumerate(signs)]
+        oracle_err = max(abs(v - w) for row, o_row in zip(e, oracle)
+                         for v, w in zip(row, o_row))
+        return (identity_exact, spinor_fixed, oracle_err,
+                hermiticity_defect(e), unitarity_defect(e))
+
 
 context = lru_cache(maxsize=8)(_Context)
 
@@ -112,16 +163,13 @@ context = lru_cache(maxsize=8)(_Context)
 # checkers (alphabetical by claim id)
 
 def _check_beta_consistency(fx, ctx):
-    records = []
-    for a in range(1, 8):
-        records.append({"generator": a,
-                        "equal": beta_sigma_expansion(a) == beta_tensor_text(a)})
-    ok = all(r["equal"] for r in records)
-    return _status(ok), {"generators": records}
+    records = [{"generator": a, "equal": eq}
+               for a, eq in enumerate(ctx.beta_equal, start=1)]
+    return _status(all(ctx.beta_equal)), {"generators": records}
 
 
 def _check_beta8_consistency(fx, ctx):
-    cells = diff_cells(beta_sigma_expansion(8), beta_tensor_text(8))
+    cells = [dict(c) for c in ctx.beta8_cells]
     return _status(not cells), {"differing_cells": len(cells), "cells": cells}
 
 
@@ -144,7 +192,13 @@ def _check_eq12_fixture(fx, ctx):
 
 
 def _check_eq13_increment(fx, ctx):
-    cells = diff_cells(ctx.comm, fx.eq13.scale(2))
+    # half the commutator against the stated matrix; only a differing
+    # cell is rendered, as the commutator and twice the stated entry
+    comm, half, stated = ctx.comm.rows, ctx.half_comm.rows, fx.eq13.rows
+    cells = [{"row": i + 1, "col": j + 1, "left": str(comm[i][j]),
+              "right": str(2 * stated[i][j])}
+             for i in range(8) for j in range(8)
+             if not half[i][j] == stated[i][j]]
     return _status(not cells), {
         "checked": "[beta1 beta2, X] == 2 * stated increment matrix",
         "cells": cells,
@@ -172,7 +226,7 @@ def _check_eq14_map(fx, ctx):
 
 
 def _check_eq15_alternates(fx, ctx):
-    records = audit_E_alternates(ctx.bs, ctx.ems)
+    records = [dict(r) for r in ctx.alternates]
     return _status(all(r["equal"] for r in records)), {"alternates": records}
 
 
@@ -188,22 +242,12 @@ def _check_eq18_relations(fx, ctx):
 
 
 def _check_eq19_split_spinor(fx, ctx):
-    comps = build_split_spinor()
-    records = []
-    for m, (a, b) in enumerate([(0, 7), (1, 4), (2, 5), (3, 6)]):
-        u, us = comps[m], comps[m + 4]
-        records.append({
-            "pair": [a, b],
-            "sum_recovers_unit": (u + us) == Octonion.unit(a),
-            "difference_recovers_i_unit":
-                (u - us) == Octonion.unit(b) * CRational(0, 1),
-            "starred_is_conjugate":
-                us == Octonion([c.conj() for c in u.coeffs]),
-        })
-    ok = len(comps) == 8 and all(
-        r["sum_recovers_unit"] and r["difference_recovers_i_unit"]
-        and r["starred_is_conjugate"] for r in records)
-    return _status(ok), {"components": len(comps), "pairs": records}
+    n, pairs = ctx.split_spinor
+    records = [{"pair": list(p), "sum_recovers_unit": s,
+                "difference_recovers_i_unit": d, "starred_is_conjugate": c}
+               for p, s, d, c in pairs]
+    ok = n == 8 and all(s and d and c for _, s, d, c in pairs)
+    return _status(ok), {"components": n, "pairs": records}
 
 
 def _check_eq2_fixture(fx, ctx):
@@ -216,7 +260,7 @@ def _check_eq22_blocks(fx, ctx):
     if bad:
         return REFUTED, {"compact_form": False,
                          "cells": [list(c) for c in bad]}
-    audits, b_minus_c = audit_Y_blocks(fx, dec)
+    audits, b_minus_c = audit_Y_blocks(fx, dec.b, ctx.y1)
     ok = all(a["ok"] for a in audits)
     return _status(ok), {
         "audits": audits,
@@ -247,23 +291,8 @@ def _check_eq8_eq9_blocks(fx, ctx):
 def _check_exp_action(fx, ctx):
     # Always run on the canonical sigma reading: a duplicated beta8
     # would test the generator text again, not the exponential.
-    bs = beta_set("sigma")
-    zero = [[0j] * 8 for _ in range(8)]
-    identity = [[complex(i == j) for j in range(8)] for i in range(8)]
-    identity_exact = matrix_exp(zero) == identity
-    # the standard spinor's coefficient array is the identity
-    spinor_fixed = spinor_transform(standard_spinor(), zero) == identity
-    # scalar oracle: an f8-only vector makes X diagonal, so exp is
-    # elementwise on the diagonal signs
-    ln2 = math.log(2.0)
-    e = matrix_exp(numeric_X([0.0] * 7 + [ln2], bs))
-    signs = [1, 1, -1, -1, -1, -1, 1, 1]
-    oracle = [[math.exp(s * ln2) if i == j else 0.0 for j in range(8)]
-              for i, s in enumerate(signs)]
-    oracle_err = max(abs(v - w) for row, o_row in zip(e, oracle)
-                     for v, w in zip(row, o_row))
-    herm = hermiticity_defect(e)
-    uni = unitarity_defect(e)
+    identity_exact, spinor_fixed, oracle_err, herm, uni = context(
+        beta_set("sigma")).exp_action
     bound = 10 * DEFAULT_TOL
     ok = (identity_exact and spinor_fixed
           and oracle_err <= bound and herm <= bound)
@@ -320,7 +349,7 @@ def _check_table2_fixture(fx, ctx):
     return _status(ok), {
         "counts": diff.counts,
         "cells": list(diff.cells),
-        "oriented_triples": [list(t) for t in oriented_triples()],
+        "oriented_triples": [list(t) for t in ctx.triples],
     }
 
 
@@ -394,8 +423,48 @@ def run_all(fixtures: FixtureStore, variant: str = "sigma") -> ClaimReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization (canonical: json.dumps(..., indent=2), key order fixed
-# by construction; two runs over the same inputs are byte-identical)
+# serialization (canonical: the bytes of json.dumps(..., indent=2),
+# written by dump_json; key order fixed by construction, so two runs
+# over the same inputs are byte-identical)
+
+def dump_json(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for str, int, float,
+    bool and None values in lists, tuples and str-keyed dicts.  A
+    non-finite float raises ValueError where json.dumps prints NaN or
+    Infinity, which is not JSON."""
+    out = []
+    put = out.append
+
+    def enc(o, pad):
+        if isinstance(o, str):
+            put(_json_str(o))
+        elif isinstance(o, dict):
+            sep, inner = "{" + pad + "  ", pad + "  "
+            for k, v in o.items():
+                put(sep + _json_str(k) + ": ")
+                enc(v, inner)
+                sep = "," + inner
+            put(pad + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            sep, inner = "[" + pad + "  ", pad + "  "
+            for v in o:
+                put(sep)
+                enc(v, inner)
+                sep = "," + inner
+            put(pad + "]" if o else "[]")
+        elif o is None or o is True or o is False:
+            put("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            if not math.isfinite(o):
+                raise ValueError(f"non-finite float {o!r} is not JSON")
+            put(float.__repr__(o))
+        else:
+            raise TypeError(f"{type(o).__name__} is not JSON serializable")
+    enc(obj, "\n")
+    return "".join(out)
+
 
 def report_dict(report: ClaimReport) -> dict:
     return {
@@ -408,7 +477,7 @@ def report_dict(report: ClaimReport) -> dict:
 
 
 def to_json(report: ClaimReport) -> str:
-    return json.dumps(report_dict(report), indent=2)
+    return dump_json(report_dict(report))
 
 
 def render_markdown(report: ClaimReport) -> str:
@@ -442,5 +511,5 @@ def render_markdown(report: ClaimReport) -> str:
     for r in report.claims:
         lines += ["", f"### {r.id}", "", f"- anchor: {r.anchor}",
                   f"- status: {r.status}", "", "```json",
-                  json.dumps(r.details, indent=2), "```"]
+                  dump_json(r.details), "```"]
     return "\n".join(lines) + "\n"

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from typing import Optional, Sequence
 
-from .claims import REFUTED, context, render_markdown, run_all, to_json
+from .claims import (REFUTED, context, dump_json, render_markdown, run_all,
+                     to_json)
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, compare_tables
@@ -116,7 +116,7 @@ def _fixture_dir(args) -> Optional[str]:
 
 
 def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2))
+    print(dump_json(payload))
 
 
 def _md_grid(tokens, prefix: str):
@@ -194,6 +194,16 @@ def _float(tok: str) -> float:
         return float(parse_dyadic(tok))
 
 
+def _clip(text: str) -> str:
+    """text, or past 160 characters its ends around its length and
+    sha256, so that a message stays short."""
+    if len(text) <= 160:
+        return text
+    import hashlib
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return f"{text[:60]}<...{len(text)} chars, sha256 {digest}...>{text[-60:]}"
+
+
 def _max_abs_cells(m) -> float:
     return max(abs(complex(e)) for row in m.rows for e in row)
 
@@ -256,20 +266,24 @@ def cmd_rotate(args) -> int:
     except OverflowError:
         raise OverflowError(f"--theta={args.theta} --f={args.f}: residual "
                             "max-entry overflows binary64") from None
+    try:     # str() of an int stops at the interpreter's digit limit
+        first, exact = [str(v) for v in first], [str(v) for v in exact]
+    except ValueError:
+        raise ValueError(
+            f"--theta={_clip(args.theta)} --f={_clip(args.f)}: an f' value "
+            f"has more than {sys.get_int_max_str_digits()} digits") from None
     if args.format == "json":
         _emit_json({
             "plane": [k, l], "mode": "numeric", "theta": str(theta),
             "f": [str(v) for v in fvals],
-            "first_order": {"f_prime": [str(v) for v in first],
-                            "residual_max": first_residual},
-            "exact": {"f_prime": [str(v) for v in exact],
-                      "residual_max": exact_residual},
+            "first_order": {"f_prime": first, "residual_max": first_residual},
+            "exact": {"f_prime": exact, "residual_max": exact_residual},
         })
         return 0
     out = [f"plane ({k},{l}), theta = {theta}:",
-           "  first-order f': " + ", ".join(str(v) for v in first),
+           "  first-order f': " + ", ".join(first),
            f"  first-order residual max-entry: {first_residual}",
-           "  exact-conjugation f': " + ", ".join(str(v) for v in exact),
+           "  exact-conjugation f': " + ", ".join(exact),
            f"  exact residual max-entry: {exact_residual}"]
     print("\n".join(out))
     return 0

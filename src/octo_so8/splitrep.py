@@ -11,9 +11,9 @@ transcription.
 from __future__ import annotations
 
 from .fixtures import FixtureStore
-from .matrices import from_blocks, diff_cells
+from .matrices import SquareMatrix, diff_cells, from_blocks
 from .octonion import build_split_basis
-from .rotations import BlockDecomp, spinor_transform
+from .rotations import spinor_transform
 
 
 def build_split_spinor() -> tuple:
@@ -21,22 +21,22 @@ def build_split_spinor() -> tuple:
     return build_split_basis()
 
 
-def audit_Y_blocks(fx: FixtureStore, decomp: BlockDecomp):
-    """Three sub-audits of the transcribed split-frame matrices.
+def audit_Y_blocks(fx: FixtureStore, b: SquareMatrix, y1: SquareMatrix):
+    """Three sub-audits of the transcribed split-frame matrices, given
+    the derived block B of X and y1 = [[A, A], [B, B]] from its blocks.
 
-    (a) eq21_y1 == [[A, A], [B, B]] with A, B the derived blocks;
+    (a) eq21_y1 == y1;
     (b) eq21_y2 == [[C, -C], [D, -D]] from the transcribed C, D;
     (c) the stated top-left block of the total, A + B, equals the formal
         top-left A + C  (equivalently B == C).
     Returns (audits, b_minus_c): each audit a {"name", "ok", "cells"}
     dict, cells empty when ok, and b_minus_c the 4x4 difference.
     """
-    a, b, c, d = decomp.a, decomp.b, fx.eq23_c, fx.eq24_d
+    c, d = fx.eq23_c, fx.eq24_d
     audits = [
         {"name": name, "ok": not cells, "cells": cells}
         for name, cells in (
-            ("first-matrix-block-form",
-             diff_cells(fx.eq21_y1, from_blocks(a, a, b, b))),
+            ("first-matrix-block-form", diff_cells(fx.eq21_y1, y1)),
             ("second-matrix-block-form",
              diff_cells(fx.eq21_y2, from_blocks(c, -c, d, -d))),
             ("stated-sum-top-left", diff_cells(b, c)))]

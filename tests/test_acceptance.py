@@ -37,7 +37,8 @@ from octo_so8 import (
     to_json,
     verify_split_relations,
 )
-from octo_so8.matrices import Monomial, build_E, kron, monomial_sum, pauli
+from octo_so8.matrices import (Monomial, build_E, from_blocks, kron,
+                               monomial_sum, pauli)
 from octo_so8.rotations import (
     DEFAULT_TOL,
     SYMBOLS,
@@ -207,7 +208,8 @@ def test_criterion_08_block_sum_audit(fx, report):
     ok = all(block_sum_oracle(rand_mat(), rand_mat(), rand_mat(), rand_mat())
              for _ in range(100))
 
-    audits, b_minus_c = audit_Y_blocks(fx, block_decompose(assemble_X()))
+    a, b = block_decompose(assemble_X())
+    audits, b_minus_c = audit_Y_blocks(fx, b, from_blocks(a, a, b, b))
     ok &= not audits[2]["ok"]                   # stated top-left B == C fails
     ok &= len(b_minus_c.nonzero_cells()) == 16  # ...and the diff is attached
     c = _claim(report, "eq22-blocks")

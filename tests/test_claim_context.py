@@ -7,9 +7,9 @@ from collections import Counter
 
 from test_golden import GOLDEN, _pin_json, _pin_md
 
-from octo_so8 import claims, cli
+from octo_so8 import claims, cli, load_fixtures, splitrep
 from octo_so8.claims import run_all, to_json
-from octo_so8.matrices import beta_set
+from octo_so8.matrices import beta_set, diff_cells
 
 READINGS = ("sigma", "tensor")
 BUILDERS = ("assemble_X", "block_decompose", "gram", "verify_split_relations")
@@ -94,3 +94,57 @@ def test_each_object_is_built_once_and_on_demand(fx, capsys, monkeypatch):
     capsys.readouterr()
     ctx = claims.context(beta_set("sigma"))
     assert "table" in vars(ctx) and "x" not in vars(ctx)
+
+
+FIXTURE_FREE = ("audit_E_alternates", "beta_sigma_expansion",
+                "build_split_spinor", "matrix_exp", "oriented_triples")
+
+
+def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in FIXTURE_FREE:
+        monkeypatch.setattr(claims, name, counted(name, getattr(claims, name)))
+    for module in (claims, splitrep):
+        monkeypatch.setattr(module, "from_blocks",
+                            counted("from_blocks", module.from_blocks))
+    claims.context.cache_clear()
+    runs = []
+    for reading in READINGS:
+        for _ in range(2):
+            before = Counter(calls)
+            run_all(fx, reading)
+            runs.append(calls - before)
+    first = {"audit_E_alternates": 1, "build_split_spinor": 1,
+             "oriented_triples": 1, "from_blocks": 2,
+             # beta_a for a = 1..8, each once
+             "beta_sigma_expansion": 8}
+    # exp-action reads the sigma context under either reading; its two
+    # exponentials run when that context is first asked
+    assert runs[0] == Counter(first, matrix_exp=2)
+    assert runs[2] == Counter(first)
+    # later calls redo only what reads a fixture: [[C, -C], [D, -D]]
+    assert runs[1] == runs[3] == Counter(from_blocks=1)
+
+
+def test_eq13_cells_are_those_of_the_scaled_diff(data_copy):
+    delta = data_copy / "eq13_delta.txt"
+    rows = [line.split() for line in delta.read_text().splitlines()]
+    assert (rows[0][0], rows[1][3], rows[2][3]) == ("-f7", "-i*f5", "0")
+    # a half-integer, an imaginary and a constant cell
+    rows[0][0], rows[1][3], rows[2][3] = "1/2*f7", "i*f3", "3/4"
+    delta.write_text("".join(" ".join(r) + "\n" for r in rows))
+    edited = load_fixtures(str(data_copy))
+    for reading in READINGS:
+        ctx = claims.context(beta_set(reading))
+        for fixtures in (load_fixtures(), edited):
+            got = next(c for c in run_all(fixtures, reading).claims
+                       if c.id == "eq13-increment").details["cells"]
+            assert got == diff_cells(ctx.comm, fixtures.eq13.scale(2))
+        assert {(1, 1), (2, 4), (3, 4)} <= {(c["row"], c["col"]) for c in got}

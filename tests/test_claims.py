@@ -1,11 +1,14 @@
 """Claim registry: frozen verdicts, details payloads, report rendering."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octo_so8 import TOOLKIT_VERSION, render_markdown, run_all, to_json
-from octo_so8.claims import CLAIMS, report_dict
+from octo_so8 import TOOLKIT_VERSION, cli, render_markdown, run_all, to_json
+from octo_so8.claims import CLAIMS, dump_json, report_dict
 
 EXPECTED_STATUSES = {
     "beta-consistency": "confirmed",
@@ -230,3 +233,48 @@ class TestSerialization:
         for cid in EXPECTED_STATUSES:
             assert f"### {cid}" in md
         assert md.endswith("\n")
+
+
+# values json.dumps writes: escapes, control, non-ASCII and astral
+# characters in strings; big ints; the float edge cases; empty containers
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d546'),
+    st.characters()))
+JSON_LEAVES = st.one_of(
+    JSON_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1.5e300, 0.1, -2.5]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(JSON_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestDumpJson:
+    @settings(deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert dump_json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [{}, [], [[]], {"a": {}}, [{}, []]])
+    def test_empty_containers(self, obj):
+        assert dump_json(obj) == json.dumps(obj, indent=2)
+
+    def test_reports_match_json_dumps(self, report, treport):
+        for r in (report, treport):
+            assert to_json(r) == json.dumps(report_dict(r), indent=2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite float"):
+            dump_json({"claims": [{"x": value}]})
+
+    def test_cli_exits_2_on_a_non_finite_float(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_max_abs_cells", lambda m: math.nan)
+        rc = cli.main(["rotate", "1", "2", "--theta=1/4",
+                       "--f=1,0,0,0,0,0,0,0", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "error: non-finite float nan is not JSON\n"

@@ -172,6 +172,19 @@ class TestRotate:
         assert err.startswith(f"error: {flag}={value}: scalar atom '")
         assert err.endswith("...' has more than 4300 digits\n")
 
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    def test_digit_limit_of_the_result_names_the_flags(self, capsys, fmt):
+        # 2**10000 has 3,011 digits, but 1 + theta**2 needs 6,021
+        theta = f"1/{2 ** 10000}"
+        rc, out, err = run(capsys, "rotate", "1", "2", f"--theta={theta}",
+                           "--f=1,0,0,0,0,0,0,0", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: --theta=1/1995063116880758384883742162683585083823496831"
+            "886192454852<...3013 chars, sha256 05091ae0a3e7c2d4...>45580341"
+            "6826949787141316063210686391511681774304792596709376 "
+            "--f=1,0,0,0,0,0,0,0: an f' value has more than 4300 digits\n")
+
     def test_non_dyadic_theta(self, capsys):
         rc, _, err = run(capsys, "rotate", "1", "2", "--theta", "1/3",
                          "--f", "1,0,0,0,0,0,0,0")

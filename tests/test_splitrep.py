@@ -51,8 +51,8 @@ class TestSplitSpinor:
 class TestYBlockAudits:
     @pytest.fixture()
     def audits(self, fx):
-        dec = block_decompose(assemble_X())
-        return audit_Y_blocks(fx, dec)
+        a, b = block_decompose(assemble_X())
+        return audit_Y_blocks(fx, b, from_blocks(a, a, b, b))
 
     def test_first_matrix_form_holds(self, audits):
         (a1, _, _), _ = audits
