@@ -17,7 +17,7 @@ from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
                         extract_components, invert_exact, matrix_exp,
                         plane_product, rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor, substitute_matrix)
-from .splitrep import audit_Y_blocks, build_split_spinor, split_transform
+from .splitrep import audit_Y_blocks, split_transform
 from .symbolic import LinearForm, parse_linear_form, render_linear_form
 
 __version__ = TOOLKIT_VERSION

@@ -33,8 +33,8 @@ from .matrices import (SIGMA_TERMS, BetaSet, SquareMatrix,
                        beta_sigma_expansion, beta_tensor_text, build_E,
                        compare_tables, diff_cells, from_blocks, gram,
                        monomial_sum, signed_table)
-from .octonion import (TABLE, Octonion, oriented_triples,
-                       verify_split_relations)
+from .octonion import (TABLE, Octonion, build_split_basis,
+                       oriented_triples, verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         SingularRotation, StructureMismatch, assemble_X,
                         block_decompose, commutator_terms,
@@ -42,7 +42,7 @@ from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         invert_exact, matrix_exp, numeric_X, plane_product,
                         rotation_component_map, spinor_transform,
                         standard_spinor, unitarity_defect)
-from .splitrep import audit_Y_blocks, build_split_spinor
+from .splitrep import audit_Y_blocks
 from .symbolic import render_linear_form
 
 TOOLKIT_VERSION = "0.1.0"
@@ -126,7 +126,7 @@ class _Context:
     @cached_property
     def split_spinor(self):
         """(len(phi), ((a, b), sum, difference, starred) for each pair)."""
-        phi = build_split_spinor()
+        phi = build_split_basis()
         return len(phi), tuple(
             ((a, b), (u + us) == Octonion.unit(a),
              (u - us) == Octonion.unit(b) * CRational(0, 1),
@@ -157,6 +157,23 @@ class _Context:
 
 
 context = lru_cache(maxsize=8)(_Context)
+
+
+# ---------------------------------------------------------------------------
+# records shared with the CLI
+
+def map_line(a: int, derived, stated) -> dict:
+    """Component a + 1 of a first-order map, against the stated line;
+    "stated" and "match" are None when there is none to compare."""
+    return {"component": a + 1, "derived": render_linear_form(derived),
+            "stated": None if stated is None else render_linear_form(stated),
+            "match": None if stated is None else derived == stated}
+
+
+def form_cells(m: SquareMatrix) -> list:
+    """{"row", "col", "entry"} for each nonzero cell of a form matrix."""
+    return [{"row": i, "col": j, "entry": render_linear_form(e)}
+            for i, j, e in m.nonzero_cells()]
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +225,10 @@ def _check_eq13_increment(fx, ctx):
 def _check_eq14_map(fx, ctx):
     if (cm := ctx.eq14) is None:
         return DEGENERATE, {"reason": "generator Gram matrix is singular"}
-    lines = []
-    for a in range(8):
-        derived, stated = cm.lines[a], fx.eq14[a]
-        lines.append({
-            "component": a + 1,
-            "derived": render_linear_form(derived),
-            "stated": render_linear_form(stated),
-            "match": derived == stated,
-            "stated_has_imaginary_coeff": stated.has_imaginary_coeff(),
-        })
-    residual = [{"row": i, "col": j, "entry": render_linear_form(e)}
-                for i, j, e in cm.residual.nonzero_cells()]
+    lines = [{**map_line(a, derived, stated),
+              "stated_has_imaginary_coeff": stated.has_imaginary_coeff()}
+             for a, (derived, stated) in enumerate(zip(cm.lines, fx.eq14))]
+    residual = form_cells(cm.residual)
     ok = all(ln["match"] for ln in lines) and not residual
     return _status(ok), {"lines": lines,
                          "projection_residual_cells": residual}
@@ -262,12 +271,8 @@ def _check_eq22_blocks(fx, ctx):
                          "cells": [list(c) for c in bad]}
     audits, b_minus_c = audit_Y_blocks(fx, dec.b, ctx.y1)
     ok = all(a["ok"] for a in audits)
-    return _status(ok), {
-        "audits": audits,
-        "b_minus_c_cells": [
-            {"row": i, "col": j, "entry": render_linear_form(e)}
-            for i, j, e in b_minus_c.nonzero_cells()],
-    }
+    return _status(ok), {"audits": audits,
+                         "b_minus_c_cells": form_cells(b_minus_c)}
 
 
 def _check_eq6_fixture(fx, ctx):

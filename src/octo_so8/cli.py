@@ -19,8 +19,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .claims import (REFUTED, context, dump_json, render_markdown, run_all,
-                     to_json)
+from .claims import (REFUTED, context, dump_json, form_cells, map_line,
+                     render_markdown, run_all, to_json)
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures
 from .matrices import beta_set, compare_tables
@@ -29,8 +29,8 @@ from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor,
                         substitute_terms)
-from .splitrep import build_split_spinor, split_transform
-from .symbolic import render_linear_form
+from .octonion import build_split_basis
+from .splitrep import split_transform
 
 _FORMATS = ("md", "json")
 
@@ -115,10 +115,6 @@ def _fixture_dir(args) -> Optional[str]:
     return os.environ.get("OCTO_SO8_FIXTURES") or None
 
 
-def _emit_json(payload: dict):
-    print(dump_json(payload))
-
-
 def _md_grid(tokens, prefix: str):
     head = "|   | " + " | ".join(f"{prefix}{j}" for j in range(8)) + " |"
     lines = [head, "|" + " --- |" * 9]
@@ -135,11 +131,11 @@ def cmd_tables(args) -> int:
     derived = context(beta_set(args.beta_variant)).table
     diff = compare_tables(fx.table2, derived)
     if args.format == "json":
-        _emit_json({
+        print(dump_json({
             "octonion_table": fx.table2.render("e"),
             "derived_e_table": derived.render("E"),
             "diff": {"counts": diff.counts, "cells": list(diff.cells)},
-        })
+        }))
         return 0
     c = diff.counts
     out = ["## Octonion multiplication table (fixture)", ""]
@@ -226,20 +222,12 @@ def cmd_rotate(args) -> int:
         # product is compared against it
         comparable = n == plane_product(1, 2, bs)
         fx = load_fixtures(_fixture_dir(args)) if comparable else None
-        lines = []
-        for a in range(8):
-            rec = {"component": a + 1,
-                   "derived": render_linear_form(cm.lines[a]),
-                   "stated": None, "match": None}
-            if comparable:
-                rec["stated"] = render_linear_form(fx.eq14[a])
-                rec["match"] = cm.lines[a] == fx.eq14[a]
-            lines.append(rec)
-        residual = [{"row": i, "col": j, "entry": render_linear_form(e)}
-                    for i, j, e in cm.residual.nonzero_cells()]
+        lines = [map_line(a, line, fx.eq14[a] if comparable else None)
+                 for a, line in enumerate(cm.lines)]
+        residual = form_cells(cm.residual)
         if args.format == "json":
-            _emit_json({"plane": [k, l], "mode": "symbolic",
-                        "lines": lines, "residual_cells": residual})
+            print(dump_json({"plane": [k, l], "mode": "symbolic",
+                             "lines": lines, "residual_cells": residual}))
             return 0
         out = [f"first-order component map for plane ({k},{l}):"]
         for rec in lines:
@@ -256,8 +244,7 @@ def cmd_rotate(args) -> int:
         return 0
 
     first = [f + theta * d for f, d in zip(fvals, cm.lines)]
-    exact, residual = rotate_exact(fvals, k, l, theta, bs,
-                                   (cm.lines, cm.residual))
+    exact, residual = rotate_exact(fvals, k, l, theta, bs, cm)
     try:
         first_residual = abs(float(theta)) * _max_abs_cells(cm.residual)
         exact_residual = _max_abs_cells(residual)
@@ -273,12 +260,12 @@ def cmd_rotate(args) -> int:
             f"--theta={_clip(args.theta)} --f={_clip(args.f)}: an f' value "
             f"has more than {sys.get_int_max_str_digits()} digits") from None
     if args.format == "json":
-        _emit_json({
+        print(dump_json({
             "plane": [k, l], "mode": "numeric", "theta": str(theta),
             "f": [str(v) for v in fvals],
             "first_order": {"f_prime": first, "residual_max": first_residual},
             "exact": {"f_prime": exact, "residual_max": exact_residual},
-        })
+        }))
         return 0
     out = [f"plane ({k},{l}), theta = {theta}:",
            "  first-order f': " + ", ".join(first),
@@ -337,7 +324,7 @@ def _spinor(args, fvals) -> int:
     if args.split:
         fx = load_fixtures(_fixture_dir(args))
         y_num = substitute_terms(fx.eq21_y_terms, fvals)
-        phi_out = split_transform(build_split_spinor(), y_num, args.tol)
+        phi_out = split_transform(build_split_basis(), y_num, args.tol)
         payload["split"] = {
             "y_source": "fixture sum (eq21_Y1 + eq21_Y2)",
             "components": [{"index": i + 1, "terms": _octonion_terms(row)}
@@ -347,7 +334,7 @@ def _spinor(args, fvals) -> int:
         lines += [_render_octonion_line(f"phi{i + 1}'", c["terms"])
                   for i, c in enumerate(payload["split"]["components"])]
     if args.format == "json":
-        _emit_json(payload)
+        print(dump_json(payload))
     else:
         print("\n".join(lines))
     return 0
@@ -358,8 +345,8 @@ def cmd_gram(args) -> int:
     grid = ctx.gram_matrix.render()
     pairs = [list(p) for p in ctx.pairs]
     if args.format == "json":
-        _emit_json({"variant": args.beta_variant, "gram": grid,
-                    "anticommuting_pairs": pairs})
+        print(dump_json({"variant": args.beta_variant, "gram": grid,
+                         "anticommuting_pairs": pairs}))
         return 0
     out = [f"trace Gram matrix, {args.beta_variant} reading:", ""]
     out += ["  " + " ".join(f"{t:>3}" for t in row) for row in grid]
@@ -373,8 +360,8 @@ def cmd_dump_beta(args) -> int:
     bs = beta_set(args.beta_variant)
     grid = bs.beta(args.a).render()
     if args.format == "json":
-        _emit_json({"generator": args.a, "variant": args.beta_variant,
-                    "matrix": grid})
+        print(dump_json({"generator": args.a, "variant": args.beta_variant,
+                         "matrix": grid}))
         return 0
     out = [f"beta{args.a}, {args.beta_variant} reading:", ""]
     out += ["  " + " ".join(f"{t:>2}" for t in row) for row in grid]

@@ -15,6 +15,10 @@ num / 2**exp with no arithmetic of its own.
 
 A ``CRational`` is built from ints only.  Arithmetic and ``==`` also
 take int operands, and an integral value hashes like the equal int.
+
+``CoeffTuple`` is the shared core of the two fixed coefficient tuples
+built over these scalars, ``symbolic.LinearForm`` and
+``octonion.Octonion``.
 """
 
 from __future__ import annotations
@@ -181,6 +185,41 @@ class Dyadic(CRational):
             super().__init__(num, 0, 1 << exp)
 
 
+class CoeffTuple:
+    """An immutable tuple of coefficients, ``coeffs``, with elementwise
+    +, - and negation.  It equals, and adds to, only its own type; the
+    subclass's constructor takes a sequence and sets ``coeffs``."""
+
+    __slots__ = ("coeffs",)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return type(self)([-a for a in self.coeffs])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # the term scanner
 #
@@ -196,7 +235,7 @@ class Dyadic(CRational):
 _FORM_TERM = re.compile(r"([+-]?)((?:\([^()]*\)|[^-+()])*)")
 _SCALAR_TERM = re.compile(r"([+-]?)([^-+]*)")
 _STAR = re.compile(r"\*(?![^(]*\))")      # a '*' outside parentheses
-_NUMBER = re.compile(r"(?:(\d+)(?:/(\d+))?)?(i?)$")
+_NUMBER = re.compile(r"(?:(\d+)(?:/(\d+))?)?(i?)")
 
 
 class FormParseError(ScalarParseError):
@@ -242,7 +281,7 @@ def parse_cdyadic(tok: str) -> CRational:
         raise ScalarParseError(f"bad scalar token {tok!r}") from None
     parts = {}
     for sign, body in terms:
-        m = _NUMBER.match(body)
+        m = _NUMBER.fullmatch(body)
         if m is None or not (m[1] or m[3]):
             raise ScalarParseError(
                 f"bad scalar atom {sign + body!r} in {tok!r}")

@@ -188,23 +188,19 @@ class FixtureStore(NamedTuple):
 
 
 def _read_raw(directory: Optional[str]) -> dict:
+    """The bytes of every fixture file, from *directory* or from the
+    bundled package data when *directory* is None."""
+    root = (resources.files("octo_so8") / "data" if directory is None
+            else Path(directory))
+    if not root.is_dir():
+        raise FixtureError(f"fixture directory not found: {root}")
     raw = {}
-    if directory is None:
-        root = resources.files("octo_so8") / "data"
-        for name in FIXTURE_FILES:
-            try:
-                raw[name] = (root / name).read_bytes()
-            except FileNotFoundError:
-                raise FixtureError(f"missing bundled fixture {name}") from None
-    else:
-        root = Path(directory)
-        if not root.is_dir():
-            raise FixtureError(f"fixture directory not found: {root}")
-        for name in FIXTURE_FILES:
-            p = root / name
-            if not p.is_file():
-                raise FixtureError(f"missing fixture file: {p}")
-            raw[name] = p.read_bytes()
+    for name in FIXTURE_FILES:
+        try:
+            raw[name] = (root / name).read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
+            raise FixtureError(
+                f"missing fixture file: {root / name}") from None
     return raw
 
 

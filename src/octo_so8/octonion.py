@@ -7,14 +7,17 @@ audit derived objects against this exact table.
 
 ``Octonion`` is coefficient-ring agnostic: plain ints, exact complex
 ``CRational`` scalars (bioctonions) and even floats/complex all work,
-since multiplication only needs +, * and unary - on the coefficients.
+since multiplication only needs +, *, unary - and a false zero on the
+coefficients.  Its immutable coefficient tuple, with +, -, negation,
+``==``, ``hash`` and ``is_zero``, is ``exact.CoeffTuple``, shared with
+``LinearForm``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .exact import CRational
+from .exact import CoeffTuple, CRational
 from .matrices import SignedTable
 
 # cell (i, j) = (sign, k) meaning e_i * e_j = sign * e_k
@@ -49,18 +52,15 @@ def oriented_triples():
     return triples
 
 
-class Octonion:
+class Octonion(CoeffTuple):
     """Eight coefficients over any ring supporting +, *, unary -."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
         if len(coeffs) != 8:
             raise ValueError("octonion needs 8 coefficients")
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Octonion is immutable")
 
     @classmethod
     def unit(cls, k: int) -> "Octonion":
@@ -72,29 +72,16 @@ class Octonion:
     def zero(cls) -> "Octonion":
         return cls([0] * 8)
 
-    def __add__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return Octonion([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return Octonion([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Octonion([-a for a in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             # scalar on the right
             return Octonion([a * other for a in self.coeffs])
         out = [self.coeffs[0] * 0] * 8
         for i, a in enumerate(self.coeffs):
-            if _zeroish(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                if _zeroish(b):
+                if not b:
                     continue
                 sign, k = _T[i][j]
                 p = a * b
@@ -103,14 +90,6 @@ class Octonion:
 
     def __rmul__(self, scalar):
         return Octonion([scalar * a for a in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def conj(self) -> "Octonion":
         return Octonion([self.coeffs[0]] + [-a for a in self.coeffs[1:]])
@@ -124,25 +103,12 @@ class Octonion:
             acc = acc + a * a
         return acc
 
-    def is_zero(self) -> bool:
-        return all(_zeroish(a) for a in self.coeffs)
-
     def __str__(self):
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if _zeroish(a):
-                continue
-            parts.append(f"({a})*e{k}")
+        parts = [f"({a})*e{k}" for k, a in enumerate(self.coeffs) if a]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"Octonion({self})"
-
-
-def _zeroish(a) -> bool:
-    if hasattr(a, "is_zero"):
-        return a.is_zero()
-    return a == 0
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     beta_B where beta_B commutes with N, and else
     ((1 + s theta^2) beta_B + 2 theta N beta_B) / (1 - s theta^2); the
     N beta_B terms are extract_components' lines and residual, or the
-    given extracted pair of them for this plane and f.  Raises
+    given ComponentMap of this plane at f.  Raises
     DegenerateBasis, as extract_components does, before it looks at
     theta, then SingularRotation, naming the plane and theta, when
     1 - s theta^2 = 0.
@@ -199,8 +199,6 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
 
 class ComponentMap(NamedTuple):
     """First-order component flow f_A -> f_A + theta * lines[A]."""
-    k: int
-    l: int
     lines: tuple         # 8 entries of f's type, the theta coefficients
     residual: SquareMatrix   # per-theta residual outside the span
 
@@ -210,9 +208,8 @@ def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
     """extract_components of beta_k beta_l at f, by default at the f
     symbols: the first-order action of the (k, l) rotation."""
     bs = betas or beta_set()
-    lines, residual = extract_components(plane_product(k, l, bs),
-                                         SYMBOLS if f is None else f, bs)
-    return ComponentMap(k, l, lines, residual)
+    return ComponentMap(*extract_components(plane_product(k, l, bs),
+                                            SYMBOLS if f is None else f, bs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Split-octonion spinor representation and the transcribed Y fixtures.
 
-The split spinor phi packs the split basis in the order
+The split spinor phi is ``octonion.build_split_basis()``, in the order
 (u0, u1, u2, u3, u0*, u1*, u2*, u3*).  The transcribed source gives the
 split-frame generator sum Y as two verbatim 8x8 symbolic matrices plus
 two 4x4 blocks C and D; ``audit_Y_blocks`` re-derives the claimed block
@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from .fixtures import FixtureStore
 from .matrices import SquareMatrix, diff_cells, from_blocks
-from .octonion import build_split_basis
 from .rotations import spinor_transform
-
-
-def build_split_spinor() -> tuple:
-    """phi = (u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
-    return build_split_basis()
 
 
 def audit_Y_blocks(fx: FixtureStore, b: SquareMatrix, y1: SquareMatrix):

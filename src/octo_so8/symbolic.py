@@ -5,7 +5,9 @@ coefficients (the f symbols themselves are treated as real, so
 conjugation only conjugates coefficients).  Forms add to and subtract
 from forms, negate, and scale by exact scalars; two forms never
 multiply.  A form is never a scalar: it equals only a form, and
-``substitute`` is the one way from a form to a scalar.
+``substitute`` is the one way from a form to a scalar.  The immutable
+coefficient tuple, with its +, -, negation, ``==``, ``hash`` and
+``is_zero``, is ``exact.CoeffTuple``, shared with ``Octonion``.
 
 The token grammar (used by fixture files and the CLI) writes a form as
 sign-joined terms with ``*`` separators and no whitespace:
@@ -18,13 +20,13 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .exact import as_scalar, parse_terms
+from .exact import CoeffTuple, as_scalar, parse_terms
 
 
-class LinearForm:
+class LinearForm(CoeffTuple):
     """const + c1*f1 + ... + c8*f8 over exact complex coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
         # coeffs[0] is the constant term, coeffs[k] multiplies f_k
@@ -34,9 +36,6 @@ class LinearForm:
         if any(c is None for c in coeffs):
             raise TypeError("coefficients must be int or CRational")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinearForm is immutable")
 
     @classmethod
     def symbol(cls, k: int, coeff=1) -> "LinearForm":
@@ -50,19 +49,6 @@ class LinearForm:
     def constant(self):
         return self.coeffs[0]
 
-    def __add__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return LinearForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return LinearForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return LinearForm([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, LinearForm):
             raise TypeError("product of two linear forms is not linear")
@@ -72,17 +58,6 @@ class LinearForm:
         return LinearForm([x * c for x in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def conj(self) -> "LinearForm":
         return LinearForm([c.conj() for c in self.coeffs])

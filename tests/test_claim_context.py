@@ -97,7 +97,7 @@ def test_each_object_is_built_once_and_on_demand(fx, capsys, monkeypatch):
 
 
 FIXTURE_FREE = ("audit_E_alternates", "beta_sigma_expansion",
-                "build_split_spinor", "matrix_exp", "oriented_triples")
+                "build_split_basis", "matrix_exp", "oriented_triples")
 
 
 def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
@@ -121,7 +121,7 @@ def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
             before = Counter(calls)
             run_all(fx, reading)
             runs.append(calls - before)
-    first = {"audit_E_alternates": 1, "build_split_spinor": 1,
+    first = {"audit_E_alternates": 1, "build_split_basis": 1,
              "oriented_triples": 1, "from_blocks": 2,
              # beta_a for a = 1..8, each once
              "beta_sigma_expansion": 8}

@@ -191,6 +191,14 @@ class TestRotate:
         assert rc == 2
         assert err == "error: --theta=1/3: denominator 3 is not a power of two\n"
 
+    def test_newline_inside_theta_is_rejected(self, capsys):
+        # an atom may not end in a newline, as it may not end in a space
+        rc, out, err = run(capsys, "rotate", "1", "2", "--theta=1\n+0i",
+                           "--f=1,0,0,0,0,0,0,0")
+        assert (rc, out) == (2, "")
+        assert err == ("error: --theta=1\n+0i: bad scalar atom '1\\n' in "
+                       "'1\\n+0i'\n")
+
     @pytest.mark.parametrize("argv, err", [
         (("--theta=1/3",),
          "error: --theta=1/3: denominator 3 is not a power of two\n"),

@@ -1,10 +1,11 @@
 """Fixture loading: grammar validation, locations in errors, digests."""
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
-from octo_so8 import (FixtureError, beta_set, load_fixtures,
+from octo_so8 import (FixtureError, beta_set, fixtures, load_fixtures,
                       parse_linear_form, rotation_component_map)
 from octo_so8.fixtures import (
     FIXTURE_FILES,
@@ -42,10 +43,10 @@ class TestLoading:
         assert load_fixtures().eq21_y_terms is fx.eq21_y_terms
 
     def test_directory_copy_loads_identically(self, fx, data_copy):
+        # the bundled set and a copy are read through one path
         other = load_fixtures(str(data_copy))
         assert other.digests == fx.digests
-        assert other.table2 == fx.table2
-        assert other.eq6 == fx.eq6
+        assert other == fx
 
     def test_missing_directory(self):
         with pytest.raises(FixtureError, match="directory not found"):
@@ -55,6 +56,20 @@ class TestLoading:
         (data_copy / "table2.txt").unlink()
         with pytest.raises(FixtureError, match="missing fixture file"):
             load_fixtures(str(data_copy))
+
+    def test_missing_bundled_file_names_its_path(self, data_copy,
+                                                 monkeypatch):
+        package = data_copy / "package"
+        (package / "data").mkdir(parents=True)
+        for name in FIXTURE_FILES:
+            if name != "eq23_C.txt":
+                (data_copy / name).rename(package / "data" / name)
+        monkeypatch.setattr(fixtures, "resources",
+                            SimpleNamespace(files=lambda _: package))
+        with pytest.raises(FixtureError) as err:
+            load_fixtures()
+        assert str(err.value) == (
+            f"missing fixture file: {package / 'data' / 'eq23_C.txt'}")
 
     def test_corrupt_token_is_located(self, data_copy):
         p = data_copy / "table2.txt"

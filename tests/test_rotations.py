@@ -31,7 +31,7 @@ from octo_so8 import (
     assemble_X,
     beta_set,
     block_decompose,
-    build_split_spinor,
+    build_split_basis,
     duplicate_rotation_scan,
     extract_components,
     invert_exact,
@@ -589,7 +589,7 @@ class TestTransportOracle:
     def cases(self, fx, reading, f):
         bs = beta_set(reading)
         return [(standard_spinor(), numeric_X(f, bs)),
-                (build_split_spinor(),
+                (build_split_basis(),
                  substitute_numeric(fx.eq21_y1 + fx.eq21_y2, f))]
 
     @pytest.mark.parametrize("reading", READINGS)

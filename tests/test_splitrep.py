@@ -13,7 +13,7 @@ from octo_so8 import (
     assemble_X,
     audit_Y_blocks,
     block_decompose,
-    build_split_spinor,
+    build_split_basis,
     split_transform,
 )
 from octo_so8.matrices import from_blocks
@@ -34,7 +34,7 @@ def rand_form_matrix(rng, n=4):
 
 class TestSplitSpinor:
     def test_component_layout(self):
-        phi = list(build_split_spinor())
+        phi = list(build_split_basis())
         assert len(phi) == 8
         # phi[0] = u0 = (e0 + i e7) / 2
         assert complex(phi[0].coeffs[0]) == 0.5
@@ -100,12 +100,12 @@ class TestBlockSumOracle:
 
 class TestSplitTransform:
     def test_zero_matrix_is_identity(self):
-        phi = list(build_split_spinor())
+        phi = list(build_split_basis())
         out = split_transform(phi, np.zeros((8, 8)))
         for before, row in zip(phi, out):
             assert list(row) == [complex(c) for c in before.coeffs]
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
-            split_transform(build_split_spinor()[:2],
+            split_transform(build_split_basis()[:2],
                             np.zeros((8, 8)))

@@ -11,6 +11,7 @@ from octo_so8 import (
     Dyadic,
     FormParseError,
     LinearForm,
+    Octonion,
     parse_linear_form,
     render_linear_form,
 )
@@ -33,13 +34,15 @@ class TestFormAlgebra:
     def test_a_form_is_never_a_scalar(self):
         half = Dyadic(1, 1)
         const = LinearForm([half] + [0] * 8)
-        assert const != half and half != const
-        assert ZERO != 0
-        assert len({const, half}) == 2
-        for op in (lambda: const + half, lambda: half + const,
-                   lambda: const - half, lambda: half - const):
-            with pytest.raises(TypeError):
-                op()
+        # nor an octonion with the same leading coefficients
+        for other in (half, Octonion([half] + [0] * 7)):
+            assert const != other and other != const
+            assert len({const, other}) == 2
+            for op in (lambda: const + other, lambda: other + const,
+                       lambda: const - other, lambda: other - const):
+                with pytest.raises(TypeError):
+                    op()
+        assert ZERO != 0 and ZERO != Octonion.zero()
 
     def test_symbol_range_checked(self):
         with pytest.raises(ValueError):
@@ -68,6 +71,32 @@ class TestFormAlgebra:
         assert form.conj() == parse_linear_form("-i*f2+f3")
         assert form.has_imaginary_coeff()
         assert not parse_linear_form("2*f2-f3").has_imaginary_coeff()
+
+
+@pytest.mark.parametrize("cls, n", [(LinearForm, 9), (Octonion, 8)])
+class TestCoefficientCore:
+    """LinearForm and Octonion share one coefficient tuple: +, -,
+    negation, == and hash are those of the tuples, entry by entry."""
+
+    @given(data=st.data())
+    def test_elementwise_as_tuples(self, cls, n, data):
+        x = data.draw(st.lists(small_cdyadics, min_size=n, max_size=n))
+        y = data.draw(st.one_of(
+            st.just(list(x)), st.lists(small_cdyadics, min_size=n, max_size=n)))
+        a, b = cls(x), cls(y)
+        assert (a + b).coeffs == tuple(u + v for u, v in zip(x, y))
+        assert (a - b).coeffs == tuple(u - v for u, v in zip(x, y))
+        assert (-a).coeffs == tuple(-u for u in x)
+        assert type(a + b) is type(a - b) is type(-a) is cls
+        assert (a == b) == (tuple(x) == tuple(y))
+        assert hash(a) == hash(tuple(x))
+        assert (a - a).is_zero() and a.is_zero() == (not any(x))
+
+    def test_coeffs_cannot_be_assigned(self, cls, n):
+        a = cls([1] + [0] * (n - 1))
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is "):
+            a.coeffs = (0,) * n
+        assert a.coeffs[0] == 1
 
 
 FIXTURE_STYLE_TOKENS = [
