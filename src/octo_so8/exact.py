@@ -109,10 +109,12 @@ class CRational:
         return CRational(self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b and self.d == o.d
+        if isinstance(other, CRational):
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if type(other) is int:
+            return self.b == 0 and self.d == 1 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         # an integral value equals the int, so it hashes like it

@@ -132,13 +132,8 @@ class SquareMatrix:
 
 def from_blocks(tl: SquareMatrix, tr: SquareMatrix,
                 bl: SquareMatrix, br: SquareMatrix) -> SquareMatrix:
-    n = tl.n
-    rows = []
-    for i in range(n):
-        rows.append(list(tl.rows[i]) + list(tr.rows[i]))
-    for i in range(n):
-        rows.append(list(bl.rows[i]) + list(br.rows[i]))
-    return SquareMatrix(rows)
+    return SquareMatrix([a + b for left, right in ((tl, tr), (bl, br))
+                         for a, b in zip(left.rows, right.rows)])
 
 
 def diff_cells(a: SquareMatrix, b: SquareMatrix):

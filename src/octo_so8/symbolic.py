@@ -26,7 +26,7 @@ from .exact import CoeffTuple, as_scalar, parse_terms
 class LinearForm(CoeffTuple):
     """const + c1*f1 + ... + c8*f8 over exact complex coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)   # the canonical token, once rendered
 
     def __init__(self, coeffs: Sequence):
         # coeffs[0] is the constant term, coeffs[k] multiplies f_k
@@ -36,6 +36,7 @@ class LinearForm(CoeffTuple):
         if any(c is None for c in coeffs):
             raise TypeError("coefficients must be int or CRational")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_text", None)
 
     @classmethod
     def symbol(cls, k: int, coeff=1) -> "LinearForm":
@@ -77,7 +78,9 @@ class LinearForm(CoeffTuple):
         return acc
 
     def __str__(self):
-        return render_linear_form(self)
+        if self._text is None:
+            object.__setattr__(self, "_text", render_linear_form(self))
+        return self._text
 
     def __repr__(self):
         return f"LinearForm({self})"

@@ -7,9 +7,9 @@ from collections import Counter
 
 from test_golden import GOLDEN, _pin_json, _pin_md
 
-from octo_so8 import claims, cli, load_fixtures, splitrep
+from octo_so8 import claims, cli, load_fixtures
 from octo_so8.claims import run_all, to_json
-from octo_so8.matrices import beta_set, diff_cells
+from octo_so8.matrices import beta_set, diff_cells, from_blocks
 
 READINGS = ("sigma", "tensor")
 BUILDERS = ("assemble_X", "block_decompose", "gram", "verify_split_relations")
@@ -111,9 +111,8 @@ def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
 
     for name in FIXTURE_FREE:
         monkeypatch.setattr(claims, name, counted(name, getattr(claims, name)))
-    for module in (claims, splitrep):
-        monkeypatch.setattr(module, "from_blocks",
-                            counted("from_blocks", module.from_blocks))
+    monkeypatch.setattr(claims, "from_blocks",
+                        counted("from_blocks", claims.from_blocks))
     claims.context.cache_clear()
     runs = []
     for reading in READINGS:
@@ -122,15 +121,15 @@ def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
             run_all(fx, reading)
             runs.append(calls - before)
     first = {"audit_E_alternates": 1, "build_split_basis": 1,
-             "oriented_triples": 1, "from_blocks": 2,
+             "oriented_triples": 1, "from_blocks": 1,   # Y1
              # beta_a for a = 1..8, each once
              "beta_sigma_expansion": 8}
     # exp-action reads the sigma context under either reading; its two
     # exponentials run when that context is first asked
     assert runs[0] == Counter(first, matrix_exp=2)
     assert runs[2] == Counter(first)
-    # later calls redo only what reads a fixture: [[C, -C], [D, -D]]
-    assert runs[1] == runs[3] == Counter(from_blocks=1)
+    # later calls only compare against the fixtures
+    assert runs[1] == runs[3] == Counter()
 
 
 def test_eq13_cells_are_those_of_the_scaled_diff(data_copy):
@@ -148,3 +147,36 @@ def test_eq13_cells_are_those_of_the_scaled_diff(data_copy):
                        if c.id == "eq13-increment").details["cells"]
             assert got == diff_cells(ctx.comm, fixtures.eq13.scale(2))
         assert {(1, 1), (2, 4), (3, 4)} <= {(c["row"], c["col"]) for c in got}
+
+
+def _edit_cells(path, edits):
+    """Rewrite the (row, col) cells of a fixture grid, 0-indexed, after
+    checking each old token."""
+    rows = [line.split() for line in path.read_text().splitlines()]
+    for (i, j), (old, new) in edits.items():
+        assert rows[i][j] == old
+        rows[i][j] = new
+    path.write_text("".join(" ".join(r) + "\n" for r in rows))
+
+
+def test_eq22_cells_are_those_of_the_dense_blocks(data_copy):
+    # one cell in each quadrant of Y2: a sign flip, a changed
+    # denominator, an added constant and a zero made nonzero; then one
+    # cell each of C and D
+    _edit_cells(data_copy / "eq21_Y2.txt", {
+        (0, 1): ("-i*f7", "i*f7"), (0, 4): ("f1", "1/2*f1"),
+        (5, 2): ("i*f8", "i*f8+1"), (6, 4): ("0", "i*f3")})
+    _edit_cells(data_copy / "eq23_C.txt", {(1, 3): ("-f1", "f1")})
+    _edit_cells(data_copy / "eq24_D.txt", {(2, 3): ("f8", "i*f8")})
+    edited = load_fixtures(str(data_copy))
+    for reading in READINGS:
+        b = claims.context(beta_set(reading)).blocks[0].b
+        for fx in (load_fixtures(), edited):
+            audits = next(c for c in run_all(fx, reading).claims
+                          if c.id == "eq22-blocks").details["audits"]
+            c, d = fx.eq23_c, fx.eq24_d
+            assert audits[1]["cells"] == diff_cells(
+                fx.eq21_y2, from_blocks(c, -c, d, -d))
+            assert audits[2]["cells"] == diff_cells(b, c)
+        assert {(1, 2), (1, 5), (6, 3), (7, 5), (2, 4), (2, 8), (7, 4),
+                (7, 8)} <= {(x["row"], x["col"]) for x in audits[1]["cells"]}

@@ -223,6 +223,55 @@ class TestHash:
         assert len({constant(CDyadic(1)), constant(CRational(1))}) == 1
 
 
+def _pair(x) -> tuple:
+    """x as the oracle pair (re, im) of Fractions."""
+    if type(x) is int:
+        return Fraction(x), Fraction(0)
+    return Fraction(x.a, x.d), Fraction(x.b, x.d)
+
+
+# ints past 2**64 either way, and CRationals holding them
+wide_ints = st.one_of(st.integers(-64, 64), st.integers(-2**80, 2**80),
+                      st.sampled_from([2**64, -2**64, 2**64 + 1, -2**70]))
+wide = st.one_of(scalars, dyadics, st.builds(
+    CRational, wide_ints, st.sampled_from([0, 0, 1]),
+    st.sampled_from([1, 1, 2, 3])))
+
+
+class TestEquality:
+    """``==`` between scalars, checked against pairs of Fractions."""
+
+    @given(wide, wide)
+    def test_scalar_pairs(self, x, y):
+        want = _pair(x) == _pair(y)
+        assert (x == y) is want and (y == x) is want
+        assert (x != y) is not want
+        if want:
+            assert hash(x) == hash(y)
+
+    @given(wide, wide_ints)
+    def test_int_operands(self, x, n):
+        want = _pair(x) == _pair(n)
+        assert (x == n) is want and (n == x) is want
+        assert (x != n) is not want
+        if want:
+            assert hash(x) == hash(n)
+
+    @given(wide_ints)
+    def test_integral_values_equal_their_int(self, n):
+        assert CRational(n) == n and CRational(2 * n, 0, 2) == n
+        assert hash(CRational(n)) == hash(n)
+        assert CRational(n, 1) != n and CRational(2 * n + 1, 0, 2) != n
+
+    def test_other_operands_are_unequal(self):
+        one = CRational(1)
+        assert one.__eq__(True) is NotImplemented
+        for other in (True, 1.0, 1 + 0j, None, "1",
+                      LinearForm([1] + [0] * 8)):
+            assert (one == other) is False and (other == one) is False
+            assert one != other and other != one
+
+
 class TestFloatConversion:
     def test_exact_value(self):
         assert float(Dyadic(3, 2)) == 0.75

@@ -16,7 +16,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -83,9 +86,10 @@ def test_float_pinning_rejects_drift_beyond_bound():
 #
 # tests/golden/rotate-grid.json, spinor-grid.json and audit-grid.json
 # map each argv of their grid (joined by spaces) to the sha256 of its
-# exit code, stdout and stderr.  Rewrite all three, and the token grid
-# below, with ``PYTHONPATH=src python tests/test_golden.py`` only when a
-# change to those bytes is intended and recorded.
+# exit code, stdout and stderr.  Rewrite one of them, or the token grid
+# below, with ``PYTHONPATH=src python tests/test_golden.py NAME ...``
+# (NAME one of rotate, spinor, audit, token) only when a change to those
+# bytes is intended and recorded; the grids not named stay as they are.
 
 ROTATE_GRID = GOLDEN / "rotate-grid.json"
 GRID_F = "--f=1,-1/2,3/4,0,2,-3,1/8,5"
@@ -311,12 +315,67 @@ def test_token_grid_covers_every_message():
         assert needle in values, needle
 
 
+def _digests(grid):
+    return lambda: {" ".join(argv): cli_digest(argv) for argv in grid()}
+
+
+# name: (file, builder) for regenerate
+GRIDS = {"rotate": (ROTATE_GRID, _digests(rotate_grid)),
+         "spinor": (SPINOR_GRID, _digests(spinor_grid)),
+         "audit": (AUDIT_GRID, _digests(audit_grid)),
+         "token": (TOKEN_GRID, token_grid)}
+
+
+def regenerate(names) -> int:
+    """Rewrite the named grids from this tree and no other; with no
+    name, or one not in GRIDS, print usage and write nothing."""
+    if not names or not set(names) <= GRIDS.keys():
+        print(f"usage: python tests/test_golden.py {'|'.join(GRIDS)} ...\n"
+              "rewrites only the named golden grids", file=sys.stderr)
+        return 2
+    for name in names:
+        path, build = GRIDS[name]
+        path.write_text(json.dumps(build(), indent=1, ensure_ascii=False)
+                        + "\n", encoding="utf-8")
+    return 0
+
+
+@pytest.fixture
+def scratch_grids(tmp_path, monkeypatch):
+    """GRIDS pointed at files under tmp_path, each built as {name: "é"}."""
+    for name in list(GRIDS):
+        monkeypatch.setitem(GRIDS, name,
+                            (tmp_path / name, lambda n=name: {n: "é"}))
+    return tmp_path
+
+
+@pytest.mark.parametrize("names", [[], ["token", "verify"], ["Rotate"]])
+def test_regenerate_without_a_grid_name_writes_nothing(names, scratch_grids,
+                                                        capsys):
+    assert regenerate(names) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "usage: python tests/test_golden.py rotate|spinor|audit|token ...")
+    assert not any(scratch_grids.iterdir())
+
+
+def test_regenerate_writes_only_the_named_grids(scratch_grids):
+    assert regenerate(["token", "audit"]) == 0
+    assert sorted(p.name for p in scratch_grids.iterdir()) == ["audit",
+                                                              "token"]
+    assert (scratch_grids / "token").read_text("utf-8") == (
+        '{\n "token": "é"\n}\n')
+
+
+def test_running_the_file_without_a_name_writes_nothing():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    before = {path: path.read_bytes() for path in GOLDEN.iterdir()}
+    run = subprocess.run([sys.executable, __file__], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: ")
+    assert {path: path.read_bytes() for path in GOLDEN.iterdir()} == before
+
+
 if __name__ == "__main__":
-    for path, grid in ((ROTATE_GRID, rotate_grid), (SPINOR_GRID, spinor_grid),
-                       (AUDIT_GRID, audit_grid)):
-        path.write_text(json.dumps(
-            {" ".join(argv): cli_digest(argv) for argv in grid()},
-            indent=1) + "\n", encoding="utf-8")
-    TOKEN_GRID.write_text(json.dumps(token_grid(), indent=1,
-                                     ensure_ascii=False) + "\n",
-                          encoding="utf-8")
+    sys.exit(regenerate(sys.argv[1:]))

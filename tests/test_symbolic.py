@@ -99,6 +99,32 @@ class TestCoefficientCore:
         assert a.coeffs[0] == 1
 
 
+class TestRenderingMemo:
+    """A form keeps its rendering; nothing else reads the kept text."""
+
+    @given(forms)
+    def test_str_is_the_rendering_on_every_call(self, f):
+        for g in (f, -f, f + f):
+            want = render_linear_form(g)
+            assert str(g) == want and str(g) == want
+            assert str(g) is str(g)
+
+    def test_the_kept_text_cannot_be_assigned(self):
+        f = LinearForm.symbol(2)
+        assert str(f) == "f2"
+        with pytest.raises(AttributeError, match="^LinearForm is immutable"):
+            f._text = "x"
+        assert str(f) == "f2"
+
+    @given(forms)
+    def test_eq_and_hash_ignore_the_rendering(self, f):
+        g = LinearForm(f.coeffs)
+        assert f == g and hash(f) == hash(g)
+        str(f)
+        assert f == g and g == f and hash(f) == hash(g)
+        assert {f, g} == {g} and f != g + LinearForm.symbol(1)
+
+
 FIXTURE_STYLE_TOKENS = [
     "0",
     "f1",
