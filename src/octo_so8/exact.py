@@ -163,16 +163,17 @@ def _ratio_token(n: int, d: int) -> str:
 
 
 def as_scalar(value):
-    """``value`` as a CRational when it is an int or a CRational; None
-    for anything else."""
+    """``value`` as a CRational when it is an int or a CRational, 0 as
+    ``ZERO``; None for anything else."""
     if isinstance(value, CRational):
         return value
     if type(value) is int:
-        return CRational(value)
+        return CRational(value) if value else ZERO
     return None
 
 
 CDyadic = CRational
+ZERO = CRational()   # the one shared zero, kept by coefficient tuples
 
 
 class Dyadic(CRational):
@@ -189,8 +190,9 @@ class Dyadic(CRational):
 
 class CoeffTuple:
     """An immutable tuple of coefficients, ``coeffs``, with elementwise
-    +, - and negation.  It equals, and adds to, only its own type; the
-    subclass's constructor takes a sequence and sets ``coeffs``."""
+    +, - and negation, each keeping an operand's coefficient where the
+    other one's is ``ZERO``.  It equals, and adds to, only its own type;
+    the subclass's constructor takes a sequence and sets ``coeffs``."""
 
     __slots__ = ("coeffs",)
 
@@ -200,15 +202,17 @@ class CoeffTuple:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return type(self)([b if a is ZERO else a if b is ZERO else a + b
+                           for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return type(self)([a if b is ZERO else -b if a is ZERO else a - b
+                           for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return type(self)([-a for a in self.coeffs])
+        return type(self)([a if a is ZERO else -a for a in self.coeffs])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -310,7 +314,7 @@ def parse_terms(text: str, symbols: tuple) -> list:
     s = "".join(text.split())
     if not s:
         raise FormParseError("empty expression")
-    coeffs = [CRational(0)] * (len(symbols) + 1)
+    coeffs = [ZERO] * (len(symbols) + 1)
     for sign, body in _terms(s, _FORM_TERM):
         factors = _STAR.split(body)
         if "" in factors:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 from typing import Callable, NamedTuple, Sequence
 
-from .exact import CRational
+from .exact import ZERO as _ZERO, CRational
 
-_ZERO, _ONE = CRational(0), CRational(1)
+_ONE = CRational(1)
 
 
 class SquareMatrix:
@@ -225,12 +225,15 @@ class Monomial:
 def monomial_sum(terms, zero) -> SquareMatrix:
     """sum c * M over the (c, M) pairs of terms, 8x8 Monomials M, as a
     dense 8x8 matrix: each c, a CRational or a LinearForm, lands on M's
-    cells scaled by their phases.  zero fills the cells no term reaches
-    and is the start of every sum, so the entries keep its type."""
+    cells scaled by their phases, each i**q c computed once.  zero, of
+    the terms' type, fills the cells no term reaches; a cell that still
+    holds it takes its first term as it is, and later terms add to it."""
     rows = [[zero] * 8 for _ in range(8)]
     for c, m in terms:
+        scaled = [p * c for p in _PHASES]
         for r, (col, q) in enumerate(zip(m.perm, m.phase)):
-            rows[r][col] = rows[r][col] + _PHASES[q] * c
+            cell = rows[r][col]
+            rows[r][col] = scaled[q] if cell is zero else cell + scaled[q]
     return SquareMatrix(rows)
 
 

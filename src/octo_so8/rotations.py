@@ -5,12 +5,13 @@ of linear forms.  Rotations act by conjugation with R_kl = I + theta *
 N, where N = beta_k beta_l is a signed permutation (a ``Monomial``)
 with N^2 = s*I, s = +1 or -1, for every plane of both readings.  N
 commutes or anticommutes with each beta_B, so [N, beta_B] is 0 or the
-single monomial 2 N beta_B, and the rotations act on the components
-f_A through a lookup of N beta_B in the generator table, with no dense
-conjugation or trace projection.  The module provides the first-order
-map and the exact rotation of f, at the f symbols or at exact f, the
-symbolic X, the duplicate-plane scan, and the numeric matrix
-exponential used for spinor transport.
+single monomial 2 N beta_B.  One record per N, derived on first use,
+holds s and N beta_B's place in the generator table, and the rotations
+act on the components f_A by reading it, with no dense conjugation,
+trace projection or repeated generator product.  The module provides
+the first-order map and the exact rotation of f, at the f symbols or
+at exact f, the symbolic X, the duplicate-plane scan, and the numeric
+matrix exponential used for spinor transport.
 
 Only the numeric section uses floats.  It works on plain lists of
 rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
@@ -94,14 +95,20 @@ def block_decompose(x: SquareMatrix) -> BlockDecomp:
 # ---------------------------------------------------------------------------
 # rotation operators
 
+@functools.lru_cache(maxsize=8)   # once per BetaSet
+def _plane_products(bs: BetaSet) -> dict:
+    """(k, l) -> beta_k beta_l for the 56 ordered planes."""
+    return {(k, l): bs.beta(k) @ bs.beta(l)
+            for k in range(1, 9) for l in range(1, 9) if k != l}
+
+
 def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Monomial:
     """beta_k beta_l for a rotation plane (k, l), 1-indexed, k != l."""
     if k == l:
         raise ValueError("rotation plane needs two distinct indices")
     if not (1 <= k <= 8 and 1 <= l <= 8):
         raise ValueError("plane indices out of range 1..8")
-    bs = betas or beta_set()
-    return bs.beta(k) @ bs.beta(l)
+    return _plane_products(betas or beta_set())[k, l]
 
 
 def invert_exact(m: SquareMatrix) -> SquareMatrix:
@@ -126,15 +133,6 @@ def invert_exact(m: SquareMatrix) -> SquareMatrix:
     return SquareMatrix([row[n:] for row in a])
 
 
-def commutator_terms(n: Monomial, f: Sequence,
-                     betas: Optional[BetaSet] = None) -> list:
-    """[N, X(f)] = sum_B f_B [N, beta_B] as monomial_sum terms
-    (2 f_B, N beta_B), one per beta_B that anticommutes with N; the
-    others commute with N and drop out."""
-    return [(2 * fb, n @ b) for fb, b in zip(f, (betas or beta_set()).mats)
-            if n @ b != b @ n]
-
-
 @functools.lru_cache(maxsize=8)   # once per BetaSet
 def _span_table(bs: BetaSet) -> Optional[dict]:
     """i**q beta_A -> (A, i**q), or None when gram(bs) is not 8*I."""
@@ -145,30 +143,49 @@ def _span_table(bs: BetaSet) -> Optional[dict]:
             for u in (Monomial(range(8), [q] * 8) for q in range(4))}
 
 
+@functools.lru_cache(maxsize=128)   # 2 readings x 56 ordered planes
+def _plane_record(bs: BetaSet, n: Monomial) -> tuple:
+    """The record of a plane product N, (s, terms) with N^2 = s*I:
+    terms holds (B, N beta_B, its _span_table entry or None) for each
+    beta_B, 0-indexed, that anticommutes with N."""
+    table = _span_table(bs) or {}
+    return (n @ n).at(0, 0), tuple(
+        (b, m, table.get(m)) for b, beta in enumerate(bs.mats)
+        if (m := n @ beta) != beta @ n)
+
+
+def commutator_terms(n: Monomial, f: Sequence,
+                     betas: Optional[BetaSet] = None) -> list:
+    """[N, X(f)] = sum_B f_B [N, beta_B] as monomial_sum terms
+    (2 f_B, N beta_B), one per beta_B that anticommutes with N, read off
+    N's record; the others commute with N and drop out."""
+    return [(2 * f[b], m)
+            for b, m, _ in _plane_record(betas or beta_set(), n)[1]]
+
+
 def extract_components(n: Monomial, f: Sequence,
                        betas: Optional[BetaSet] = None):
     """(lines, residual): [N, X(f)] on the generator span, for a plane
-    product N.  A commutator term 2 f_B N beta_B with N beta_B =
-    i**q beta_A adds 2 i**q f_B to lines[A]; the other terms sum to the
-    residual.  Both keep f's entry type (LinearForm at the f symbols,
-    CRational at exact f).  Under the sigma reading, whose Gram matrix
-    G[A][B] = Tr(beta_A beta_B) is 8*I, the products outside the span
-    have zero trace against every beta_A, so this is the trace
+    product N.  A commutator term 2 f_B N beta_B of N's record with
+    N beta_B = i**q beta_A adds 2 i**q f_B to lines[A]; the other terms
+    sum to the residual.  Both keep f's entry type (LinearForm at the f
+    symbols, CRational at exact f).  Under the sigma reading, whose
+    Gram matrix G[A][B] = Tr(beta_A beta_B) is 8*I, the products outside
+    the span have zero trace against every beta_A, so this is the trace
     projection Tr(beta_A [N, X(f)]) / 8.  Under any other G raises
     DegenerateBasis: tensor's G is singular (beta_8 repeats beta_1).
     """
     bs = betas or beta_set()
-    table = _span_table(bs)
-    if table is None:
+    if _span_table(bs) is None:
         raise DegenerateBasis("generator Gram matrix is singular")
     zero = 0 * f[0]
     lines, outside = [zero] * 8, []
-    for c, m in commutator_terms(n, f, bs):
-        if m in table:
-            a, phase = table[m]
-            lines[a] = lines[a] + phase * c
+    for b, m, entry in _plane_record(bs, n)[1]:
+        if entry is None:
+            outside.append((2 * f[b], m))
         else:
-            outside.append((c, m))
+            a, phase = entry
+            lines[a] = lines[a] + 2 * phase * f[b]
     return tuple(lines), monomial_sum(outside, zero)
 
 
@@ -177,24 +194,27 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     """(f', residual): R X(f) R^-1 on the generator span, with
     R = I + theta N and N = beta_k beta_l, N^2 = s*I.  R beta_B R^-1 is
     beta_B where beta_B commutes with N, and else
-    ((1 + s theta^2) beta_B + 2 theta N beta_B) / (1 - s theta^2); the
-    N beta_B terms are extract_components' lines and residual, or the
-    given ComponentMap of this plane at f.  Raises
-    DegenerateBasis, as extract_components does, before it looks at
-    theta, then SingularRotation, naming the plane and theta, when
-    1 - s theta^2 = 0.
+    ((1 + s theta^2) beta_B + 2 theta N beta_B) / (1 - s theta^2); s
+    and the anticommuting beta_B come from N's record, read with no
+    generator product past the plane's first call, and the N beta_B
+    terms are extract_components' lines and residual, or the given
+    ComponentMap of this plane at f.  Raises DegenerateBasis, as
+    extract_components does, before it looks at theta, then
+    SingularRotation, naming the plane and theta, when 1 - s theta^2 = 0.
     """
     bs = betas or beta_set()
     n = plane_product(k, l, bs)
     lines, residual = extracted or extract_components(n, f, bs)
-    det = 1 - (n @ n).at(0, 0) * theta * theta
+    square, terms = _plane_record(bs, n)
+    det = 1 - square * theta * theta
     if det.is_zero():
         raise SingularRotation(
             f"rotation of plane ({k},{l}) with theta={theta} is singular")
     stretch, step = (2 - det) / det, theta / det    # 2 - det = 1 + s theta^2
-    return (tuple((fb if n @ b == b @ n else stretch * fb) + step * d
-                  for fb, b, d in zip(f, bs.mats, lines)),
-            residual.scale(step))
+    anti = {b for b, _, _ in terms}
+    return (tuple((fb * stretch if b in anti else fb) + d * step
+                  for b, (fb, d) in enumerate(zip(f, lines))),
+            residual.map(lambda e: e if e.is_zero() else e * step))
 
 
 class ComponentMap(NamedTuple):
@@ -218,17 +238,11 @@ def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
 def duplicate_rotation_scan(betas: Optional[BetaSet] = None):
     """Partition all 28 planes (k < l) by exact equality of
     beta_k beta_l; classes come back sorted by first member."""
-    bs = betas or beta_set()
     groups: dict = {}
-    order = []
-    for k in range(1, 9):
-        for l in range(k + 1, 9):
-            key = plane_product(k, l, bs)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((k, l))
-    return [tuple(groups[key]) for key in order]
+    for plane, n in _plane_products(betas or beta_set()).items():
+        if plane[0] < plane[1]:
+            groups.setdefault(n, []).append(plane)
+    return [tuple(g) for g in groups.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .exact import CoeffTuple, as_scalar, parse_terms
+from .exact import ZERO, CoeffTuple, as_scalar, parse_terms
 
 
 class LinearForm(CoeffTuple):
@@ -56,7 +56,7 @@ class LinearForm(CoeffTuple):
         c = as_scalar(other)
         if c is None:
             return NotImplemented
-        return LinearForm([x * c for x in self.coeffs])
+        return LinearForm([x if x is ZERO else x * c for x in self.coeffs])
 
     __rmul__ = __mul__
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from octo_so8 import (Octonion, SquareMatrix, beta_set, gram, invert_exact,
                       matrix_exp, plane_product)
-from octo_so8.matrices import from_blocks
+from octo_so8.matrices import Monomial, from_blocks
 
 
 def dense_rotation_operator(k, l, theta, bs=None):
@@ -42,6 +42,33 @@ def gram_inverse_projection(m, bs=None):
                                for a in range(8))
                           for j in range(8)] for i in range(8)])
     return tuple(forms), m - span
+
+
+def commutator_terms_by_products(n, f, bs=None):
+    """[N, X(f)] = sum_B f_B [N, beta_B] as (2 f_B, N beta_B) terms, one
+    per beta_B that anticommutes with N, found by forming N beta_B and
+    beta_B N on every call."""
+    return [(2 * fb, n @ b) for fb, b in zip(f, (bs or beta_set()).mats)
+            if n @ b != b @ n]
+
+
+def components_by_products(n, f, bs=None):
+    """(lines, residual) of [N, X(f)] from commutator_terms_by_products:
+    a term with N beta_B = i**q beta_A, found in a table of every
+    i**q beta_A, adds i**q times its coefficient to lines[A]; the others
+    add up to the residual cell by cell over their dense matrices."""
+    bs = bs or beta_set()
+    span = {u @ b: (a, u.at(0, 0)) for a, b in enumerate(bs.mats)
+            for u in (Monomial(range(8), [q] * 8) for q in range(4))}
+    zero = 0 * f[0]
+    lines, residual = [zero] * 8, SquareMatrix([[zero] * 8] * 8)
+    for c, m in commutator_terms_by_products(n, f, bs):
+        if m in span:
+            a, phase = span[m]
+            lines[a] = lines[a] + phase * c
+        else:
+            residual = residual + m.to_dense().map(lambda e, c=c: e * c)
+    return tuple(lines), residual
 
 
 def _sum(terms):

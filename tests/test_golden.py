@@ -108,9 +108,10 @@ AUDIT_GRID = GOLDEN / "audit-grid.json"
 
 
 def rotate_grid() -> list:
+    # every ordered plane: (l, k) is a plane of its own, N_lk = -N_kl
     return [["rotate", str(k), str(l), "--beta-variant", reading] + mode
             for reading in ("sigma", "tensor")
-            for k in range(1, 9) for l in range(k + 1, 9)
+            for k in range(1, 9) for l in range(1, 9) if k != l
             for mode in GRID_MODES]
 
 

@@ -22,6 +22,7 @@ from octo_so8 import (
     gram,
     signed_table,
 )
+from octo_so8.exact import ZERO
 from octo_so8.matrices import (E_DEFS, SIGMA_TERMS, Monomial,
                                 beta_sigma_expansion, kron, monomial_sum)
 from octo_so8.rotations import SYMBOLS, ZERO_FORM, numeric_X
@@ -120,6 +121,19 @@ class TestAgainstDense:
         assert monomial_sum([(c, a), (d, b)], CDyadic(0)) == \
             a.to_dense().scale(c) + b.to_dense().scale(d)
         assert monomial_sum([], CDyadic(0)).is_zero()
+        # a twice, so that every cell of a takes two terms, and a zero
+        # coefficient, under each zero of both entry types
+        form = SYMBOLS[rng.randint(0, 7)] * c + SYMBOLS[0] * d
+        cases = [(zero, (c, CDyadic(0), d)) for zero in (CDyadic(0), ZERO)]
+        cases.append((ZERO_FORM, (form, ZERO_FORM, SYMBOLS[1] * c)))
+        for zero, coeffs in cases:
+            terms = list(zip(coeffs, (a, b, a)))
+            dense = SquareMatrix([[zero] * 8] * 8)
+            for x, m in terms:
+                dense = dense + m.to_dense().map(lambda e, x=x: e * x)
+            got = monomial_sum(terms, zero)
+            assert got == dense
+            assert all(type(e) is type(zero) for row in got.rows for e in row)
 
     @given(monomials(8))
     def test_render_matches_dense(self, a):

@@ -46,21 +46,38 @@ from octo_so8 import (
 )
 from octo_so8.cli import main
 from octo_so8.matrices import Monomial, monomial_sum
+from octo_so8 import rotations
 from octo_so8.rotations import (
     DEFAULT_TOL,
     SYMBOLS,
     ZERO_FORM,
+    _plane_record,
     commutator_terms,
     hermiticity_defect,
     numeric_X,
     unitarity_defect,
 )
-from oracles import (complex_array, dense_rotate, dense_rotation_operator,
-                     gram_inverse_projection, octonion_transport, reassemble,
-                     substitute_numeric)
+from oracles import (commutator_terms_by_products, complex_array,
+                     components_by_products, dense_rotate,
+                     dense_rotation_operator, gram_inverse_projection,
+                     octonion_transport, reassemble, substitute_numeric)
 
 ONES = [Dyadic(1)] * 8
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
+# (l, k) too: N_lk = -N_kl, a record of its own
+ORDERED_PLANES = [(k, l) for k in range(1, 9) for l in range(1, 9) if k != l]
+# the commands of the benchmark's seed-1 rotate workload
+# (perfbench/workloads.py rotate 1); (1,4) at theta = 1 is singular
+SEED_1_ROTATE = [
+    ["rotate", "2", "5", "--theta=5/4", "--f=1,3,-3/4,-3/4,1/4,1/4,2,-1/2",
+     "--format", "md"],
+    ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
+    ["rotate", "5", "6", "--format", "md"],
+    ["rotate", "2", "4", "--theta=7/4", "--f=-3,2,0,-3/2,-1/2,-3,-2,-2",
+     "--format", "json"],
+    ["rotate", "1", "4", "--theta=1", "--f=0,-1,0,-1/2,1,1,-1/4,-2"],
+    ["rotate", "6", "7", "--format", "json"],
+]
 READINGS = ("sigma", "tensor")
 
 dyadics = st.builds(Dyadic, st.integers(-16, 16), st.integers(0, 3))
@@ -200,7 +217,7 @@ class TestClosedFormAgainstGaussJordan:
         bs = beta_set("sigma")
         x = substitute_matrix(assemble_X(bs), fvals)
         tr, tr2 = x.trace(), trace_of_square(x)
-        for k, l in PLANES:
+        for k, l in ORDERED_PLANES:
             try:
                 want = dense_rotate(x, k, l, theta, bs)
             except SingularRotation:
@@ -215,7 +232,7 @@ class TestClosedFormAgainstGaussJordan:
                 assert trace_of_square(m) == tr2
         # beta_8 repeats beta_1 under tensor: no projection to read
         tensor = beta_set("tensor")
-        for k, l in PLANES:
+        for k, l in ORDERED_PLANES:
             with pytest.raises(DegenerateBasis):
                 rotate_exact(fvals, k, l, theta, tensor)
 
@@ -418,6 +435,66 @@ class TestGeneratorTable:
         assert any(m in twice for k, l in PLANES
                    for _, m in commutator_terms(plane_product(k, l, bs),
                                                 ONES, bs))
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_plane_record_against_products(self, reading):
+        # each plane's record against the dense products, and what the
+        # rotations read off it against the per-call Monomial products
+        bs = beta_set(reading)
+        dense = [b.to_dense() for b in bs.mats]
+        rng = random.Random(f"plane record {reading}")
+        draws = [[Dyadic(rng.randint(-8, 8), rng.randint(0, 2))
+                  for _ in range(8)] for _ in range(2)]
+        for k, l in ORDERED_PLANES:
+            n = plane_product(k, l, bs)
+            nd = n.to_dense()
+            square, terms = _plane_record(bs, n)
+            assert square == (nd @ nd).at(0, 0), (k, l)
+            assert [b for b, _, _ in terms] == \
+                [b for b, d in enumerate(dense) if nd @ d != d @ nd]
+            for f in [SYMBOLS] + draws:
+                assert commutator_terms(n, f, bs) == \
+                    commutator_terms_by_products(n, f, bs)
+                if reading == "tensor":
+                    with pytest.raises(DegenerateBasis):
+                        extract_components(n, f, bs)
+                    continue
+                assert extract_components(n, f, bs) == \
+                    components_by_products(n, f, bs), (k, l)
+
+    def test_plane_record_is_derived_once(self, monkeypatch, capsys):
+        products = Counter()
+        matmul = Monomial.__matmul__
+
+        def counted(a, b):
+            products["@"] += 1
+            return matmul(a, b)
+
+        def clear():
+            for cached in (rotations._plane_products, rotations._span_table,
+                           _plane_record):
+                cached.cache_clear()
+
+        clear()
+        monkeypatch.setattr(Monomial, "__matmul__", counted)
+        made = []
+        # (5,6) has the product of (1,2), so it reads the same record
+        for k, l, f in (("1", "2", "1,-1/2,3/4,0,2,-3,1/8,5"),
+                        ("1", "2", "1,0,0,0,0,0,0,0"),
+                        ("5", "6", "1,-1/2,3/4,0,2,-3,1/8,5")):
+            before = products["@"]
+            assert main(["rotate", k, l, "--theta=3/8", f"--f={f}"]) == 0
+            made.append(products["@"] - before)
+        assert made[0] > 0 and made[1:] == [0, 0]
+        # derived records give the bytes the first derivation gave
+        capsys.readouterr()
+        clear()
+        runs = []
+        for _ in range(2):
+            codes = [main(argv) for argv in SEED_1_ROTATE]
+            runs.append((codes, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [0, 0, 0, 0, 2, 0]
 
     def test_gram_checked_before_theta(self):
         # N_18 = I under tensor, so 1 - s theta^2 = 0 at theta = 1 although
