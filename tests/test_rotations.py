@@ -44,9 +44,9 @@ from octo_so8 import (
     standard_spinor,
     substitute_matrix,
 )
+from octo_so8 import rotations
 from octo_so8.cli import main
 from octo_so8.matrices import Monomial, monomial_sum
-from octo_so8 import rotations
 from octo_so8.rotations import (
     DEFAULT_TOL,
     SYMBOLS,
