@@ -201,7 +201,8 @@ def _clip(text: str) -> str:
 
 
 def _max_abs_cells(m) -> float:
-    return max(abs(complex(e)) for row in m.rows for e in row)
+    cells = {id(e): e for row in m.rows for e in row}   # shared per term
+    return max((abs(complex(e)) for e in cells.values() if e), default=0.0)
 
 
 def cmd_rotate(args) -> int:

@@ -1,23 +1,26 @@
-"""Dense and monomial square matrices, and the eight 8x8 generators.
+"""Dense square matrices, 3-qubit Pauli codes, and the eight 8x8
+generators.
 
 ``SquareMatrix`` is entry-type agnostic: anything supporting +, -, *,
 unary -, ==, ``conj()`` and ``is_zero()`` works.  A matrix holds
 CRational scalars or LinearForms, never both; a scalar times a
 LinearForm is a LinearForm.
 
-``Monomial`` is a signed permutation matrix with phases in {1, i, -1,
--i}.  Every generator is one, and so is every product of generators, so
-the generator algebra runs on permutations and phases mod 4.
+``Pauli`` is the code (x, z, q) of i**q X^x Z^z on three qubits.  Every
+generator is a Hermitian Pauli string, so every product of generators
+is a code too, and the generator algebra runs on bit operations.
 
-On top of them: Pauli and Dirac 4x4 matrices, Kronecker products, the
-two transcribed variants of the eight generator matrices
-(beta_1..beta_8), their Gram matrix, the derived E-matrix family, and
-signed multiplication tables with a diff operation.
+On top of them: the two transcribed variants of the eight generator
+matrices (beta_1..beta_8), the sigma one read from its matrix units and
+the tensor one built from its sigma (x) Dirac factors, their Gram
+matrix, the derived E-matrix family, and signed multiplication tables
+with a diff operation.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import ZERO as _ZERO, CRational
@@ -149,123 +152,84 @@ def diff_cells(a: SquareMatrix, b: SquareMatrix):
 
 
 # ---------------------------------------------------------------------------
-# monomial matrices
+# 3-qubit Pauli codes
 
 # i**q for q = 0..3
-_PHASES = (_ONE, CRational(0, 1), CRational(-1), CRational(0, -1))
+PHASES = (_ONE, CRational(0, 1), CRational(-1), CRational(0, -1))
 
 
-class Monomial:
-    """Immutable n x n matrix with one nonzero entry per row and per
-    column: row r holds i**phase[r] in column perm[r].
-
-    A product of two is a composed permutation with added phases, O(n)
-    integer operations; ``@`` takes only another Monomial of the same
-    size.  ``==`` against a SquareMatrix compares entries, and
-    ``monomial_sum`` turns a linear combination of Monomials into a
-    dense matrix.
+class Pauli(NamedTuple):
+    """i**q X^x Z^z on three qubits, an 8x8 matrix in the binary
+    symplectic form (Aaronson and Gottesman 2004); the first tensor
+    factor is the high bit of x and z.  Row r holds its one nonzero
+    entry, i**q (-1)**popcount(z & c), in column c = r ^ x.  Products,
+    negation, commutation and traces are bit operations on small ints;
+    ``monomial_sum`` turns a linear combination into a dense matrix.
     """
+    x: int
+    z: int
+    q: int = 0       # mod 4
 
-    __slots__ = ("perm", "phase", "n")
-
-    def __init__(self, perm: Sequence[int], phase: Sequence[int]):
-        perm, phase = tuple(perm), tuple(q % 4 for q in phase)
-        if sorted(perm) != list(range(len(perm))) or len(phase) != len(perm):
-            raise ValueError("monomial needs a permutation and one phase per row")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "n", len(perm))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Monomial is immutable")
+    n = 8            # the matrix size, as SquareMatrix.n; not a field
 
     @classmethod
-    def identity(cls, n: int) -> "Monomial":
-        return cls(range(n), (0,) * n)
+    def from_signed_permutation(cls, rows: Sequence[tuple]) -> "Pauli":
+        """The code of the 8x8 matrix whose row r holds i**q in column c
+        for (c, q) = rows[r]; ValueError unless that matrix is a code.
+        x is row 0's column, q row x's phase, and z is read off the rows
+        whose column is a single bit."""
+        x = rows[0][0]
+        q = rows[x][1] % 4
+        z = sum((rows[x ^ b][1] - q) % 4 // 2 * b for b in (1, 2, 4))
+        if [cls(x, z, q).cell(r) for r in range(8)] != \
+                [(c, p % 4) for c, p in rows]:
+            raise ValueError("signed permutation is not a Pauli string")
+        return cls(x, z, q)
+
+    def cell(self, r: int) -> tuple:
+        """(column, phase exponent) of row r's nonzero entry."""
+        c = r ^ self.x
+        return c, (self.q + 2 * (self.z & c).bit_count()) % 4
 
     def at(self, i: int, j: int) -> CRational:
         """0-indexed entry access."""
-        return _PHASES[self.phase[i]] if self.perm[i] == j else _ZERO
+        c, q = self.cell(i)
+        return PHASES[q] if c == j else _ZERO
 
     def __matmul__(self, other):
-        if isinstance(other, Monomial) and other.n == self.n:
-            return Monomial([other.perm[p] for p in self.perm],
-                            [q + other.phase[p]
-                             for p, q in zip(self.perm, self.phase)])
-        return NotImplemented
+        if not isinstance(other, Pauli):
+            return NotImplemented
+        return Pauli(self.x ^ other.x, self.z ^ other.z,
+                     (self.q + other.q
+                      + 2 * (self.z & other.x).bit_count()) % 4)
 
-    def __neg__(self) -> "Monomial":
-        return Monomial(self.perm, [q + 2 for q in self.phase])
+    def __neg__(self) -> "Pauli":
+        return Pauli(self.x, self.z, (self.q + 2) % 4)
 
-    def __eq__(self, other):
-        if isinstance(other, Monomial):
-            return self.perm == other.perm and self.phase == other.phase
-        if isinstance(other, SquareMatrix):
-            return self.to_dense() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.perm, self.phase))
+    def commutes(self, other: "Pauli") -> bool:
+        return ((self.x & other.z).bit_count()
+                + (self.z & other.x).bit_count()) % 2 == 0
 
     def trace(self) -> CRational:
-        return sum((_PHASES[q] for r, (c, q) in
-                    enumerate(zip(self.perm, self.phase)) if r == c), _ZERO)
-
-    def to_dense(self) -> SquareMatrix:
-        return SquareMatrix([[self.at(i, j) for j in range(self.n)]
-                             for i in range(self.n)])
+        return _ZERO if self.x or self.z else 8 * PHASES[self.q]
 
     def render(self):
-        return self.to_dense().render()
-
-    def __repr__(self):
-        return f"Monomial(perm={self.perm}, phase={self.phase})"
+        return [[str(self.at(i, j)) for j in range(8)] for i in range(8)]
 
 
 def monomial_sum(terms, zero) -> SquareMatrix:
-    """sum c * M over the (c, M) pairs of terms, 8x8 Monomials M, as a
+    """sum c * M over the (c, M) pairs of terms, Pauli codes M, as a
     dense 8x8 matrix: each c, a CRational or a LinearForm, lands on M's
     cells scaled by their phases, each i**q c computed once.  zero, of
     the terms' type, fills the cells no term reaches; a cell that still
     holds it takes its first term as it is, and later terms add to it."""
     rows = [[zero] * 8 for _ in range(8)]
     for c, m in terms:
-        scaled = [p * c for p in _PHASES]
-        for r, (col, q) in enumerate(zip(m.perm, m.phase)):
+        scaled = [p * c for p in PHASES]
+        for r, (col, q) in enumerate(map(m.cell, range(8))):
             cell = rows[r][col]
             rows[r][col] = scaled[q] if cell is zero else cell + scaled[q]
     return SquareMatrix(rows)
-
-
-# ---------------------------------------------------------------------------
-# Pauli / Dirac building blocks
-
-# (perm, phase) of each Pauli matrix, standard convention
-_PAULI = {1: ((1, 0), (0, 0)), 2: ((1, 0), (3, 1)), 3: ((0, 1), (0, 2))}
-
-
-def pauli(j: int) -> Monomial:
-    """2x2 Pauli matrix, standard convention, 1-indexed."""
-    if j not in _PAULI:
-        raise ValueError(f"pauli index {j} out of range 1..3")
-    return Monomial(*_PAULI[j])
-
-
-def gamma(j: int) -> Monomial:
-    """4x4 Dirac matrix: for j in 1..3 the off-diagonal block form
-    [[0, -i*sigma_j], [i*sigma_j, 0]] = sigma_2 (x) sigma_j;
-    gamma(4) = diag(I2, -I2) = sigma_3 (x) I2."""
-    if j in (1, 2, 3):
-        return kron(pauli(2), pauli(j))
-    if j == 4:
-        return kron(pauli(3), Monomial.identity(2))
-    raise ValueError(f"gamma index {j} out of range 1..4")
-
-
-def kron(a: Monomial, b: Monomial) -> Monomial:
-    """Kronecker product; a's indices select the coarse blocks."""
-    return Monomial([pa * b.n + pb for pa in a.perm for pb in b.perm],
-                    [qa + qb for qa in a.phase for qb in b.phase])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +237,7 @@ def kron(a: Monomial, b: Monomial) -> Monomial:
 #
 # SIGMA_TERMS[A] = (prefactor_is_i, ((sign, m, n), ...)) gives
 # beta_A = pref * sum sign * E_mn, with E_mn the (m, n) matrix unit.
-# TENSOR_ASSIGNMENTS[A] gives the sigma (x) gamma reading of the same
+# TENSOR_ASSIGNMENTS[A] gives the sigma (x) Dirac reading of the same
 # lines.  The two variants are kept independent so they can be diffed
 # against each other.
 
@@ -296,7 +260,7 @@ SIGMA_TERMS = {
                 (-1, 3, 3), (-1, 4, 4), (-1, 5, 5), (-1, 6, 6))),
 }
 
-# (pauli_index, gamma_index) per generator; index 8 repeats (1, 1) --
+# (sigma index p, Dirac index g) per generator; index 8 repeats (1, 1) --
 # that is a faithful transcription, not a typo to repair.
 TENSOR_ASSIGNMENTS = {
     1: (1, 1), 2: (3, 1), 3: (2, 3), 4: (3, 2),
@@ -304,18 +268,29 @@ TENSOR_ASSIGNMENTS = {
 }
 
 
-def beta_sigma_expansion(a: int) -> Monomial:
+def beta_sigma_expansion(a: int) -> Pauli:
     """Generator beta_a from its matrix-unit expansion."""
     pref_i, terms = SIGMA_TERMS[a]
     cells = {m - 1: (n - 1, (sign < 0) * 2 + pref_i) for sign, m, n in terms}
-    return Monomial([cells[r][0] for r in range(8)],
-                    [cells[r][1] for r in range(8)])
+    return Pauli.from_signed_permutation([cells[r] for r in range(8)])
 
 
-def beta_tensor_text(a: int) -> Monomial:
-    """Generator beta_a from its sigma (x) gamma tensor reading."""
+# (x, z, q) of I and the standard sigma_1, sigma_2 = i sigma_1 sigma_3,
+# sigma_3 on one qubit
+_SIGMA = ((0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0))
+
+
+def beta_tensor_text(a: int) -> Pauli:
+    """Generator beta_a from its sigma_p (x) Dirac_g tensor reading,
+    with Dirac_g = sigma_2 (x) sigma_g for g = 1..3, the off-diagonal
+    block form [[0, -i sigma_g], [i sigma_g, 0]], and Dirac_4 =
+    sigma_3 (x) I = diag(I2, -I2)."""
     p, g = TENSOR_ASSIGNMENTS[a]
-    return kron(pauli(p), gamma(g))
+    x = z = q = 0
+    for j in (p, 2, g) if g < 4 else (p, 3, 0):
+        dx, dz, dq = _SIGMA[j]
+        x, z, q = 2 * x + dx, 2 * z + dz, q + dq
+    return Pauli(x, z, q % 4)
 
 
 class BetaSet(NamedTuple):
@@ -323,7 +298,7 @@ class BetaSet(NamedTuple):
     variant: str            # "sigma" | "tensor"
     mats: tuple
 
-    def beta(self, a: int) -> Monomial:
+    def beta(self, a: int) -> Pauli:
         return self.mats[a - 1]
 
 
@@ -341,18 +316,13 @@ def beta_set(variant: str = "sigma") -> BetaSet:
 
 def gram(bs: BetaSet) -> SquareMatrix:
     """G[A][B] = Tr(beta_A beta_B); 8*I for the sigma variant."""
-    return SquareMatrix([[(bs.mats[a] @ bs.mats[b]).trace() for b in range(8)]
-                         for a in range(8)])
+    return SquareMatrix([[(a @ b).trace() for b in bs.mats] for a in bs.mats])
 
 
 def anticommutator_audit(bs: BetaSet):
     """Pairs (A, B), A<B, whose generators anticommute (1-indexed)."""
-    out = []
-    for a in range(8):
-        for b in range(a + 1, 8):
-            if bs.mats[a] @ bs.mats[b] == -(bs.mats[b] @ bs.mats[a]):
-                out.append((a + 1, b + 1))
-    return out
+    return [(a + 1, b + 1) for a in range(8) for b in range(a + 1, 8)
+            if not bs.mats[a].commutes(bs.mats[b])]
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +350,8 @@ E_ALTERNATES = {
 }
 
 
-def _beta_product(bs: BetaSet, idxs) -> Monomial:
-    acc = Monomial.identity(8)
-    for a in idxs:
-        acc = acc @ bs.beta(a)
-    return acc
+def _beta_product(bs: BetaSet, idxs) -> Pauli:
+    return functools.reduce(operator.matmul, map(bs.beta, idxs), Pauli(0, 0))
 
 
 def build_E(bs: BetaSet) -> tuple:

@@ -2,11 +2,11 @@
 
 The symbolic object of interest is X = sum_A f_A beta_A, an 8x8 matrix
 of linear forms.  Rotations act by conjugation with R_kl = I + theta *
-N, where N = beta_k beta_l is a signed permutation (a ``Monomial``)
-with N^2 = s*I, s = +1 or -1, for every plane of both readings.  N
-commutes or anticommutes with each beta_B, so [N, beta_B] is 0 or the
-single monomial 2 N beta_B.  One record per N, derived on first use,
-holds s and N beta_B's place in the generator table, and the rotations
+N, where N = beta_k beta_l is a Pauli code (x, z, q) with N^2 = s*I,
+s = +1 or -1, for every plane of both readings.  N commutes or
+anticommutes with each beta_B, so [N, beta_B] is 0 or the single code
+2 N beta_B.  One record per N, derived on first use, holds s and, by
+its (x, z), N beta_B's place in the generator table, and the rotations
 act on the components f_A by reading it, with no dense conjugation,
 trace projection or repeated generator product.  The module provides
 the first-order map and the exact rotation of f, at the f symbols or
@@ -26,8 +26,8 @@ from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import CRational
-from .matrices import (BetaSet, Monomial, SquareMatrix, beta_set, gram,
-                       monomial_sum)
+from .matrices import (PHASES, BetaSet, Pauli, SquareMatrix, beta_set,
+                       gram, monomial_sum)
 from .octonion import Octonion
 from .symbolic import LinearForm
 
@@ -102,7 +102,7 @@ def _plane_products(bs: BetaSet) -> dict:
             for k in range(1, 9) for l in range(1, 9) if k != l}
 
 
-def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Monomial:
+def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Pauli:
     """beta_k beta_l for a rotation plane (k, l), 1-indexed, k != l."""
     if k == l:
         raise ValueError("rotation plane needs two distinct indices")
@@ -135,26 +135,25 @@ def invert_exact(m: SquareMatrix) -> SquareMatrix:
 
 @functools.lru_cache(maxsize=8)   # once per BetaSet
 def _span_table(bs: BetaSet) -> Optional[dict]:
-    """i**q beta_A -> (A, i**q), or None when gram(bs) is not 8*I."""
+    """(x, z) -> (A, q) of each beta_A; None unless gram(bs) is 8*I."""
     if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
         return None
-    return {u @ b: (a, u.at(0, 0))
-            for a, b in enumerate(bs.mats)
-            for u in (Monomial(range(8), [q] * 8) for q in range(4))}
+    return {(b.x, b.z): (a, b.q) for a, b in enumerate(bs.mats)}
 
 
 @functools.lru_cache(maxsize=128)   # 2 readings x 56 ordered planes
-def _plane_record(bs: BetaSet, n: Monomial) -> tuple:
+def _plane_record(bs: BetaSet, n: Pauli) -> tuple:
     """The record of a plane product N, (s, terms) with N^2 = s*I:
-    terms holds (B, N beta_B, its _span_table entry or None) for each
-    beta_B, 0-indexed, that anticommutes with N."""
+    terms holds (B, N beta_B, the _span_table entry of its (x, z) or
+    None) for each beta_B, 0-indexed, that anticommutes with N."""
     table = _span_table(bs) or {}
-    return (n @ n).at(0, 0), tuple(
-        (b, m, table.get(m)) for b, beta in enumerate(bs.mats)
-        if (m := n @ beta) != beta @ n)
+    products = [(b, n @ beta) for b, beta in enumerate(bs.mats)
+                if not n.commutes(beta)]
+    return PHASES[(n @ n).q], tuple(
+        (b, m, table.get((m.x, m.z))) for b, m in products)
 
 
-def commutator_terms(n: Monomial, f: Sequence,
+def commutator_terms(n: Pauli, f: Sequence,
                      betas: Optional[BetaSet] = None) -> list:
     """[N, X(f)] = sum_B f_B [N, beta_B] as monomial_sum terms
     (2 f_B, N beta_B), one per beta_B that anticommutes with N, read off
@@ -163,17 +162,17 @@ def commutator_terms(n: Monomial, f: Sequence,
             for b, m, _ in _plane_record(betas or beta_set(), n)[1]]
 
 
-def extract_components(n: Monomial, f: Sequence,
+def extract_components(n: Pauli, f: Sequence,
                        betas: Optional[BetaSet] = None):
     """(lines, residual): [N, X(f)] on the generator span, for a plane
     product N.  A commutator term 2 f_B N beta_B of N's record with
-    N beta_B = i**q beta_A adds 2 i**q f_B to lines[A]; the other terms
-    sum to the residual.  Both keep f's entry type (LinearForm at the f
-    symbols, CRational at exact f).  Under the sigma reading, whose
-    Gram matrix G[A][B] = Tr(beta_A beta_B) is 8*I, the products outside
-    the span have zero trace against every beta_A, so this is the trace
-    projection Tr(beta_A [N, X(f)]) / 8.  Under any other G raises
-    DegenerateBasis: tensor's G is singular (beta_8 repeats beta_1).
+    N beta_B = i**k beta_A, found by its (x, z), adds 2 i**k f_B to
+    lines[A]; the other terms sum to the residual.  Both keep f's entry
+    type (LinearForm at the f symbols, CRational at exact f).  Under the
+    sigma reading, whose Gram matrix G[A][B] = Tr(beta_A beta_B) is 8*I,
+    the products outside the span have zero trace against every beta_A,
+    so this is the trace projection Tr(beta_A [N, X(f)]) / 8.  Under any
+    other G, as tensor's (beta_8 repeats beta_1), raises DegenerateBasis.
     """
     bs = betas or beta_set()
     if _span_table(bs) is None:
@@ -184,8 +183,8 @@ def extract_components(n: Monomial, f: Sequence,
         if entry is None:
             outside.append((2 * f[b], m))
         else:
-            a, phase = entry
-            lines[a] = lines[a] + 2 * phase * f[b]
+            a, q = entry
+            lines[a] = lines[a] + 2 * PHASES[(m.q - q) % 4] * f[b]
     return tuple(lines), monomial_sum(outside, zero)
 
 
@@ -212,9 +211,12 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
             f"rotation of plane ({k},{l}) with theta={theta} is singular")
     stretch, step = (2 - det) / det, theta / det    # 2 - det = 1 + s theta^2
     anti = {b for b, _, _ in terms}
+    # once per cell object: monomial_sum shares one across a term's cells
+    cells = {id(e): e for e in chain.from_iterable(residual.rows)}
+    scaled = {k: e if e.is_zero() else e * step for k, e in cells.items()}
     return (tuple((fb * stretch if b in anti else fb) + d * step
                   for b, (fb, d) in enumerate(zip(f, lines))),
-            residual.map(lambda e: e if e.is_zero() else e * step))
+            residual.map(lambda e: scaled[id(e)]))
 
 
 class ComponentMap(NamedTuple):
@@ -284,15 +286,15 @@ def _all_finite(m) -> bool:
 def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
     """sum_A f_A beta_A as 8 rows of complex; fvals may be floats.
 
-    Each generator adds f_A * i**phase at its cells (r, perm[r]), in A
-    order.  For finite f the skipped cells would only add signed zeros
-    to a sum that starts at +0, so the matrix is bit-identical to the
-    dense sum of f_A times each generator's complex matrix.
+    Each generator adds f_A * i**q at its cells (r, c), in A order.
+    For finite f the skipped cells would only add signed zeros to a sum
+    that starts at +0, so the matrix is bit-identical to the dense sum
+    of f_A times each generator's complex matrix.
     """
     rows = [[0j] * 8 for _ in range(8)]
     for a, b in enumerate((betas or beta_set()).mats):
         z = complex(fvals[a])
-        for r, (c, q) in enumerate(zip(b.perm, b.phase)):
+        for r, (c, q) in enumerate(map(b.cell, range(8))):
             rows[r][c] += z * _UNITS[q]
     return rows
 

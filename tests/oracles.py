@@ -1,23 +1,169 @@
 """Test-side oracles: the dense, general-purpose forms of facts the
-package computes through the monomial structure, the per-term spinor
-transport, a token reader over Fractions, plus block-algebra helpers
-only the tests need."""
+package computes through the Pauli codes of its generators, the
+signed-permutation reference those codes are checked against, the
+per-term spinor transport, a token reader over Fractions, plus
+block-algebra helpers only the tests need."""
 
 import functools
 import operator
 import re
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from octo_so8 import (Octonion, SquareMatrix, beta_set, gram, invert_exact,
-                      matrix_exp, plane_product)
-from octo_so8.matrices import Monomial, from_blocks
+from octo_so8 import (CRational, Octonion, SquareMatrix, beta_set, gram,
+                      invert_exact, matrix_exp, plane_product)
+from octo_so8.matrices import SIGMA_TERMS, TENSOR_ASSIGNMENTS, from_blocks
+
+
+# ---------------------------------------------------------------------------
+# the dense reference: signed permutation matrices, and both generator
+# readings built from them as the transcription writes them (matrix
+# units, and Kronecker products of Pauli and Dirac matrices)
+
+_EXACT_ZERO = CRational(0)
+# i**q for q = 0..3
+_PHASES = (CRational(1), CRational(0, 1), CRational(-1), CRational(0, -1))
+
+
+class Monomial:
+    """Immutable n x n matrix with one nonzero entry per row and per
+    column: row r holds i**phase[r] in column perm[r].
+
+    A product of two is a composed permutation with added phases, O(n)
+    integer operations; ``@`` takes only another Monomial of the same
+    size.  ``==`` against a SquareMatrix compares entries.
+    """
+
+    __slots__ = ("perm", "phase", "n")
+
+    def __init__(self, perm: Sequence[int], phase: Sequence[int]):
+        perm, phase = tuple(perm), tuple(q % 4 for q in phase)
+        if sorted(perm) != list(range(len(perm))) or len(phase) != len(perm):
+            raise ValueError("monomial needs a permutation and one phase per row")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "n", len(perm))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Monomial is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "Monomial":
+        return cls(range(n), (0,) * n)
+
+    def at(self, i: int, j: int) -> CRational:
+        """0-indexed entry access."""
+        return _PHASES[self.phase[i]] if self.perm[i] == j else _EXACT_ZERO
+
+    def __matmul__(self, other):
+        if isinstance(other, Monomial) and other.n == self.n:
+            return Monomial([other.perm[p] for p in self.perm],
+                            [q + other.phase[p]
+                             for p, q in zip(self.perm, self.phase)])
+        return NotImplemented
+
+    def __neg__(self) -> "Monomial":
+        return Monomial(self.perm, [q + 2 for q in self.phase])
+
+    def __eq__(self, other):
+        if isinstance(other, Monomial):
+            return self.perm == other.perm and self.phase == other.phase
+        if isinstance(other, SquareMatrix):
+            return self.to_dense() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.perm, self.phase))
+
+    def trace(self) -> CRational:
+        return sum((_PHASES[q] for r, (c, q) in
+                    enumerate(zip(self.perm, self.phase)) if r == c),
+                   _EXACT_ZERO)
+
+    def to_dense(self) -> SquareMatrix:
+        return SquareMatrix([[self.at(i, j) for j in range(self.n)]
+                             for i in range(self.n)])
+
+    def render(self):
+        return self.to_dense().render()
+
+    def __repr__(self):
+        return f"Monomial(perm={self.perm}, phase={self.phase})"
+
+
+# (perm, phase) of each Pauli matrix, standard convention
+_PAULI = {1: ((1, 0), (0, 0)), 2: ((1, 0), (3, 1)), 3: ((0, 1), (0, 2))}
+
+
+def pauli(j: int) -> Monomial:
+    """2x2 Pauli matrix, standard convention, 1-indexed."""
+    if j not in _PAULI:
+        raise ValueError(f"pauli index {j} out of range 1..3")
+    return Monomial(*_PAULI[j])
+
+
+def gamma(j: int) -> Monomial:
+    """4x4 Dirac matrix: for j in 1..3 the off-diagonal block form
+    [[0, -i*sigma_j], [i*sigma_j, 0]] = sigma_2 (x) sigma_j;
+    gamma(4) = diag(I2, -I2) = sigma_3 (x) I2."""
+    if j in (1, 2, 3):
+        return kron(pauli(2), pauli(j))
+    if j == 4:
+        return kron(pauli(3), Monomial.identity(2))
+    raise ValueError(f"gamma index {j} out of range 1..4")
+
+
+def kron(a: Monomial, b: Monomial) -> Monomial:
+    """Kronecker product; a's indices select the coarse blocks."""
+    return Monomial([pa * b.n + pb for pa in a.perm for pb in b.perm],
+                    [qa + qb for qa in a.phase for qb in b.phase])
+
+
+def _sigma_reference(a: int) -> Monomial:
+    pref_i, terms = SIGMA_TERMS[a]
+    cells = {m - 1: (n - 1, (sign < 0) * 2 + pref_i) for sign, m, n in terms}
+    return Monomial([cells[r][0] for r in range(8)],
+                    [cells[r][1] for r in range(8)])
+
+
+def _tensor_reference(a: int) -> Monomial:
+    p, g = TENSOR_ASSIGNMENTS[a]
+    return kron(pauli(p), gamma(g))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_betas(reading):
+    """beta_1..beta_8 of a reading as Monomials: the sigma reading from
+    its matrix units, the tensor reading as pauli(p) (x) gamma(g)."""
+    build = _sigma_reference if reading == "sigma" else _tensor_reference
+    return tuple(build(a) for a in range(1, 9))
+
+
+# i**q I for q = 0..3
+UNITS = tuple(Monomial(range(8), [q] * 8) for q in range(4))
+
+
+def as_monomial(m) -> Monomial:
+    """The Monomial holding the entries of an 8x8 code, read cell by
+    cell through its at()."""
+    cells = [next((j, m.at(i, j)) for j in range(8)
+                  if not m.at(i, j).is_zero()) for i in range(8)]
+    return Monomial([j for j, _ in cells],
+                    [_PHASES.index(e) for _, e in cells])
+
+
+def to_dense(m) -> SquareMatrix:
+    """A code or a Monomial as a dense matrix, entry by entry."""
+    return SquareMatrix([[m.at(i, j) for j in range(m.n)]
+                         for i in range(m.n)])
 
 
 def dense_rotation_operator(k, l, theta, bs=None):
     """R_kl = I + theta * beta_k beta_l as a dense exact matrix (eq 12)."""
-    return SquareMatrix.identity(8) + plane_product(k, l, bs).to_dense().scale(theta)
+    n = to_dense(plane_product(k, l, bs))
+    return SquareMatrix.identity(8) + n.scale(theta)
 
 
 def dense_rotate(x, k, l, theta, bs=None):
@@ -35,7 +181,7 @@ def gram_inverse_projection(m, bs=None):
     bs = bs or beta_set()
     g_inv = invert_exact(gram(bs))
     traces = [_sum(d.at(i, j) * m.at(j, i) for i in range(8) for j in range(8))
-              for d in (b.to_dense() for b in bs.mats)]
+              for d in map(to_dense, bs.mats)]
     forms = [_sum(g_inv.at(a, b) * traces[b] for b in range(8))
              for a in range(8)]
     span = SquareMatrix([[_sum(bs.mats[a].at(i, j) * forms[a]
@@ -44,25 +190,25 @@ def gram_inverse_projection(m, bs=None):
     return tuple(forms), m - span
 
 
-def commutator_terms_by_products(n, f, bs=None):
+def commutator_terms_by_products(n, f, reading="sigma"):
     """[N, X(f)] = sum_B f_B [N, beta_B] as (2 f_B, N beta_B) terms, one
-    per beta_B that anticommutes with N, found by forming N beta_B and
+    per beta_B that anticommutes with N, for a Monomial N and the
+    reading's reference generators, found by forming N beta_B and
     beta_B N on every call."""
-    return [(2 * fb, n @ b) for fb, b in zip(f, (bs or beta_set()).mats)
+    return [(2 * fb, n @ b) for fb, b in zip(f, reference_betas(reading))
             if n @ b != b @ n]
 
 
-def components_by_products(n, f, bs=None):
+def components_by_products(n, f, reading="sigma"):
     """(lines, residual) of [N, X(f)] from commutator_terms_by_products:
     a term with N beta_B = i**q beta_A, found in a table of every
     i**q beta_A, adds i**q times its coefficient to lines[A]; the others
     add up to the residual cell by cell over their dense matrices."""
-    bs = bs or beta_set()
-    span = {u @ b: (a, u.at(0, 0)) for a, b in enumerate(bs.mats)
-            for u in (Monomial(range(8), [q] * 8) for q in range(4))}
+    span = {u @ b: (a, u.at(0, 0))
+            for a, b in enumerate(reference_betas(reading)) for u in UNITS}
     zero = 0 * f[0]
     lines, residual = [zero] * 8, SquareMatrix([[zero] * 8] * 8)
-    for c, m in commutator_terms_by_products(n, f, bs):
+    for c, m in commutator_terms_by_products(n, f, reading):
         if m in span:
             a, phase = span[m]
             lines[a] = lines[a] + phase * c
@@ -90,8 +236,8 @@ def block_sum_oracle(a, b, c, d):
 
 
 def complex_array(m):
-    """An exact scalar matrix (dense or Monomial) as complex128, entry by
-    entry, each correctly rounded."""
+    """An exact scalar matrix (dense, Monomial or code) as complex128,
+    entry by entry, each correctly rounded."""
     return np.array([[complex(m.at(i, j)) for j in range(m.n)]
                      for i in range(m.n)], dtype=np.complex128)
 

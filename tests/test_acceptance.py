@@ -37,8 +37,7 @@ from octo_so8 import (
     to_json,
     verify_split_relations,
 )
-from octo_so8.matrices import (Monomial, build_E, from_blocks, kron,
-                               monomial_sum, pauli)
+from octo_so8.matrices import build_E, from_blocks, monomial_sum
 from octo_so8.rotations import (
     DEFAULT_TOL,
     SYMBOLS,
@@ -48,7 +47,8 @@ from octo_so8.rotations import (
     numeric_X,
 )
 from octo_so8.symbolic import render_linear_form
-from oracles import block_sum_oracle, reassemble
+from oracles import (Monomial, as_monomial, block_sum_oracle, kron, pauli,
+                     reassemble, to_dense)
 
 import numpy as np
 
@@ -126,10 +126,10 @@ def test_criterion_04_symbolic_matrix_structure(fx):
 
 def test_criterion_05_rotation_machinery(fx):
     theta = Dyadic(1, 1)
-    r = SquareMatrix.identity(8) + plane_product(1, 2).to_dense().scale(theta)
+    r = SquareMatrix.identity(8) + to_dense(plane_product(1, 2)).scale(theta)
     ok = r == fx.eq12_const + fx.eq12_theta.scale(theta)
     ok &= fx.eq12_const == SquareMatrix.identity(8)
-    ok &= fx.eq12_theta == plane_product(1, 2)
+    ok &= fx.eq12_theta == to_dense(plane_product(1, 2))
 
     n = plane_product(1, 2)
     increment = monomial_sum(commutator_terms(n, SYMBOLS),
@@ -166,7 +166,7 @@ def test_criterion_06_duplicate_rotation_planes(report):
     # sigma1 sigma3 = -i sigma2, so the target is -i sigma2 (x) I4
     target = kron(pauli(1) @ pauli(3), Monomial.identity(4))
     ok &= set(cls) == {(k, l) for k in range(1, 9) for l in range(k + 1, 9)
-                       if plane_product(k, l) == target}
+                       if as_monomial(plane_product(k, l)) == target}
     ok &= sum(len(c) for c in classes) == 28
     det = _claim(report, "dup-rotations").details
     ok &= sum(len(c) for c in det["partition"]) == 28

@@ -129,6 +129,18 @@ class TestRotate:
         assert payload["first_order"]["f_prime"][1] == "-1/2"
         assert payload["exact"]["residual_max"] == 0.0
 
+    @pytest.mark.parametrize("plane", [("1", "2"), ("2", "5")])
+    def test_zero_f_has_zero_residual(self, capsys, plane):
+        # every residual cell is zero: the maxima are 0.0, not an error
+        argv = ("rotate", *plane, "--theta=5/4", "--f=0,0,0,0,0,0,0,0")
+        payload = run_json(capsys, *argv)
+        assert payload["first_order"]["residual_max"] == 0.0
+        assert payload["exact"]["residual_max"] == 0.0
+        rc, out, err = run(capsys, *argv, "--format", "md")
+        assert (rc, err) == (0, "")
+        assert "  first-order residual max-entry: 0.0\n" in out
+        assert out.endswith("  exact residual max-entry: 0.0\n")
+
     def test_theta_zero_is_identity(self, capsys):
         payload = run_json(capsys, "rotate", "1", "2",
                            "--theta", "0", "--f", "1,1,1,1,1,1,1,1")
@@ -364,9 +376,10 @@ class TestSpinor:
 
 
 class TestMonomialPathsOnly:
-    """No command runs a dense SquareMatrix @ SquareMatrix product, and
-    Gauss-Jordan runs only for gram-orthogonality's singular fields,
-    which the per-reading claim context builds as ``gram_singular``."""
+    """No command runs a dense SquareMatrix @ SquareMatrix product, the
+    generator algebra running on Pauli codes, and Gauss-Jordan runs only
+    for gram-orthogonality's singular fields, which the per-reading
+    claim context builds as ``gram_singular``."""
 
     COMMANDS = [
         (["verify"], 0),

@@ -1,7 +1,9 @@
-"""Monomial generator algebra against the dense SquareMatrix oracle.
+"""Pauli-code generator algebra against the dense signed-permutation
+reference of ``oracles``.
 
-Every check recomputes its object densely from ``to_dense()`` with the
-plain SquareMatrix operations and compares.
+Every check recomputes its object from the reference generators, as
+Monomials and through ``to_dense()`` with the plain SquareMatrix
+operations, under both readings, and compares.
 """
 
 import functools
@@ -23,19 +25,30 @@ from octo_so8 import (
     signed_table,
 )
 from octo_so8.exact import ZERO
-from octo_so8.matrices import (E_DEFS, SIGMA_TERMS, Monomial,
-                                beta_sigma_expansion, kron, monomial_sum)
+from octo_so8.matrices import (E_DEFS, SIGMA_TERMS, Pauli,
+                                beta_sigma_expansion, monomial_sum)
 from octo_so8.rotations import SYMBOLS, ZERO_FORM, numeric_X
-from oracles import complex_array
+from oracles import (Monomial, as_monomial, complex_array, kron,
+                     reference_betas, to_dense)
 
 READINGS = ("sigma", "tensor")
 readings = st.sampled_from(READINGS)
 words = st.lists(st.integers(1, 8), max_size=4)
+codes = st.builds(Pauli, st.integers(0, 7), st.integers(0, 7),
+                  st.integers(0, 3))
+
+# each generator as a Hermitian Pauli string, the first tensor factor
+# first; tensor's beta_8 repeats beta_1
+LABELS = {"sigma": ("XYX", "ZYX", "YYZ", "ZYY", "XYZ", "ZYZ", "XZI", "ZZI"),
+          "tensor": ("XYX", "ZYX", "YYZ", "ZYY", "XYZ", "ZYZ", "XZI", "XYX")}
+NUMPY_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+               "Y": np.array([[0, -1j], [1j, 0]]),
+               "Z": np.array([[1, 0], [0, -1]])}
 
 
 @functools.lru_cache(maxsize=None)
 def dense_betas(reading):
-    return tuple(m.to_dense() for m in beta_set(reading).mats)
+    return tuple(m.to_dense() for m in reference_betas(reading))
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,10 +56,17 @@ def x_of(reading):
     return assemble_X(beta_set(reading))
 
 
+def word_code(reading, word):
+    acc = Pauli(0, 0)
+    for a in word:
+        acc = acc @ beta_set(reading).beta(a)
+    return acc
+
+
 def word_monomial(reading, word):
     acc = Monomial.identity(8)
     for a in word:
-        acc = acc @ beta_set(reading).beta(a)
+        acc = acc @ reference_betas(reading)[a - 1]
     return acc
 
 
@@ -67,46 +87,76 @@ def monomials(n):
                      ).map(lambda pq: Monomial(*pq))
 
 
+def numpy_label(label):
+    out = np.eye(1)
+    for letter in label:
+        out = np.kron(out, NUMPY_PAULI[letter])
+    return out
+
+
 class TestAgainstDense:
     @given(readings, words, words)
     def test_product(self, reading, u, v):
-        a, b = word_monomial(reading, u), word_monomial(reading, v)
-        assert (a @ b).to_dense() == a.to_dense() @ b.to_dense()
-        assert a.to_dense() == dense_word(reading, u)
+        a, b = word_code(reading, u), word_code(reading, v)
+        ra, rb = word_monomial(reading, u), word_monomial(reading, v)
+        assert as_monomial(a) == ra and as_monomial(b) == rb
+        assert as_monomial(a @ b) == ra @ rb
+        assert to_dense(a @ b) == to_dense(a) @ to_dense(b)
+        assert to_dense(a) == dense_word(reading, u)
+
+    @given(codes, codes)
+    def test_general_codes(self, a, b):
+        # every code, not only the 128 the generators make
+        ra, rb = as_monomial(a), as_monomial(b)
+        assert as_monomial(a @ b) == ra @ rb
+        assert as_monomial(-a) == -ra
+        assert a.trace() == ra.trace()
+        assert a.commutes(b) == (ra @ rb == rb @ ra)
+        assert (a == b) == (ra == rb)
 
     @settings(max_examples=12, deadline=None)
     @given(readings, words)
     def test_product_with_X(self, reading, word):
         # a X and X a as monomial sums of the products with each beta_A
-        a, x = word_monomial(reading, word), x_of(reading)
+        a, x = word_code(reading, word), x_of(reading)
         mats = beta_set(reading).mats
         assert monomial_sum(zip(SYMBOLS, (a @ b for b in mats)),
-                            ZERO_FORM) == a.to_dense() @ x
+                            ZERO_FORM) == to_dense(a) @ x
         assert monomial_sum(zip(SYMBOLS, (b @ a for b in mats)),
-                            ZERO_FORM) == x @ a.to_dense()
+                            ZERO_FORM) == x @ to_dense(a)
 
     @settings(max_examples=12, deadline=None)
     @given(readings, words)
     def test_trace_and_trace_with_X(self, reading, word):
-        a = word_monomial(reading, word)
-        assert a.trace() == a.to_dense().trace()
+        a = word_code(reading, word)
+        assert a.trace() == word_monomial(reading, word).trace()
+        assert a.trace() == dense_word(reading, word).trace()
+
+    @given(readings, words, words)
+    def test_commutation(self, reading, u, v):
+        a, b = word_code(reading, u), word_code(reading, v)
+        ra, rb = word_monomial(reading, u), word_monomial(reading, v)
+        assert a.commutes(b) == (ra @ rb == rb @ ra)
+        assert a.commutes(b) or ra @ rb == -(rb @ ra)
 
     @given(readings, words, words)
     def test_equality_negation_and_hash(self, reading, u, v):
-        a, b = word_monomial(reading, u), word_monomial(reading, v)
-        assert (a == b) == (a.to_dense() == b.to_dense())
-        assert (a == -b) == (a.to_dense() == -b.to_dense())
-        assert (-a).to_dense() == -(a.to_dense())
+        a, b = word_code(reading, u), word_code(reading, v)
+        ra, rb = word_monomial(reading, u), word_monomial(reading, v)
+        assert (a == b) == (ra == rb)
+        assert (a == -b) == (ra == -rb)
+        assert as_monomial(-a) == -ra
+        assert to_dense(-a) == -(to_dense(a))
         if a == b:
             assert hash(a) == hash(b)
-        assert a == a.to_dense() and a.to_dense() == a
 
     @given(monomials(5), monomials(5))
     def test_general_monomials(self, a, b):
-        # the generator perms commute; these do not, so composition
-        # order and complex traces are checked here
+        # the reference itself: the generator perms commute; these do
+        # not, so composition order and complex traces are checked here
         assert (a @ b).to_dense() == a.to_dense() @ b.to_dense()
         assert a.trace() == a.to_dense().trace()
+        assert a == a.to_dense() and a.to_dense() == a
 
     @given(monomials(2), monomials(4))
     def test_kron(self, a, b):
@@ -114,12 +164,13 @@ class TestAgainstDense:
         assert all(k.at(i, j) == a.at(i // 4, j // 4) * b.at(i % 4, j % 4)
                    for i in range(8) for j in range(8))
 
-    @given(monomials(8), monomials(8), st.randoms(use_true_random=False))
-    def test_monomial_sum(self, a, b, rng):
+    @given(readings, words, codes, st.randoms(use_true_random=False))
+    def test_monomial_sum(self, reading, word, b, rng):
+        a = word_code(reading, word)
         c, d = (CDyadic(rng.randint(-3, 3), rng.randint(-3, 3))
                 for _ in range(2))
         assert monomial_sum([(c, a), (d, b)], CDyadic(0)) == \
-            a.to_dense().scale(c) + b.to_dense().scale(d)
+            to_dense(a).scale(c) + to_dense(b).scale(d)
         assert monomial_sum([], CDyadic(0)).is_zero()
         # a twice, so that every cell of a takes two terms, and a zero
         # coefficient, under each zero of both entry types
@@ -130,28 +181,48 @@ class TestAgainstDense:
             terms = list(zip(coeffs, (a, b, a)))
             dense = SquareMatrix([[zero] * 8] * 8)
             for x, m in terms:
-                dense = dense + m.to_dense().map(lambda e, x=x: e * x)
+                dense = dense + as_monomial(m).to_dense().map(
+                    lambda e, x=x: e * x)
             got = monomial_sum(terms, zero)
             assert got == dense
             assert all(type(e) is type(zero) for row in got.rows for e in row)
 
-    @given(monomials(8))
+    @given(codes)
     def test_render_matches_dense(self, a):
-        assert a.render() == a.to_dense().render()
+        assert a.render() == as_monomial(a).render()
 
 
 class TestConstruction:
     def test_rejects_non_permutation(self):
+        # the reference's own check
         with pytest.raises(ValueError):
             Monomial((0, 0), (0, 0))
         with pytest.raises(ValueError):
             Monomial((0, 1), (0,))
+
+    @pytest.mark.parametrize("perm, phase", [
+        ((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8),            # a 3-cycle
+        ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1) + (0,) * 6),   # a phase i
+        ((0, 1, 2, 3, 4, 5, 6, 7), (0, 0, 0, 2) + (0,) * 4),  # sign off Z^z
+        ((1, 0, 3, 2, 5, 4, 7, 6), (0, 2) * 3 + (2, 2)),  # sign off X Z^z
+    ])
+    def test_conversion_rejects_non_pauli(self, perm, phase):
+        Monomial(perm, phase)     # a signed permutation all the same
+        with pytest.raises(ValueError, match="not a Pauli string"):
+            Pauli.from_signed_permutation(list(zip(perm, phase)))
+
+    @given(codes)
+    def test_conversion_round_trip(self, a):
+        m = as_monomial(a)
+        assert Pauli.from_signed_permutation(list(zip(m.perm, m.phase))) == a
 
     def test_size_mismatch_is_a_type_error(self):
         with pytest.raises(TypeError):
             Monomial.identity(2) @ Monomial.identity(3)
         with pytest.raises(TypeError):
             Monomial.identity(2) @ SquareMatrix.identity(3)
+        with pytest.raises(TypeError):
+            Pauli(0, 0) @ SquareMatrix.identity(8)
 
     @pytest.mark.parametrize("a", range(1, 9))
     def test_sigma_expansion_against_matrix_units(self, a):
@@ -160,7 +231,19 @@ class TestConstruction:
         cells = {(m - 1, n - 1): pref * sign for sign, m, n in terms}
         dense = SquareMatrix([[cells.get((i, j), CDyadic(0)) for j in range(8)]
                               for i in range(8)])
-        assert beta_sigma_expansion(a).to_dense() == dense
+        assert to_dense(beta_sigma_expansion(a)) == dense
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_generators_against_reference(self, reading):
+        assert tuple(map(as_monomial, beta_set(reading).mats)) == \
+            reference_betas(reading)
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_labels(self, reading):
+        # each generator is its label's Pauli string, with no extra phase
+        for b, label in zip(beta_set(reading).mats, LABELS[reading]):
+            assert np.array_equal(complex_array(b), numpy_label(label)), \
+                (reading, label)
 
     def test_phases_reduce_mod_4(self):
         assert Monomial((1, 0), (5, -1)) == Monomial((1, 0), (1, 3))

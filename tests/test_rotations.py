@@ -46,7 +46,7 @@ from octo_so8 import (
 )
 from octo_so8 import rotations
 from octo_so8.cli import main
-from octo_so8.matrices import Monomial, monomial_sum
+from octo_so8.matrices import Pauli, monomial_sum
 from octo_so8.rotations import (
     DEFAULT_TOL,
     SYMBOLS,
@@ -57,10 +57,11 @@ from octo_so8.rotations import (
     numeric_X,
     unitarity_defect,
 )
-from oracles import (commutator_terms_by_products, complex_array,
-                     components_by_products, dense_rotate,
+from oracles import (UNITS, as_monomial, commutator_terms_by_products,
+                     complex_array, components_by_products, dense_rotate,
                      dense_rotation_operator, gram_inverse_projection,
-                     octonion_transport, reassemble, substitute_numeric)
+                     octonion_transport, reassemble, reference_betas,
+                     substitute_numeric, to_dense)
 
 ONES = [Dyadic(1)] * 8
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
@@ -86,7 +87,7 @@ thetas = st.one_of(st.sampled_from([Dyadic(1), Dyadic(-1)]), dyadics)
 
 def commutator(x, k, l, bs=None):
     """[beta_k beta_l, x] by dense products"""
-    n = plane_product(k, l, bs).to_dense()
+    n = to_dense(plane_product(k, l, bs))
     return n @ x - x @ n
 
 
@@ -97,7 +98,7 @@ def trace_of_square(x):
 
 def span_combination(forms, bs):
     return functools.reduce(operator.add, (
-        bs.mats[a].to_dense().map(lambda c, f=forms[a]: c * f)
+        to_dense(bs.mats[a]).map(lambda c, f=forms[a]: c * f)
         for a in range(8)))
 
 
@@ -105,10 +106,6 @@ def rebuild(rotated, bs=None):
     """sum_A f'_A beta_A + residual for rotate_exact's (f', residual)."""
     forms, residual = rotated
     return span_combination(forms, bs or beta_set()) + residual
-
-
-# i**q I for q = 0..3
-UNITS = [Monomial(range(8), [q] * 8) for q in range(4)]
 
 
 class TestSymbolicX:
@@ -141,7 +138,7 @@ class TestRotationOperator:
         expected = fx.eq12_const + fx.eq12_theta.scale(theta)
         assert dense_rotation_operator(1, 2, theta) == expected
         assert fx.eq12_const == SquareMatrix.identity(8)
-        assert fx.eq12_theta == plane_product(1, 2)
+        assert fx.eq12_theta == to_dense(plane_product(1, 2))
 
     def test_plane_validation(self):
         with pytest.raises(ValueError):
@@ -194,7 +191,8 @@ class TestExactRotation:
         # N^2 = +I on a plane of commuting generators: R is singular at
         # theta = +-1, and so is the dense oracle's elimination
         k, l = next(p for p in PLANES
-                    if plane_product(*p) @ plane_product(*p) == UNITS[0])
+                    if as_monomial(plane_product(*p) @ plane_product(*p))
+                    == UNITS[0])
         x = substitute_matrix(assemble_X(), ONES)
         for theta in (Dyadic(1), Dyadic(-1)):
             with pytest.raises(SingularRotation):
@@ -255,7 +253,7 @@ class TestClosedFormAgainstGaussJordan:
         # Gram matrix is singular too, and rotate_exact says so first
         bs = beta_set("tensor")
         x = assemble_X(bs)
-        assert plane_product(1, 8, bs) == SquareMatrix.identity(8)
+        assert to_dense(plane_product(1, 8, bs)) == SquareMatrix.identity(8)
         assert dense_rotate(x, 1, 8, Dyadic(1), bs) == x
         with pytest.raises(SingularRotation):
             dense_rotate(x, 1, 8, Dyadic(-1), bs)
@@ -388,10 +386,10 @@ class TestGeneratorTable:
     @pytest.mark.parametrize("reading", READINGS)
     def test_each_plane_commutes_or_anticommutes(self, reading):
         bs = beta_set(reading)
-        dense = [b.to_dense() for b in bs.mats]
+        dense = [b.to_dense() for b in reference_betas(reading)]
         kinds = Counter()
         for k, l in PLANES:
-            n = plane_product(k, l, bs).to_dense()
+            n = to_dense(plane_product(k, l, bs))
             for b in dense:
                 if n @ b == b @ n:
                     kinds["commute"] += 1
@@ -411,13 +409,13 @@ class TestGeneratorTable:
             assert monomial_sum(terms, ZERO_FORM) == commutator(x, k, l, bs)
 
     def test_products_outside_the_span_have_zero_trace(self):
-        bs = beta_set("sigma")
-        dense = [b.to_dense() for b in bs.mats]
-        span = [(u @ b).to_dense() for b in bs.mats for u in UNITS]
+        bs, ref = beta_set("sigma"), reference_betas("sigma")
+        dense = [b.to_dense() for b in ref]
+        span = [(u @ b).to_dense() for b in ref for u in UNITS]
         inside = outside = 0
         for k, l in PLANES:
             for _, m in commutator_terms(plane_product(k, l, bs), ONES, bs):
-                m = m.to_dense()
+                m = to_dense(m)
                 if m in span:
                     inside += 1
                     continue
@@ -428,43 +426,46 @@ class TestGeneratorTable:
     def test_tensor_lookup_is_ambiguous(self):
         # i**q beta_1 and i**q beta_8 are the same monomial, and some
         # anticommuting product N beta_B is one of them
-        bs = beta_set("tensor")
-        assert bs.beta(8) == bs.beta(1)
-        assert len({u @ b for b in bs.mats for u in UNITS}) == 28
-        twice = {u @ bs.beta(1) for u in UNITS}
-        assert any(m in twice for k, l in PLANES
+        bs, ref = beta_set("tensor"), reference_betas("tensor")
+        assert bs.beta(8) == bs.beta(1) and ref[7] == ref[0]
+        assert len({u @ b for b in ref for u in UNITS}) == 28
+        twice = {u @ ref[0] for u in UNITS}
+        assert any(as_monomial(m) in twice for k, l in PLANES
                    for _, m in commutator_terms(plane_product(k, l, bs),
                                                 ONES, bs))
 
     @pytest.mark.parametrize("reading", READINGS)
     def test_plane_record_against_products(self, reading):
         # each plane's record against the dense products, and what the
-        # rotations read off it against the per-call Monomial products
+        # rotations read off it against the per-call products of the
+        # reference Monomials
         bs = beta_set(reading)
-        dense = [b.to_dense() for b in bs.mats]
+        dense = [b.to_dense() for b in reference_betas(reading)]
         rng = random.Random(f"plane record {reading}")
         draws = [[Dyadic(rng.randint(-8, 8), rng.randint(0, 2))
                   for _ in range(8)] for _ in range(2)]
         for k, l in ORDERED_PLANES:
             n = plane_product(k, l, bs)
-            nd = n.to_dense()
+            nd, nm = to_dense(n), as_monomial(n)
+            assert nd == dense[k - 1] @ dense[l - 1], (k, l)
             square, terms = _plane_record(bs, n)
             assert square == (nd @ nd).at(0, 0), (k, l)
             assert [b for b, _, _ in terms] == \
                 [b for b, d in enumerate(dense) if nd @ d != d @ nd]
             for f in [SYMBOLS] + draws:
-                assert commutator_terms(n, f, bs) == \
-                    commutator_terms_by_products(n, f, bs)
+                assert [(c, as_monomial(m))
+                        for c, m in commutator_terms(n, f, bs)] == \
+                    commutator_terms_by_products(nm, f, reading)
                 if reading == "tensor":
                     with pytest.raises(DegenerateBasis):
                         extract_components(n, f, bs)
                     continue
                 assert extract_components(n, f, bs) == \
-                    components_by_products(n, f, bs), (k, l)
+                    components_by_products(nm, f, reading), (k, l)
 
     def test_plane_record_is_derived_once(self, monkeypatch, capsys):
         products = Counter()
-        matmul = Monomial.__matmul__
+        matmul = Pauli.__matmul__
 
         def counted(a, b):
             products["@"] += 1
@@ -476,7 +477,7 @@ class TestGeneratorTable:
                 cached.cache_clear()
 
         clear()
-        monkeypatch.setattr(Monomial, "__matmul__", counted)
+        monkeypatch.setattr(Pauli, "__matmul__", counted)
         made = []
         # (5,6) has the product of (1,2), so it reads the same record
         for k, l, f in (("1", "2", "1,-1/2,3/4,0,2,-3,1/8,5"),
