@@ -5,11 +5,14 @@ compares against them on every call."""
 import json
 from collections import Counter
 
+import pytest
 from test_golden import GOLDEN, _pin_json, _pin_md
 
 from octo_so8 import claims, cli, load_fixtures
-from octo_so8.claims import run_all, to_json
-from octo_so8.matrices import beta_set, diff_cells, from_blocks
+from octo_so8.claims import dump_json, run_all, to_json
+from octo_so8.matrices import (BetaSet, Pauli, beta_set, diff_cells,
+                               from_blocks, gram)
+from octo_so8.rotations import SingularRotation, invert_exact
 
 READINGS = ("sigma", "tensor")
 BUILDERS = ("assemble_X", "block_decompose", "gram", "verify_split_relations")
@@ -180,3 +183,62 @@ def test_eq22_cells_are_those_of_the_dense_blocks(data_copy):
             assert audits[2]["cells"] == diff_cells(b, c)
         assert {(1, 2), (1, 5), (6, 3), (7, 5), (2, 4), (2, 8), (7, 4),
                 (7, 8)} <= {(x["row"], x["col"]) for x in audits[1]["cells"]}
+
+
+# beta_8 of readings the bundled set never reaches, beside sigma's
+# beta_1..beta_7: -beta_1 (beta_1's (x, z), another q); tensor's beta_8;
+# I(x)X(x)X, Hermitian but off compact block form; and i I(x)X(x)X,
+# not Hermitian, with an (x, z) of its own
+_SIGMA, _TENSOR = beta_set("sigma").mats, beta_set("tensor").mats
+OFF_SET_BETA8 = {"minus-beta1": -_SIGMA[0], "tensor-beta8": _TENSOR[7],
+                 "IXX": Pauli(0b011, 0), "i-IXX": Pauli(0b011, 0, 1)}
+OFF_SET_DETAILS = ("eq22-blocks", "eq8-eq9-blocks", "gram-orthogonality",
+                   "x-traceless-hermitian")
+OFF_SET_CLAIMS = GOLDEN / "off-set-claims.json"
+
+
+def off_set_claims(fx, name) -> dict:
+    """{id: {"status", "details"}} of every claim on the reading whose
+    beta_8 is OFF_SET_BETA8[name]; eq14-map keeps its status only."""
+    ctx = claims.context(BetaSet("sigma", _SIGMA[:7] + (OFF_SET_BETA8[name],)))
+    out = {}
+    for claim in claims.CLAIMS:
+        status, details = claim.checker(fx, ctx)
+        if claim.id in OFF_SET_DETAILS:
+            out[claim.id] = {"status": status, "details": details}
+        elif claim.id == "eq14-map":
+            out[claim.id] = {"status": status}
+    return out
+
+
+@pytest.mark.parametrize("name", OFF_SET_BETA8)
+def test_off_set_readings_keep_their_verdicts(fx, name):
+    bs = BetaSet("sigma", _SIGMA[:7] + (OFF_SET_BETA8[name],))
+    singular = claims.context(bs).gram_singular
+    try:
+        invert_exact(gram(bs))
+        assert not singular
+    except SingularRotation:
+        assert singular
+    assert singular == (name in ("minus-beta1", "tensor-beta8"))
+
+    got = off_set_claims(fx, name)
+    gram_claim = got["gram-orthogonality"]
+    assert gram_claim["status"] == {"minus-beta1": "degenerate",
+                                    "tensor-beta8": "degenerate",
+                                    "IXX": "confirmed",
+                                    "i-IXX": "refuted"}[name]
+    assert gram_claim["details"].get("gram_singular", False) is singular
+    assert got["eq14-map"]["status"] == (
+        "refuted" if name == "IXX" else "degenerate")
+    assert got["x-traceless-hermitian"]["details"] == {
+        "hermitian": name != "i-IXX", "traceless": True}
+    compact = name in ("minus-beta1", "tensor-beta8")
+    for claim_id in ("eq8-eq9-blocks", "eq22-blocks"):
+        details = got[claim_id]["details"]
+        assert details.get("compact_form", True) is compact
+        if not compact:
+            assert details["cells"] == [[5, 8], [6, 7], [7, 6], [8, 5]]
+
+    want = json.loads(OFF_SET_CLAIMS.read_text("utf-8"))[name]
+    assert dump_json(got) == dump_json(want)
