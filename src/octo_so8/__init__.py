@@ -12,11 +12,11 @@ from .matrices import (BetaSet, SignedTable, SquareMatrix, TableDiff,
                        build_E, compare_tables, gram, signed_table)
 from .octonion import Octonion, build_split_basis, verify_split_relations
 from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
-                        StructureMismatch, ToleranceNotMet, assemble_X,
-                        block_decompose, duplicate_rotation_scan,
-                        extract_components, invert_exact, matrix_exp,
-                        plane_product, rotate_exact, rotation_component_map,
-                        spinor_transform, standard_spinor, substitute_matrix)
+                        ToleranceNotMet, assemble_X, block_decompose,
+                        duplicate_rotation_scan, extract_components,
+                        invert_exact, matrix_exp, plane_product, rotate_exact,
+                        rotation_component_map, spinor_transform,
+                        standard_spinor, substitute_matrix)
 from .splitrep import audit_Y_blocks, split_transform
 from .symbolic import LinearForm, parse_linear_form, render_linear_form
 

@@ -10,13 +10,14 @@ raise.  Checkers return (status, details) with status one of
 Everything the checkers derive without reading a fixture lives on
 ``context(bs)``, built on first use, once per generator reading in a
 process: X and its blocks, Y1 = [[A, A], [B, B]], [beta1 beta2, X] and
-its half, E with its table and alternates, the Gram matrix, the plane
-classes, the eq 18 and eq 19 records, the beta equalities, the oriented
-triples and the exp-action numbers (read off the sigma context).  Each
-call loads the fixtures, redoes every comparison against them, builds
-every details list and dict afresh and renders.  Every checker is exact
-except exp-action, which runs the numeric exponential over lists of
-complex.
+its half, E with its table and alternates, the Gram matrix and whether
+it is singular (read off the generators' (x, z)), the plane classes,
+the eq 18 and eq 19 records, the equalities of the two readings' codes,
+the oriented triples and the exp-action numbers (read off the sigma
+context).  Each call loads the fixtures, redoes every comparison
+against them, builds every details list and dict afresh and renders.
+Every checker is exact except exp-action, which runs the numeric
+exponential over lists of complex.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ from .exact import CRational
 from .fixtures import FixtureStore
 from .matrices import (SIGMA_TERMS, BetaSet, SquareMatrix,
                        anticommutator_audit, audit_E_alternates, beta_set,
-                       beta_sigma_expansion, beta_tensor_text, build_E,
-                       compare_tables, diff_cells, from_blocks, gram,
-                       monomial_sum, signed_table)
+                       build_E, compare_tables, diff_cells, from_blocks,
+                       gram, monomial_sum, signed_table)
 from .octonion import (TABLE, Octonion, build_split_basis,
                        oriented_triples, verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
-                        SingularRotation, StructureMismatch, assemble_X,
-                        block_decompose, commutator_terms,
+                        assemble_X, block_decompose, commutator_terms,
                         duplicate_rotation_scan, hermiticity_defect,
-                        invert_exact, matrix_exp, numeric_X, plane_product,
+                        matrix_exp, numeric_X, plane_product,
                         rotation_component_map, spinor_transform,
                         standard_spinor, unitarity_defect)
 from .splitrep import audit_Y_blocks
@@ -75,14 +74,7 @@ class _Context:
         lambda self: tuple(duplicate_rotation_scan(self.bs)))
     split_relations = cached_property(
         lambda self: tuple(verify_split_relations()))
-
-    @cached_property
-    def blocks(self):
-        """(X's BlockDecomp, ()), or (None, the cells off compact form)."""
-        try:
-            return block_decompose(self.x), ()
-        except StructureMismatch as exc:
-            return None, tuple(exc.cells)
+    blocks = cached_property(lambda self: block_decompose(self.x))
 
     @cached_property
     def comm(self):
@@ -93,11 +85,10 @@ class _Context:
 
     @cached_property
     def gram_singular(self):
-        try:
-            invert_exact(self.gram_matrix)
-        except SingularRotation:
-            return True
-        return False
+        """Tr(beta_A beta_B) is nonzero exactly when the two codes share
+        (x, z), so G is block-diagonal over the classes of equal (x, z)
+        with rank 1 on each: singular when two generators share one."""
+        return len({(b.x, b.z) for b in self.bs.mats}) < 8
 
     @cached_property
     def eq14(self):
@@ -112,15 +103,16 @@ class _Context:
     alternates = cached_property(
         lambda self: tuple(audit_E_alternates(self.bs, self.ems)))
     beta_equal = cached_property(lambda self: tuple(
-        beta_sigma_expansion(a) == beta_tensor_text(a) for a in range(1, 8)))
+        s == t for s, t in zip(beta_set("sigma").mats[:7],
+                               beta_set("tensor").mats)))
     beta8_cells = cached_property(lambda self: tuple(
-        diff_cells(beta_sigma_expansion(8), beta_tensor_text(8))))
+        diff_cells(beta_set("sigma").beta(8), beta_set("tensor").beta(8))))
     triples = cached_property(lambda self: tuple(oriented_triples()))
 
     @cached_property
     def y1(self):
         """[[A, A], [B, B]] from X's blocks: the derived first Y matrix."""
-        a, b = self.blocks[0]
+        a, b, _ = self.blocks
         return from_blocks(a, a, b, b)
 
     @cached_property
@@ -265,10 +257,10 @@ def _check_eq2_fixture(fx, ctx):
 
 
 def _check_eq22_blocks(fx, ctx):
-    dec, bad = ctx.blocks
-    if bad:
+    dec = ctx.blocks
+    if dec.bad:
         return REFUTED, {"compact_form": False,
-                         "cells": [list(c) for c in bad]}
+                         "cells": [list(c) for c in dec.bad]}
     audits, b_minus_c = audit_Y_blocks(fx, dec.b, ctx.y1)
     ok = all(a["ok"] for a in audits)
     return _status(ok), {"audits": audits,
@@ -281,10 +273,10 @@ def _check_eq6_fixture(fx, ctx):
 
 
 def _check_eq8_eq9_blocks(fx, ctx):
-    dec, bad = ctx.blocks
-    if bad:
+    dec = ctx.blocks
+    if dec.bad:
         return REFUTED, {"compact_form": False,
-                         "cells": [list(c) for c in bad]}
+                         "cells": [list(c) for c in dec.bad]}
     a_cells = diff_cells(dec.a, fx.eq6.block(0, 0, 4))
     b_cells = diff_cells(dec.b, fx.eq6.block(1, 0, 4))
     ok = not a_cells and not b_cells

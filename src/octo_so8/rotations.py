@@ -8,7 +8,7 @@ anticommutes with each beta_B, so [N, beta_B] is 0 or the single code
 2 N beta_B.  One record per N, derived on first use, holds s and, by
 its (x, z), N beta_B's place in the generator table, and the rotations
 act on the components f_A by reading it, with no dense conjugation,
-trace projection or repeated generator product.  The module provides
+trace projection or repeated N beta_B product.  The module provides
 the first-order map and the exact rotation of f, at the f symbols or
 at exact f, the symbolic X, the duplicate-plane scan, and the numeric
 matrix exponential used for spinor transport.
@@ -32,18 +32,9 @@ from .octonion import Octonion
 from .symbolic import LinearForm
 
 
-class StructureMismatch(ValueError):
-    """Block structure of a symbolic matrix is not the expected compact
-    form; carries the offending 1-indexed cells."""
-
-    def __init__(self, message, cells):
-        super().__init__(message)
-        self.cells = cells
-
-
 class SingularRotation(ValueError):
-    """A matrix to be inverted is singular: a rotation operator
-    I + theta N, or the input of invert_exact."""
+    """A rotation operator I + theta N is singular, or so is the input
+    of invert_exact."""
 
 
 class DegenerateBasis(ValueError):
@@ -71,9 +62,12 @@ def assemble_X(betas: Optional[BetaSet] = None) -> SquareMatrix:
 
 
 class BlockDecomp(NamedTuple):
-    """X = [[A, B+], [B, -A]] reading; a and b are the 4x4 form blocks."""
+    """X = [[A, B+], [B, -A]] reading; a and b are the 4x4 form blocks
+    at the top left and bottom left, and bad holds the 1-indexed cells
+    of the right half off that form, empty when X is compact."""
     a: SquareMatrix
     b: SquareMatrix
+    bad: tuple
 
 
 def block_decompose(x: SquareMatrix) -> BlockDecomp:
@@ -87,20 +81,11 @@ def block_decompose(x: SquareMatrix) -> BlockDecomp:
                 bad.append((i + 1, j + 5))
             if not br.at(i, j) == -tl.at(i, j):
                 bad.append((i + 5, j + 5))
-    if bad:
-        raise StructureMismatch("matrix is not in compact block form", bad)
-    return BlockDecomp(tl, bl)
+    return BlockDecomp(tl, bl, tuple(bad))
 
 
 # ---------------------------------------------------------------------------
 # rotation operators
-
-@functools.lru_cache(maxsize=8)   # once per BetaSet
-def _plane_products(bs: BetaSet) -> dict:
-    """(k, l) -> beta_k beta_l for the 56 ordered planes."""
-    return {(k, l): bs.beta(k) @ bs.beta(l)
-            for k in range(1, 9) for l in range(1, 9) if k != l}
-
 
 def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Pauli:
     """beta_k beta_l for a rotation plane (k, l), 1-indexed, k != l."""
@@ -108,13 +93,14 @@ def plane_product(k: int, l: int, betas: Optional[BetaSet] = None) -> Pauli:
         raise ValueError("rotation plane needs two distinct indices")
     if not (1 <= k <= 8 and 1 <= l <= 8):
         raise ValueError("plane indices out of range 1..8")
-    return _plane_products(betas or beta_set())[k, l]
+    bs = betas or beta_set()
+    return bs.beta(k) @ bs.beta(l)
 
 
 def invert_exact(m: SquareMatrix) -> SquareMatrix:
-    """Gauss-Jordan inverse over exact scalar entries.  Rotations and
-    component extraction do not need it; the gram-orthogonality claim
-    does, for its singular flags."""
+    """Gauss-Jordan inverse over exact scalar entries.  No command runs
+    it: rotations read each plane off the generator table, and the Gram
+    rank check reads the codes' (x, z).  The tests use it as an oracle."""
     n = m.n
     a = [list(row) + list(unit)
          for row, unit in zip(m.rows, SquareMatrix.identity(n).rows)]
@@ -194,8 +180,8 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     R = I + theta N and N = beta_k beta_l, N^2 = s*I.  R beta_B R^-1 is
     beta_B where beta_B commutes with N, and else
     ((1 + s theta^2) beta_B + 2 theta N beta_B) / (1 - s theta^2); s
-    and the anticommuting beta_B come from N's record, read with no
-    generator product past the plane's first call, and the N beta_B
+    and the anticommuting beta_B come from N's record, which forms the
+    N beta_B only on the plane's first call, and the N beta_B
     terms are extract_components' lines and residual, or the given
     ComponentMap of this plane at f.  Raises DegenerateBasis, as
     extract_components does, before it looks at theta, then
@@ -240,10 +226,11 @@ def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
 def duplicate_rotation_scan(betas: Optional[BetaSet] = None):
     """Partition all 28 planes (k < l) by exact equality of
     beta_k beta_l; classes come back sorted by first member."""
+    bs = betas or beta_set()
     groups: dict = {}
-    for plane, n in _plane_products(betas or beta_set()).items():
-        if plane[0] < plane[1]:
-            groups.setdefault(n, []).append(plane)
+    for k in range(1, 9):
+        for l in range(k + 1, 9):
+            groups.setdefault(bs.beta(k) @ bs.beta(l), []).append((k, l))
     return [tuple(g) for g in groups.values()]
 
 

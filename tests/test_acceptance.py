@@ -208,7 +208,7 @@ def test_criterion_08_block_sum_audit(fx, report):
     ok = all(block_sum_oracle(rand_mat(), rand_mat(), rand_mat(), rand_mat())
              for _ in range(100))
 
-    a, b = block_decompose(assemble_X())
+    a, b, _ = block_decompose(assemble_X())
     audits, b_minus_c = audit_Y_blocks(fx, b, from_blocks(a, a, b, b))
     ok &= not audits[2]["ok"]                   # stated top-left B == C fails
     ok &= len(b_minus_c.nonzero_cells()) == 16  # ...and the diff is attached

@@ -99,8 +99,8 @@ def test_each_object_is_built_once_and_on_demand(fx, capsys, monkeypatch):
     assert "table" in vars(ctx) and "x" not in vars(ctx)
 
 
-FIXTURE_FREE = ("audit_E_alternates", "beta_sigma_expansion",
-                "build_split_basis", "matrix_exp", "oriented_triples")
+FIXTURE_FREE = ("audit_E_alternates", "build_split_basis", "matrix_exp",
+                "oriented_triples")
 
 
 def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
@@ -124,9 +124,7 @@ def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
             run_all(fx, reading)
             runs.append(calls - before)
     first = {"audit_E_alternates": 1, "build_split_basis": 1,
-             "oriented_triples": 1, "from_blocks": 1,   # Y1
-             # beta_a for a = 1..8, each once
-             "beta_sigma_expansion": 8}
+             "oriented_triples": 1, "from_blocks": 1}   # Y1
     # exp-action reads the sigma context under either reading; its two
     # exponentials run when that context is first asked
     assert runs[0] == Counter(first, matrix_exp=2)
@@ -173,7 +171,7 @@ def test_eq22_cells_are_those_of_the_dense_blocks(data_copy):
     _edit_cells(data_copy / "eq24_D.txt", {(2, 3): ("f8", "i*f8")})
     edited = load_fixtures(str(data_copy))
     for reading in READINGS:
-        b = claims.context(beta_set(reading)).blocks[0].b
+        b = claims.context(beta_set(reading)).blocks.b
         for fx in (load_fixtures(), edited):
             audits = next(c for c in run_all(fx, reading).claims
                           if c.id == "eq22-blocks").details["audits"]

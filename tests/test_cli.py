@@ -376,10 +376,9 @@ class TestSpinor:
 
 
 class TestMonomialPathsOnly:
-    """No command runs a dense SquareMatrix @ SquareMatrix product, the
-    generator algebra running on Pauli codes, and Gauss-Jordan runs only
-    for gram-orthogonality's singular fields, which the per-reading
-    claim context builds as ``gram_singular``."""
+    """No command runs a dense SquareMatrix @ SquareMatrix product or a
+    Gauss-Jordan inverse: the generator algebra runs on Pauli codes, and
+    gram-orthogonality's singular fields are read off their (x, z)."""
 
     COMMANDS = [
         (["verify"], 0),
@@ -416,7 +415,7 @@ class TestMonomialPathsOnly:
         for argv, want in self.COMMANDS:
             assert run(capsys, *argv)[0] == want, argv
         assert dense == []
-        assert inverts and set(inverts) == {"gram_singular"}
+        assert inverts == []
 
 
 class TestGramAndDump:

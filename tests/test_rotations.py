@@ -26,7 +26,6 @@ from octo_so8 import (
     NonFiniteInput,
     SingularRotation,
     SquareMatrix,
-    StructureMismatch,
     ToleranceNotMet,
     assemble_X,
     beta_set,
@@ -127,9 +126,8 @@ class TestSymbolicX:
         rows = [list(r) for r in assemble_X().rows]
         rows[0][4] = rows[0][4] + LinearForm([1] + [0] * 8)
         perturbed = SquareMatrix(rows)
-        with pytest.raises(StructureMismatch) as exc:
-            block_decompose(perturbed)
-        assert (1, 5) in exc.value.cells
+        assert block_decompose(assemble_X()).bad == ()
+        assert (1, 5) in block_decompose(perturbed).bad
 
 
 class TestRotationOperator:
@@ -464,29 +462,31 @@ class TestGeneratorTable:
                     components_by_products(nm, f, reading), (k, l)
 
     def test_plane_record_is_derived_once(self, monkeypatch, capsys):
-        products = Counter()
-        matmul = Pauli.__matmul__
+        # a record derivation asks N whether it commutes with each of
+        # the 8 generators; later rotations of N form beta_k beta_l
+        # again, by design, but derive nothing
+        tests = Counter()
+        commutes = Pauli.commutes
 
         def counted(a, b):
-            products["@"] += 1
-            return matmul(a, b)
+            tests["commutes"] += 1
+            return commutes(a, b)
 
         def clear():
-            for cached in (rotations._plane_products, rotations._span_table,
-                           _plane_record):
+            for cached in (rotations._span_table, _plane_record):
                 cached.cache_clear()
 
         clear()
-        monkeypatch.setattr(Pauli, "__matmul__", counted)
+        monkeypatch.setattr(Pauli, "commutes", counted)
         made = []
         # (5,6) has the product of (1,2), so it reads the same record
         for k, l, f in (("1", "2", "1,-1/2,3/4,0,2,-3,1/8,5"),
                         ("1", "2", "1,0,0,0,0,0,0,0"),
                         ("5", "6", "1,-1/2,3/4,0,2,-3,1/8,5")):
-            before = products["@"]
+            before = tests["commutes"]
             assert main(["rotate", k, l, "--theta=3/8", f"--f={f}"]) == 0
-            made.append(products["@"] - before)
-        assert made[0] > 0 and made[1:] == [0, 0]
+            made.append(tests["commutes"] - before)
+        assert made == [8, 0, 0]
         # derived records give the bytes the first derivation gave
         capsys.readouterr()
         clear()

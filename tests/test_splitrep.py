@@ -51,7 +51,7 @@ class TestSplitSpinor:
 class TestYBlockAudits:
     @pytest.fixture()
     def audits(self, fx):
-        a, b = block_decompose(assemble_X())
+        a, b, _ = block_decompose(assemble_X())
         return audit_Y_blocks(fx, b, from_blocks(a, a, b, b))
 
     def test_first_matrix_form_holds(self, audits):
