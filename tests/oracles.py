@@ -222,9 +222,33 @@ def _sum(terms):
     return functools.reduce(operator.add, terms)
 
 
+# ---------------------------------------------------------------------------
+# dense flags of a square matrix, entry by entry
+
+def trace(m):
+    """The sum of m's diagonal entries, of m's entry type."""
+    return _sum(m.at(i, i) for i in range(m.n))
+
+
+def conj_transpose(m) -> SquareMatrix:
+    return SquareMatrix([[m.at(j, i).conj() for j in range(m.n)]
+                         for i in range(m.n)])
+
+
+def is_hermitian(m) -> bool:
+    """m equals its conjugate transpose, read entry by entry on and
+    above the diagonal."""
+    return all(m.at(i, j) == m.at(j, i).conj()
+               for i in range(m.n) for j in range(i, m.n))
+
+
+def is_traceless(m) -> bool:
+    return trace(m).is_zero()
+
+
 def reassemble(dec):
     """[[A, B^dagger], [B, -A]] from a BlockDecomp."""
-    return from_blocks(dec.a, dec.b.conj_transpose(), dec.b, -dec.a)
+    return from_blocks(dec.a, conj_transpose(dec.b), dec.b, -dec.a)
 
 
 def block_sum_oracle(a, b, c, d):

@@ -10,9 +10,13 @@ from test_golden import GOLDEN, _pin_json, _pin_md
 
 from octo_so8 import claims, cli, load_fixtures
 from octo_so8.claims import dump_json, run_all, to_json
-from octo_so8.matrices import (BetaSet, Pauli, beta_set, diff_cells,
-                               from_blocks, gram)
-from octo_so8.rotations import SingularRotation, invert_exact
+from octo_so8.exact import CRational
+from octo_so8.matrices import (BetaSet, Pauli, SquareMatrix, beta_set,
+                               diff_cells, from_blocks, gram)
+from octo_so8.rotations import (DegenerateBasis, SingularRotation,
+                                assemble_X, invert_exact,
+                                rotation_component_map)
+from oracles import is_hermitian, is_traceless
 
 READINGS = ("sigma", "tensor")
 BUILDERS = ("assemble_X", "block_decompose", "gram", "verify_split_relations")
@@ -185,11 +189,13 @@ def test_eq22_cells_are_those_of_the_dense_blocks(data_copy):
 
 # beta_8 of readings the bundled set never reaches, beside sigma's
 # beta_1..beta_7: -beta_1 (beta_1's (x, z), another q); tensor's beta_8;
-# I(x)X(x)X, Hermitian but off compact block form; and i I(x)X(x)X,
-# not Hermitian, with an (x, z) of its own
+# I(x)X(x)X, Hermitian but off compact block form; i I(x)X(x)X, not
+# Hermitian, with an (x, z) of its own; and I(x)I(x)I and i I(x)I(x)I,
+# whose nonzero traces leave X with one
 _SIGMA, _TENSOR = beta_set("sigma").mats, beta_set("tensor").mats
 OFF_SET_BETA8 = {"minus-beta1": -_SIGMA[0], "tensor-beta8": _TENSOR[7],
-                 "IXX": Pauli(0b011, 0), "i-IXX": Pauli(0b011, 0, 1)}
+                 "IXX": Pauli(0b011, 0), "i-IXX": Pauli(0b011, 0, 1),
+                 "III": Pauli(0, 0), "i-III": Pauli(0, 0, 1)}
 OFF_SET_DETAILS = ("eq22-blocks", "eq8-eq9-blocks", "gram-orthogonality",
                    "x-traceless-hermitian")
 OFF_SET_CLAIMS = GOLDEN / "off-set-claims.json"
@@ -225,18 +231,48 @@ def test_off_set_readings_keep_their_verdicts(fx, name):
     assert gram_claim["status"] == {"minus-beta1": "degenerate",
                                     "tensor-beta8": "degenerate",
                                     "IXX": "confirmed",
-                                    "i-IXX": "refuted"}[name]
+                                    "i-IXX": "refuted",
+                                    "III": "confirmed",
+                                    "i-III": "refuted"}[name]
     assert gram_claim["details"].get("gram_singular", False) is singular
+    if name == "i-III":
+        assert gram_claim["details"]["cells_off_8I"] == [
+            {"row": 8, "col": 8, "left": "-8", "right": "8"}]
     assert got["eq14-map"]["status"] == (
-        "refuted" if name == "IXX" else "degenerate")
+        "refuted" if name in ("IXX", "III") else "degenerate")
     assert got["x-traceless-hermitian"]["details"] == {
-        "hermitian": name != "i-IXX", "traceless": True}
+        "hermitian": name not in ("i-IXX", "i-III"),
+        "traceless": name not in ("III", "i-III")}
     compact = name in ("minus-beta1", "tensor-beta8")
     for claim_id in ("eq8-eq9-blocks", "eq22-blocks"):
         details = got[claim_id]["details"]
         assert details.get("compact_form", True) is compact
-        if not compact:
+        if name in ("IXX", "i-IXX"):
             assert details["cells"] == [[5, 8], [6, 7], [7, 6], [8, 5]]
+        elif not compact:
+            assert details["cells"] == [[5, 5], [6, 6], [7, 7], [8, 8]]
 
     want = json.loads(OFF_SET_CLAIMS.read_text("utf-8"))[name]
     assert dump_json(got) == dump_json(want)
+
+
+# sigma with beta_1, then beta_8, replaced by each of the 256 codes
+CODES = tuple(Pauli(x, z, q) for x in range(8) for z in range(8)
+              for q in range(4))
+SWEEP = tuple(BetaSet("sigma", _SIGMA[:a] + (code,) + _SIGMA[a + 1:])
+              for a in (0, 7) for code in CODES)
+
+
+def test_code_flags_agree_with_the_dense_oracle(fx):
+    eight = SquareMatrix.identity(8).scale(CRational(8))
+    for bs in SWEEP:
+        x = assemble_X(bs)
+        _, details = claims._check_x_traceless_hermitian(
+            fx, claims._Context(bs))
+        assert details == {"hermitian": is_hermitian(x),
+                           "traceless": is_traceless(x)}, bs
+        try:
+            rotation_component_map(1, 2, bs)
+            assert gram(bs) == eight, bs
+        except DegenerateBasis:
+            assert gram(bs) != eight, bs

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with ``ast`` alone: in each
-module but ``__init__``, every imported name is used and every private
-module-level name is referenced again, so a deletion leaves no orphan
-import or helper behind."""
+module but ``__init__``, every imported name is used, every private
+module-level name is referenced again, and every member of a private
+module-level class is read as an attribute somewhere in the package, so
+a deletion leaves no orphan import, helper or cached property behind."""
 
 import ast
 from pathlib import Path
@@ -33,11 +34,10 @@ def _imported(tree) -> set:
     return names
 
 
-def _private(tree) -> set:
-    """Module-level names bound by def, class or assignment that start
-    with one underscore."""
+def _bound(body) -> set:
+    """Names a module or class body binds by def, class or assignment."""
     names = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -45,7 +45,30 @@ def _private(tree) -> set:
                 else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _is_private(name) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private(tree) -> set:
+    """Module-level names that start with one underscore."""
+    return set(filter(_is_private, _bound(tree.body)))
+
+
+def _unread_members(tree, read) -> set:
+    """(class, member) for each non-dunder member of a private
+    module-level class that is not among the attribute names read."""
+    return {(node.name, m) for node in tree.body
+            if isinstance(node, ast.ClassDef) and _is_private(node.name)
+            for m in _bound(node.body)
+            if not (m.startswith("__") and m.endswith("__")) and m not in read}
+
+
+def _attributes_read(trees) -> set:
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 def test_modules_found():
@@ -64,6 +87,13 @@ def test_every_private_name_is_referenced(name):
     assert sorted(_private(tree) - _loaded(tree)) == []
 
 
+def test_every_private_class_member_is_read():
+    trees = [_parse(p.name) for p in SRC.glob("*.py")]
+    read = _attributes_read(trees)
+    assert sorted(set().union(*(_unread_members(t, read) for t in trees))) \
+        == []
+
+
 def test_an_orphaned_import_and_helper_are_caught():
     tree = ast.parse("from os import path, sep\n"
                      "import functools as ft\n"
@@ -71,3 +101,13 @@ def test_an_orphaned_import_and_helper_are_caught():
                      "def _orphan():\n    return _KEPT + len(sep)\n")
     assert _imported(tree) - _loaded(tree) == {"path", "ft"}
     assert _private(tree) - _loaded(tree) == {"_DROPPED", "_orphan"}
+
+
+def test_an_unread_class_member_is_caught():
+    tree = ast.parse("class _Ctx:\n    kept = 1\n    dropped = 2\n"
+                     "    def __init__(self):\n        self.x = 0\n"
+                     "    def _helper(self):\n        return 0\n"
+                     "class Public:\n    unread = 3\n"
+                     "print(_Ctx().kept)\n")
+    assert _unread_members(tree, _attributes_read([tree])) == {
+        ("_Ctx", "dropped"), ("_Ctx", "_helper")}
