@@ -12,12 +12,14 @@ Everything the checkers derive without reading a fixture lives on
 process: X and its blocks, Y1 = [[A, A], [B, B]], [beta1 beta2, X] and
 its half, E with its table and alternates, the Gram matrix and whether
 it is singular (read off the generators' (x, z)), the plane classes,
-the eq 18 and eq 19 records, the equalities of the two readings' codes,
-the oriented triples and the exp-action numbers (read off the sigma
-context).  Each call loads the fixtures, redoes every comparison
-against them, builds every details list and dict afresh and renders.
-Every checker is exact except exp-action, which runs the numeric
-exponential over lists of complex.
+the eq 18 and eq 19 records, the beta_8 cells of the two readings, the
+oriented triples and the exp-action numbers (read off the sigma
+context).  The checkers read X's Hermitian and traceless flags, the
+readings' beta_1..beta_7 equalities and Tr(beta_1 beta_8) off the
+codes.  Each call loads the fixtures, redoes every comparison against
+them, builds every details list and dict afresh and renders.  Every
+checker is exact except exp-action, which runs the numeric exponential
+over lists of complex.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ class _Context:
         self.bs, self.variant = bs, bs.variant
 
     x = cached_property(lambda self: assemble_X(self.bs))
-    x_flags = cached_property(lambda self: (self.x.is_hermitian(),
-                                            self.x.is_traceless()))
     ems = cached_property(lambda self: build_E(self.bs))
     table = cached_property(lambda self: signed_table(self.ems))
     gram_matrix = cached_property(lambda self: gram(self.bs))
@@ -102,9 +102,6 @@ class _Context:
         lambda self: self.comm.scale(CRational(1, 0, 2)))
     alternates = cached_property(
         lambda self: tuple(audit_E_alternates(self.bs, self.ems)))
-    beta_equal = cached_property(lambda self: tuple(
-        s == t for s, t in zip(beta_set("sigma").mats[:7],
-                               beta_set("tensor").mats)))
     beta8_cells = cached_property(lambda self: tuple(
         diff_cells(beta_set("sigma").beta(8), beta_set("tensor").beta(8))))
     triples = cached_property(lambda self: tuple(oriented_triples()))
@@ -172,9 +169,11 @@ def form_cells(m: SquareMatrix) -> list:
 # checkers (alphabetical by claim id)
 
 def _check_beta_consistency(fx, ctx):
+    equal = [s == t for s, t in zip(beta_set("sigma").mats[:7],
+                                    beta_set("tensor").mats)]
     records = [{"generator": a, "equal": eq}
-               for a, eq in enumerate(ctx.beta_equal, start=1)]
-    return _status(all(ctx.beta_equal)), {"generators": records}
+               for a, eq in enumerate(equal, start=1)]
+    return _status(all(equal)), {"generators": records}
 
 
 def _check_beta8_consistency(fx, ctx):
@@ -314,9 +313,10 @@ def _check_gram_orthogonality(fx, ctx):
         "anticommuting_pairs": [list(p) for p in ctx.pairs],
     }
     if ctx.variant != "tensor":
-        tensor = context(beta_set("tensor"))
-        details["tensor_reading_entry_1_8"] = str(tensor.gram_matrix.at(0, 7))
-        details["tensor_reading_singular"] = tensor.gram_singular
+        t = beta_set("tensor")
+        entry = (t.beta(1) @ t.beta(8)).trace()
+        details["tensor_reading_entry_1_8"] = str(entry)
+        details["tensor_reading_singular"] = context(t).gram_singular
     if not cells:
         return CONFIRMED, details
     if ctx.gram_singular:
@@ -351,7 +351,10 @@ def _check_table2_fixture(fx, ctx):
 
 
 def _check_x_traceless_hermitian(fx, ctx):
-    herm, traceless = ctx.x_flags
+    # X = sum f_A beta_A over independent symbols f_A: Hermitian when
+    # every beta_A is, traceless when none has a nonzero trace
+    herm = all(b.hermitian() for b in ctx.bs.mats)
+    traceless = not any(b.trace() for b in ctx.bs.mats)
     return _status(herm and traceless), {"hermitian": herm,
                                          "traceless": traceless}
 

@@ -84,14 +84,6 @@ class SquareMatrix:
     def map(self, fn: Callable) -> "SquareMatrix":
         return SquareMatrix([[fn(e) for e in row] for row in self.rows])
 
-    def conj_transpose(self) -> "SquareMatrix":
-        return SquareMatrix([[self.rows[j][i].conj() for j in range(self.n)]
-                             for i in range(self.n)])
-
-    def trace(self):
-        return functools.reduce(lambda s, t: s + t,
-                                (self.rows[i][i] for i in range(self.n)))
-
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
@@ -104,12 +96,6 @@ class SquareMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
-
-    def is_hermitian(self) -> bool:
-        return self == self.conj_transpose()
-
-    def is_traceless(self) -> bool:
-        return self.trace().is_zero()
 
     def block(self, bi: int, bj: int, size: int) -> "SquareMatrix":
         """size x size sub-block at block coordinates (bi, bj)."""
@@ -163,8 +149,9 @@ class Pauli(NamedTuple):
     symplectic form (Aaronson and Gottesman 2004); the first tensor
     factor is the high bit of x and z.  Row r holds its one nonzero
     entry, i**q (-1)**popcount(z & c), in column c = r ^ x.  Products,
-    negation, commutation and traces are bit operations on small ints;
-    ``monomial_sum`` turns a linear combination into a dense matrix.
+    negation, commutation, traces and Hermiticity (q + popcount(x & z)
+    even, and then the code squares to I) are bit operations on small
+    ints; ``monomial_sum`` turns a linear combination into a dense matrix.
     """
     x: int
     z: int
@@ -209,6 +196,9 @@ class Pauli(NamedTuple):
     def commutes(self, other: "Pauli") -> bool:
         return ((self.x & other.z).bit_count()
                 + (self.z & other.x).bit_count()) % 2 == 0
+
+    def hermitian(self) -> bool:
+        return (self.q + (self.x & self.z).bit_count()) % 2 == 0
 
     def trace(self) -> CRational:
         return _ZERO if self.x or self.z else 8 * PHASES[self.q]

@@ -5,12 +5,13 @@ of linear forms.  Rotations act by conjugation with R_kl = I + theta *
 N, where N = beta_k beta_l is a Pauli code (x, z, q) with N^2 = s*I,
 s = +1 or -1, for every plane of both readings.  N commutes or
 anticommutes with each beta_B, so [N, beta_B] is 0 or the single code
-2 N beta_B.  One record per N, derived on first use, holds s and, by
-its (x, z), N beta_B's place in the generator table, and the rotations
-act on the components f_A by reading it, with no dense conjugation,
-trace projection or repeated N beta_B product.  The module provides
-the first-order map and the exact rotation of f, at the f symbols or
-at exact f, the symbolic X, the duplicate-plane scan, and the numeric
+2 N beta_B.  One record per N, derived on first use, holds s, by its
+(x, z) N beta_B's place in the generator table, and whether the Gram
+matrix is 8*I, read off the codes; the rotations act on the components
+f_A by reading it, with no dense conjugation, trace projection, Gram
+matrix or repeated N beta_B product.  The module provides the
+first-order map and the exact rotation of f, at the f symbols or at
+exact f, the symbolic X, the duplicate-plane scan, and the numeric
 matrix exponential used for spinor transport.
 
 Only the numeric section uses floats.  It works on plain lists of
@@ -27,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exact import CRational
 from .matrices import (PHASES, BetaSet, Pauli, SquareMatrix, beta_set,
-                       gram, monomial_sum)
+                       monomial_sum)
 from .octonion import Octonion
 from .symbolic import LinearForm
 
@@ -74,10 +75,9 @@ def block_decompose(x: SquareMatrix) -> BlockDecomp:
     tl, tr = x.block(0, 0, 4), x.block(0, 1, 4)
     bl, br = x.block(1, 0, 4), x.block(1, 1, 4)
     bad = []
-    expect_tr = bl.conj_transpose()
     for i in range(4):
         for j in range(4):
-            if not tr.at(i, j) == expect_tr.at(i, j):
+            if not tr.at(i, j) == bl.at(j, i).conj():
                 bad.append((i + 1, j + 5))
             if not br.at(i, j) == -tl.at(i, j):
                 bad.append((i + 5, j + 5))
@@ -119,24 +119,20 @@ def invert_exact(m: SquareMatrix) -> SquareMatrix:
     return SquareMatrix([row[n:] for row in a])
 
 
-@functools.lru_cache(maxsize=8)   # once per BetaSet
-def _span_table(bs: BetaSet) -> Optional[dict]:
-    """(x, z) -> (A, q) of each beta_A; None unless gram(bs) is 8*I."""
-    if gram(bs) != SquareMatrix.identity(8).scale(CRational(8)):
-        return None
-    return {(b.x, b.z): (a, b.q) for a, b in enumerate(bs.mats)}
-
-
 @functools.lru_cache(maxsize=128)   # 2 readings x 56 ordered planes
 def _plane_record(bs: BetaSet, n: Pauli) -> tuple:
-    """The record of a plane product N, (s, terms) with N^2 = s*I:
-    terms holds (B, N beta_B, the _span_table entry of its (x, z) or
-    None) for each beta_B, 0-indexed, that anticommutes with N."""
-    table = _span_table(bs) or {}
+    """The record of a plane product N, (s, terms, span) with N^2 = s*I:
+    terms holds (B, N beta_B, (A, q) of a beta_A with N beta_B's (x, z),
+    or None) for each beta_B, 0-indexed, that anticommutes with N.  span
+    says whether G[A][B] = Tr(beta_A beta_B) is 8*I: G[A][B] is nonzero
+    only when the codes share (x, z), and G[A][A] = 8 when beta_A is
+    Hermitian, so span needs eight distinct (x, z) and Hermitian codes."""
+    table = {(b.x, b.z): (a, b.q) for a, b in enumerate(bs.mats)}
+    span = len(table) == 8 and all(b.hermitian() for b in bs.mats)
     products = [(b, n @ beta) for b, beta in enumerate(bs.mats)
                 if not n.commutes(beta)]
     return PHASES[(n @ n).q], tuple(
-        (b, m, table.get((m.x, m.z))) for b, m in products)
+        (b, m, table.get((m.x, m.z))) for b, m in products), span
 
 
 def commutator_terms(n: Pauli, f: Sequence,
@@ -158,14 +154,15 @@ def extract_components(n: Pauli, f: Sequence,
     sigma reading, whose Gram matrix G[A][B] = Tr(beta_A beta_B) is 8*I,
     the products outside the span have zero trace against every beta_A,
     so this is the trace projection Tr(beta_A [N, X(f)]) / 8.  Under any
-    other G, as tensor's (beta_8 repeats beta_1), raises DegenerateBasis.
+    other G, as tensor's (beta_8 repeats beta_1), raises DegenerateBasis,
+    told by the span flag of N's record, with no Gram matrix built.
     """
-    bs = betas or beta_set()
-    if _span_table(bs) is None:
+    _, terms, span = _plane_record(betas or beta_set(), n)
+    if not span:
         raise DegenerateBasis("generator Gram matrix is singular")
     zero = 0 * f[0]
     lines, outside = [zero] * 8, []
-    for b, m, entry in _plane_record(bs, n)[1]:
+    for b, m, entry in terms:
         if entry is None:
             outside.append((2 * f[b], m))
         else:
@@ -190,7 +187,7 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     bs = betas or beta_set()
     n = plane_product(k, l, bs)
     lines, residual = extracted or extract_components(n, f, bs)
-    square, terms = _plane_record(bs, n)
+    square, terms, _ = _plane_record(bs, n)
     det = 1 - square * theta * theta
     if det.is_zero():
         raise SingularRotation(

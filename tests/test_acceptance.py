@@ -47,8 +47,8 @@ from octo_so8.rotations import (
     numeric_X,
 )
 from octo_so8.symbolic import render_linear_form
-from oracles import (Monomial, as_monomial, block_sum_oracle, kron, pauli,
-                     reassemble, to_dense)
+from oracles import (Monomial, as_monomial, block_sum_oracle, is_hermitian,
+                     is_traceless, kron, pauli, reassemble, to_dense)
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def test_criterion_03_generator_consistency(report):
 def test_criterion_04_symbolic_matrix_structure(fx):
     x = assemble_X()
     ok = x == fx.eq6
-    ok &= x.is_hermitian() and x.is_traceless()
+    ok &= is_hermitian(x) and is_traceless(x)
     dec = block_decompose(x)
     ok &= dec.a == fx.eq6.block(0, 0, 4)
     ok &= dec.b == fx.eq6.block(1, 0, 4)

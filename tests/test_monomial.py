@@ -28,8 +28,8 @@ from octo_so8.exact import ZERO
 from octo_so8.matrices import (E_DEFS, SIGMA_TERMS, Pauli,
                                 beta_sigma_expansion, monomial_sum)
 from octo_so8.rotations import SYMBOLS, ZERO_FORM, numeric_X
-from oracles import (Monomial, as_monomial, complex_array, kron,
-                     reference_betas, to_dense)
+from oracles import (Monomial, as_monomial, complex_array, is_hermitian,
+                     kron, reference_betas, to_dense, trace)
 
 READINGS = ("sigma", "tensor")
 readings = st.sampled_from(READINGS)
@@ -111,6 +111,8 @@ class TestAgainstDense:
         assert as_monomial(a @ b) == ra @ rb
         assert as_monomial(-a) == -ra
         assert a.trace() == ra.trace()
+        assert a.hermitian() == is_hermitian(to_dense(a))
+        assert a.hermitian() == (a @ a == Pauli(0, 0))
         assert a.commutes(b) == (ra @ rb == rb @ ra)
         assert (a == b) == (ra == rb)
 
@@ -130,7 +132,7 @@ class TestAgainstDense:
     def test_trace_and_trace_with_X(self, reading, word):
         a = word_code(reading, word)
         assert a.trace() == word_monomial(reading, word).trace()
-        assert a.trace() == dense_word(reading, word).trace()
+        assert a.trace() == trace(dense_word(reading, word))
 
     @given(readings, words, words)
     def test_commutation(self, reading, u, v):
@@ -155,7 +157,7 @@ class TestAgainstDense:
         # the reference itself: the generator perms commute; these do
         # not, so composition order and complex traces are checked here
         assert (a @ b).to_dense() == a.to_dense() @ b.to_dense()
-        assert a.trace() == a.to_dense().trace()
+        assert a.trace() == trace(a.to_dense())
         assert a == a.to_dense() and a.to_dense() == a
 
     @given(monomials(2), monomials(4))
@@ -254,7 +256,7 @@ class TestDerivedObjects:
     def test_gram(self, reading):
         d = dense_betas(reading)
         assert gram(beta_set(reading)) == SquareMatrix(
-            [[(a @ b).trace() for b in d] for a in d])
+            [[trace(a @ b) for b in d] for a in d])
 
     def test_signed_table(self, reading):
         es = [dense_word(reading, E_DEFS[k]) for k in range(8)]

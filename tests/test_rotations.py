@@ -43,7 +43,6 @@ from octo_so8 import (
     standard_spinor,
     substitute_matrix,
 )
-from octo_so8 import rotations
 from octo_so8.cli import main
 from octo_so8.matrices import Pauli, monomial_sum
 from octo_so8.rotations import (
@@ -59,8 +58,9 @@ from octo_so8.rotations import (
 from oracles import (UNITS, as_monomial, commutator_terms_by_products,
                      complex_array, components_by_products, dense_rotate,
                      dense_rotation_operator, gram_inverse_projection,
-                     octonion_transport, reassemble, reference_betas,
-                     substitute_numeric, to_dense)
+                     is_hermitian, is_traceless, octonion_transport,
+                     reassemble, reference_betas, substitute_numeric,
+                     to_dense, trace)
 
 ONES = [Dyadic(1)] * 8
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
@@ -113,8 +113,8 @@ class TestSymbolicX:
 
     def test_hermitian_traceless(self):
         x = assemble_X()
-        assert x.is_hermitian()
-        assert x.is_traceless()
+        assert is_hermitian(x)
+        assert is_traceless(x)
 
     def test_block_decomposition(self, fx):
         dec = block_decompose(assemble_X())
@@ -169,8 +169,8 @@ class TestExactRotation:
 
     def test_preserves_hermiticity_and_trace(self):
         rotated = rebuild(rotate_exact(SYMBOLS, 1, 2, Dyadic(1, 1)))
-        assert rotated.is_hermitian()
-        assert rotated.is_traceless()
+        assert is_hermitian(rotated)
+        assert is_traceless(rotated)
 
     def test_second_order_scaling(self):
         # deviation from the first-order map must drop ~4x when theta halves
@@ -212,7 +212,7 @@ class TestClosedFormAgainstGaussJordan:
     def test_all_planes_both_readings(self, theta, fvals):
         bs = beta_set("sigma")
         x = substitute_matrix(assemble_X(bs), fvals)
-        tr, tr2 = x.trace(), trace_of_square(x)
+        tr, tr2 = trace(x), trace_of_square(x)
         for k, l in ORDERED_PLANES:
             try:
                 want = dense_rotate(x, k, l, theta, bs)
@@ -224,7 +224,7 @@ class TestClosedFormAgainstGaussJordan:
             assert got == gram_inverse_projection(want, bs), (k, l, theta)
             assert rebuild(got, bs) == want
             for m in (rebuild(got, bs), want):
-                assert m.trace() == tr
+                assert trace(m) == tr
                 assert trace_of_square(m) == tr2
         # beta_8 repeats beta_1 under tensor: no projection to read
         tensor = beta_set("tensor")
@@ -418,7 +418,7 @@ class TestGeneratorTable:
                     inside += 1
                     continue
                 outside += 1
-                assert all((b @ m).trace().is_zero() for b in dense), (k, l)
+                assert all(trace(b @ m).is_zero() for b in dense), (k, l)
         assert (inside, outside) == (52, 68)
 
     def test_tensor_lookup_is_ambiguous(self):
@@ -446,7 +446,8 @@ class TestGeneratorTable:
             n = plane_product(k, l, bs)
             nd, nm = to_dense(n), as_monomial(n)
             assert nd == dense[k - 1] @ dense[l - 1], (k, l)
-            square, terms = _plane_record(bs, n)
+            square, terms, span = _plane_record(bs, n)
+            assert span == (reading == "sigma"), (k, l)
             assert square == (nd @ nd).at(0, 0), (k, l)
             assert [b for b, _, _ in terms] == \
                 [b for b, d in enumerate(dense) if nd @ d != d @ nd]
@@ -472,11 +473,7 @@ class TestGeneratorTable:
             tests["commutes"] += 1
             return commutes(a, b)
 
-        def clear():
-            for cached in (rotations._span_table, _plane_record):
-                cached.cache_clear()
-
-        clear()
+        _plane_record.cache_clear()
         monkeypatch.setattr(Pauli, "commutes", counted)
         made = []
         # (5,6) has the product of (1,2), so it reads the same record
@@ -489,7 +486,7 @@ class TestGeneratorTable:
         assert made == [8, 0, 0]
         # derived records give the bytes the first derivation gave
         capsys.readouterr()
-        clear()
+        _plane_record.cache_clear()
         runs = []
         for _ in range(2):
             codes = [main(argv) for argv in SEED_1_ROTATE]
