@@ -10,16 +10,16 @@ raise.  Checkers return (status, details) with status one of
 Everything the checkers derive without reading a fixture lives on
 ``context(bs)``, built on first use, once per generator reading in a
 process: X and its blocks, Y1 = [[A, A], [B, B]], [beta1 beta2, X] and
-its half, E with its table and alternates, the Gram matrix and whether
-it is singular (read off the generators' (x, z)), the plane classes,
-the eq 18 and eq 19 records, the beta_8 cells of the two readings, the
+its half, E with its table and alternates, the Gram matrix, the eq 14
+map of plane (1,2) or why it is degenerate, the plane classes, the eq
+18 and eq 19 records, the beta_8 cells of the two readings, the
 oriented triples and the exp-action numbers (read off the sigma
 context).  The checkers read X's Hermitian and traceless flags, the
-readings' beta_1..beta_7 equalities and Tr(beta_1 beta_8) off the
-codes.  Each call loads the fixtures, redoes every comparison against
-them, builds every details list and dict afresh and renders.  Every
-checker is exact except exp-action, which runs the numeric exponential
-over lists of complex.
+readings' beta_1..beta_7 equalities, Tr(beta_1 beta_8) and the Gram
+verdict (matrices.gram_fault) off the codes.  Each call loads the
+fixtures, redoes every comparison against them, builds every details
+list and dict afresh and renders.  Every checker is exact except
+exp-action, which runs the numeric exponential over lists of complex.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .fixtures import FixtureStore
 from .matrices import (SIGMA_TERMS, BetaSet, SquareMatrix,
                        anticommutator_audit, audit_E_alternates, beta_set,
                        build_E, compare_tables, diff_cells, from_blocks,
-                       gram, monomial_sum, signed_table)
-from .octonion import (TABLE, Octonion, build_split_basis,
+                       gram, gram_fault, monomial_sum, signed_table)
+from .octonion import (SPLIT_PAIRS, TABLE, Octonion, build_split_basis,
                        oriented_triples, verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         assemble_X, block_decompose, commutator_terms,
@@ -51,6 +51,8 @@ TOOLKIT_VERSION = "0.1.0"
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 DEGENERATE = "degenerate"
+_IDENTITY = SquareMatrix.identity(8)
+_EIGHT_I = _IDENTITY.scale(CRational(8))
 
 
 def _status(ok: bool) -> str:
@@ -84,19 +86,13 @@ class _Context:
                             ZERO_FORM)
 
     @cached_property
-    def gram_singular(self):
-        """Tr(beta_A beta_B) is nonzero exactly when the two codes share
-        (x, z), so G is block-diagonal over the classes of equal (x, z)
-        with rank 1 on each: singular when two generators share one."""
-        return len({(b.x, b.z) for b in self.bs.mats}) < 8
-
-    @cached_property
     def eq14(self):
-        """The component map of plane (1,2); None if the Gram is singular."""
+        """The component map of plane (1,2), or the DegenerateBasis
+        message when the Gram matrix is not 8*I."""
         try:
             return rotation_component_map(1, 2, self.bs)
-        except DegenerateBasis:
-            return None
+        except DegenerateBasis as exc:
+            return str(exc)
 
     half_comm = cached_property(
         lambda self: self.comm.scale(CRational(1, 0, 2)))
@@ -120,8 +116,7 @@ class _Context:
             ((a, b), (u + us) == Octonion.unit(a),
              (u - us) == Octonion.unit(b) * CRational(0, 1),
              us == Octonion([c.conj() for c in u.coeffs]))
-            for u, us, (a, b) in zip(phi, phi[4:],
-                                     [(0, 7), (1, 4), (2, 5), (3, 6)]))
+            for u, us, (a, b) in zip(phi, phi[4:], SPLIT_PAIRS))
 
     @cached_property
     def exp_action(self):
@@ -192,7 +187,7 @@ def _check_dup_rotations(fx, ctx):
 
 def _check_eq12_fixture(fx, ctx):
     n = plane_product(1, 2, ctx.bs)
-    const_cells = diff_cells(fx.eq12_const, SquareMatrix.identity(8))
+    const_cells = diff_cells(fx.eq12_const, _IDENTITY)
     theta_cells = diff_cells(fx.eq12_theta, n)
     ok = not const_cells and not theta_cells
     return _status(ok), {"constant_part_cells": const_cells,
@@ -214,8 +209,8 @@ def _check_eq13_increment(fx, ctx):
 
 
 def _check_eq14_map(fx, ctx):
-    if (cm := ctx.eq14) is None:
-        return DEGENERATE, {"reason": "generator Gram matrix is singular"}
+    if isinstance(cm := ctx.eq14, str):
+        return DEGENERATE, {"reason": cm}
     lines = [{**map_line(a, derived, stated),
               "stated_has_imaginary_coeff": stated.has_imaginary_coeff()}
              for a, (derived, stated) in enumerate(zip(cm.lines, fx.eq14))]
@@ -305,8 +300,7 @@ def _check_exp_action(fx, ctx):
 
 
 def _check_gram_orthogonality(fx, ctx):
-    target = SquareMatrix.identity(8).scale(CRational(8))
-    cells = diff_cells(ctx.gram_matrix, target)
+    cells = diff_cells(ctx.gram_matrix, _EIGHT_I)
     details = {
         "variant": ctx.variant,
         "cells_off_8I": cells,
@@ -316,13 +310,11 @@ def _check_gram_orthogonality(fx, ctx):
         t = beta_set("tensor")
         entry = (t.beta(1) @ t.beta(8)).trace()
         details["tensor_reading_entry_1_8"] = str(entry)
-        details["tensor_reading_singular"] = context(t).gram_singular
-    if not cells:
-        return CONFIRMED, details
-    if ctx.gram_singular:
+        details["tensor_reading_singular"] = gram_fault(t) == "singular"
+    if (fault := gram_fault(ctx.bs)) == "singular":
         details["gram_singular"] = True
         return DEGENERATE, details
-    return REFUTED, details
+    return _status(fault is None), details
 
 
 def _check_table_48_16(fx, ctx):

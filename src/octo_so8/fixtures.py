@@ -1,10 +1,11 @@
 """Loaders for the bundled transcription fixtures.
 
 The files under ``data/`` are verbatim transcriptions of the reference
-tables and displayed matrices that this package re-derives.  Parsers
-validate shape and token grammar but never repair contents — any
-oddity in a transcription is exactly what the claim checkers are meant
-to surface, so "fixing" it here would defeat the point.
+tables and displayed matrices that this package re-derives; one table,
+``_READERS``, names each file once with its reader.  Parsers validate
+shape and token grammar but never repair contents — any oddity in a
+transcription is exactly what the claim checkers are meant to surface,
+so "fixing" it here would defeat the point.
 """
 
 from __future__ import annotations
@@ -18,24 +19,6 @@ from typing import NamedTuple, Optional
 from .exact import ScalarParseError
 from .matrices import SignedTable, SquareMatrix
 from .symbolic import parse_linear_form, parse_theta_affine
-
-# The complete bundled set.  load_fixtures() requires every one of
-# these to be present, whether reading the package data or a user
-# directory, so a verification run always covers the full corpus.
-FIXTURE_FILES = (
-    "eq2_sigma.txt",
-    "eq6_X.txt",
-    "eq12_R12.txt",
-    "eq13_delta.txt",
-    "eq14_map.txt",
-    "eq21_Y1.txt",
-    "eq21_Y2.txt",
-    "eq23_C.txt",
-    "eq24_D.txt",
-    "table1.txt",
-    "table2.txt",
-)
-
 
 class FixtureError(ValueError):
     """A fixture file is missing, mis-shaped, or has a bad token."""
@@ -168,6 +151,24 @@ def parse_map_lines(text: str, filename: str) -> tuple:
 # ---------------------------------------------------------------------------
 # the store
 
+# Every load_fixtures() call requires the whole set, and passes over it
+# in this order: read (a missing file is named), decode, parse.
+_READERS = (
+    ("eq2_sigma.txt", parse_term_lines),
+    ("eq6_X.txt", parse_form_matrix),
+    ("eq12_R12.txt", parse_theta_grid),
+    ("eq13_delta.txt", parse_form_matrix),
+    ("eq14_map.txt", parse_map_lines),
+    ("eq21_Y1.txt", parse_form_matrix),
+    ("eq21_Y2.txt", parse_form_matrix),
+    ("eq23_C.txt", functools.partial(parse_form_matrix, size=4)),
+    ("eq24_D.txt", functools.partial(parse_form_matrix, size=4)),
+    ("table1.txt", functools.partial(parse_signed_grid, label="E")),
+    ("table2.txt", functools.partial(parse_signed_grid, label="e")),
+)
+FIXTURE_FILES = tuple(name for name, _ in _READERS)
+
+
 class FixtureStore(NamedTuple):
     """Every bundled fixture, parsed, plus a sha256 digest per file."""
     table1: SignedTable
@@ -231,29 +232,16 @@ def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
 
 @functools.lru_cache(maxsize=4)
 def _parse(raw: tuple) -> FixtureStore:
-    """The store parsed from the files' bytes, in FIXTURE_FILES order;
-    its digests are left empty for load_fixtures to fill."""
-    text = {name: _decode(name, data)
-            for name, data in zip(FIXTURE_FILES, raw)}
-    eq12_const, eq12_theta = parse_theta_grid(text["eq12_R12.txt"],
-                                              "eq12_R12.txt")
+    """The store parsed from the files' bytes: every file decoded, then
+    read in FIXTURE_FILES order; load_fixtures fills in the digests."""
+    text = [_decode(name, data) for name, data in zip(FIXTURE_FILES, raw)]
+    (eq2, eq6, (eq12_const, eq12_theta), eq13, eq14, y1, y2, eq23_c, eq24_d,
+     table1, table2) = [read(t, name)
+                        for (name, read), t in zip(_READERS, text)]
     return FixtureStore(
-        table1=parse_signed_grid(text["table1.txt"], "table1.txt", "E"),
-        table2=parse_signed_grid(text["table2.txt"], "table2.txt", "e"),
-        eq2=parse_term_lines(text["eq2_sigma.txt"], "eq2_sigma.txt"),
-        eq6=parse_form_matrix(text["eq6_X.txt"], "eq6_X.txt"),
-        eq12_const=eq12_const,
-        eq12_theta=eq12_theta,
-        eq13=parse_form_matrix(text["eq13_delta.txt"], "eq13_delta.txt"),
-        eq14=parse_map_lines(text["eq14_map.txt"], "eq14_map.txt"),
-        eq21_y1=(y1 := parse_form_matrix(text["eq21_Y1.txt"],
-                                         "eq21_Y1.txt")),
-        eq21_y2=(y2 := parse_form_matrix(text["eq21_Y2.txt"],
-                                         "eq21_Y2.txt")),
+        table1=table1, table2=table2, eq2=eq2, eq6=eq6, eq13=eq13, eq14=eq14,
+        eq12_const=eq12_const, eq12_theta=eq12_theta, eq21_y1=y1, eq21_y2=y2,
         eq21_y_terms=tuple(tuple((complex(e.constant), tuple(
             (a, complex(c)) for a, c in enumerate(e.coeffs[1:]) if c))
             for e in row) for row in (y1 + y2).rows),
-        eq23_c=parse_form_matrix(text["eq23_C.txt"], "eq23_C.txt", size=4),
-        eq24_d=parse_form_matrix(text["eq24_D.txt"], "eq24_D.txt", size=4),
-        digests={},
-    )
+        eq23_c=eq23_c, eq24_d=eq24_d, digests={})

@@ -309,6 +309,16 @@ def gram(bs: BetaSet) -> SquareMatrix:
     return SquareMatrix([[(a @ b).trace() for b in bs.mats] for a in bs.mats])
 
 
+@functools.lru_cache(maxsize=8)
+def gram_fault(bs: BetaSet):
+    """None when gram(bs) is 8*I, else "singular" when two codes share
+    (x, z), the only way Tr(beta_A beta_B) leaves the diagonal, or "not
+    8I" when one is not Hermitian, so squares to -I; read off the codes."""
+    if len({(b.x, b.z) for b in bs.mats}) < 8:
+        return "singular"
+    return None if all(b.hermitian() for b in bs.mats) else "not 8I"
+
+
 def anticommutator_audit(bs: BetaSet):
     """Pairs (A, B), A<B, whose generators anticommute (1-indexed)."""
     return [(a + 1, b + 1) for a in range(8) for b in range(a + 1, 8)

@@ -117,11 +117,13 @@ class Octonion(CoeffTuple):
 # u_0 = (e0 + i e7)/2 and u_m = (e_m + i e_{m+3})/2 for m = 1..3, with
 # the starred elements their bioctonion conjugates (i -> -i).
 
+SPLIT_PAIRS = ((0, 7), (1, 4), (2, 5), (3, 6))   # (a, b) of each u_m
+
+
 def build_split_basis() -> tuple:
     """(u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
-    pairs = [(0, 7), (1, 4), (2, 5), (3, 6)]
     u, us = [], []
-    for a, b in pairs:
+    for a, b in SPLIT_PAIRS:
         coeffs = [CRational(0)] * 8
         coeffs[a] = CRational(1, 0, 2)
         coeffs[b] = CRational(0, 1, 2)

@@ -5,11 +5,11 @@ of linear forms.  Rotations act by conjugation with R_kl = I + theta *
 N, where N = beta_k beta_l is a Pauli code (x, z, q) with N^2 = s*I,
 s = +1 or -1, for every plane of both readings.  N commutes or
 anticommutes with each beta_B, so [N, beta_B] is 0 or the single code
-2 N beta_B.  One record per N, derived on first use, holds s, by its
-(x, z) N beta_B's place in the generator table, and whether the Gram
-matrix is 8*I, read off the codes; the rotations act on the components
-f_A by reading it, with no dense conjugation, trace projection, Gram
-matrix or repeated N beta_B product.  The module provides the
+2 N beta_B.  One record per N, derived on first use, holds s and, by
+its (x, z), N beta_B's place in the generator table; the rotations act
+on the components f_A by reading it, once matrices.gram_fault has found
+the Gram matrix to be 8*I, with no dense conjugation, trace projection,
+Gram matrix or repeated N beta_B product.  The module provides the
 first-order map and the exact rotation of f, at the f symbols or at
 exact f, the symbolic X, the duplicate-plane scan, and the numeric
 matrix exponential used for spinor transport.
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exact import CRational
 from .matrices import (PHASES, BetaSet, Pauli, SquareMatrix, beta_set,
-                       monomial_sum)
+                       gram_fault, monomial_sum)
 from .octonion import Octonion
 from .symbolic import LinearForm
 
@@ -39,7 +39,7 @@ class SingularRotation(ValueError):
 
 
 class DegenerateBasis(ValueError):
-    """Component extraction attempted against a singular Gram matrix."""
+    """Component extraction attempted where the Gram matrix is not 8*I."""
 
 
 class NonFiniteInput(ValueError):
@@ -121,18 +121,14 @@ def invert_exact(m: SquareMatrix) -> SquareMatrix:
 
 @functools.lru_cache(maxsize=128)   # 2 readings x 56 ordered planes
 def _plane_record(bs: BetaSet, n: Pauli) -> tuple:
-    """The record of a plane product N, (s, terms, span) with N^2 = s*I:
+    """The record of a plane product N, (s, terms) with N^2 = s*I:
     terms holds (B, N beta_B, (A, q) of a beta_A with N beta_B's (x, z),
-    or None) for each beta_B, 0-indexed, that anticommutes with N.  span
-    says whether G[A][B] = Tr(beta_A beta_B) is 8*I: G[A][B] is nonzero
-    only when the codes share (x, z), and G[A][A] = 8 when beta_A is
-    Hermitian, so span needs eight distinct (x, z) and Hermitian codes."""
+    or None) for each beta_B, 0-indexed, that anticommutes with N."""
     table = {(b.x, b.z): (a, b.q) for a, b in enumerate(bs.mats)}
-    span = len(table) == 8 and all(b.hermitian() for b in bs.mats)
     products = [(b, n @ beta) for b, beta in enumerate(bs.mats)
                 if not n.commutes(beta)]
     return PHASES[(n @ n).q], tuple(
-        (b, m, table.get((m.x, m.z))) for b, m in products), span
+        (b, m, table.get((m.x, m.z))) for b, m in products)
 
 
 def commutator_terms(n: Pauli, f: Sequence,
@@ -154,15 +150,15 @@ def extract_components(n: Pauli, f: Sequence,
     sigma reading, whose Gram matrix G[A][B] = Tr(beta_A beta_B) is 8*I,
     the products outside the span have zero trace against every beta_A,
     so this is the trace projection Tr(beta_A [N, X(f)]) / 8.  Under any
-    other G, as tensor's (beta_8 repeats beta_1), raises DegenerateBasis,
-    told by the span flag of N's record, with no Gram matrix built.
+    other G, as tensor's (beta_8 repeats beta_1), raises DegenerateBasis
+    naming gram_fault's verdict, with no Gram matrix built.
     """
-    _, terms, span = _plane_record(betas or beta_set(), n)
-    if not span:
-        raise DegenerateBasis("generator Gram matrix is singular")
+    bs = betas or beta_set()
+    if fault := gram_fault(bs):
+        raise DegenerateBasis(f"generator Gram matrix is {fault}")
     zero = 0 * f[0]
     lines, outside = [zero] * 8, []
-    for b, m, entry in terms:
+    for b, m, entry in _plane_record(bs, n)[1]:
         if entry is None:
             outside.append((2 * f[b], m))
         else:
@@ -187,7 +183,7 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     bs = betas or beta_set()
     n = plane_product(k, l, bs)
     lines, residual = extracted or extract_components(n, f, bs)
-    square, terms, _ = _plane_record(bs, n)
+    square, terms = _plane_record(bs, n)
     det = 1 - square * theta * theta
     if det.is_zero():
         raise SingularRotation(
@@ -240,7 +236,7 @@ def substitute_matrix(x: SquareMatrix, fvals: Sequence) -> SquareMatrix:
 
 
 # i**q as complex, for q = 0..3
-_UNITS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+_UNITS = tuple(map(complex, PHASES))
 
 
 def _matmul(a, b, hermitian: bool = False) -> list:

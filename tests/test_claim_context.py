@@ -12,7 +12,7 @@ from octo_so8 import claims, cli, load_fixtures
 from octo_so8.claims import dump_json, run_all, to_json
 from octo_so8.exact import CRational
 from octo_so8.matrices import (BetaSet, Pauli, SquareMatrix, beta_set,
-                               diff_cells, from_blocks, gram)
+                               diff_cells, from_blocks, gram, gram_fault)
 from octo_so8.rotations import (DegenerateBasis, SingularRotation,
                                 assemble_X, invert_exact,
                                 rotation_component_map)
@@ -218,13 +218,20 @@ def off_set_claims(fx, name) -> dict:
 @pytest.mark.parametrize("name", OFF_SET_BETA8)
 def test_off_set_readings_keep_their_verdicts(fx, name):
     bs = BetaSet("sigma", _SIGMA[:7] + (OFF_SET_BETA8[name],))
-    singular = claims.context(bs).gram_singular
+    singular = gram_fault(bs) == "singular"
     try:
         invert_exact(gram(bs))
         assert not singular
     except SingularRotation:
         assert singular
     assert singular == (name in ("minus-beta1", "tensor-beta8"))
+    status, details = claims._check_eq14_map(fx, claims.context(bs))
+    if status == "degenerate":
+        assert details == {"reason": {
+            "minus-beta1": "generator Gram matrix is singular",
+            "tensor-beta8": "generator Gram matrix is singular",
+            "i-IXX": "generator Gram matrix is not 8I",
+            "i-III": "generator Gram matrix is not 8I"}[name]}
 
     got = off_set_claims(fx, name)
     gram_claim = got["gram-orthogonality"]
@@ -265,14 +272,29 @@ SWEEP = tuple(BetaSet("sigma", _SIGMA[:a] + (code,) + _SIGMA[a + 1:])
 
 def test_code_flags_agree_with_the_dense_oracle(fx):
     eight = SquareMatrix.identity(8).scale(CRational(8))
+    faults = Counter()
     for bs in SWEEP:
-        x = assemble_X(bs)
-        _, details = claims._check_x_traceless_hermitian(
-            fx, claims._Context(bs))
+        x, ctx = assemble_X(bs), claims._Context(bs)
+        _, details = claims._check_x_traceless_hermitian(fx, ctx)
         assert details == {"hermitian": is_hermitian(x),
                            "traceless": is_traceless(x)}, bs
+        g = gram(bs)
+        try:
+            invert_exact(g)
+            fault = None if g == eight else "not 8I"
+        except SingularRotation:
+            fault = "singular"
+        faults[fault] += 1
+        status, details = claims._check_eq14_map(fx, ctx)
+        assert (status == "degenerate") == (fault is not None), bs
         try:
             rotation_component_map(1, 2, bs)
-            assert gram(bs) == eight, bs
-        except DegenerateBasis:
-            assert gram(bs) != eight, bs
+            assert fault is None, bs
+        except DegenerateBasis as exc:
+            assert str(exc) == details["reason"] == \
+                f"generator Gram matrix is {fault}", bs
+        status, details = claims._check_gram_orthogonality(fx, ctx)
+        assert details.get("gram_singular", False) is (fault == "singular")
+        assert status == {None: "confirmed", "singular": "degenerate",
+                          "not 8I": "refuted"}[fault], bs
+    assert faults == {None: 228, "singular": 56, "not 8I": 228}

@@ -7,6 +7,7 @@ import pytest
 
 from octo_so8 import (FixtureError, beta_set, fixtures, load_fixtures,
                       parse_linear_form, rotation_component_map)
+from octo_so8.cli import main
 from octo_so8.fixtures import (
     FIXTURE_FILES,
     parse_form_matrix,
@@ -77,6 +78,18 @@ class TestLoading:
         p.write_text(text.replace("e3", "e9", 1))
         with pytest.raises(FixtureError, match=r"table2\.txt:1:"):
             load_fixtures(str(data_copy))
+
+    def test_first_malformed_file_in_fixture_order_is_named(self, data_copy,
+                                                             capsys):
+        # files are read in FIXTURE_FILES order, the order in which a
+        # missing one is reported, so eq2 is named before table1
+        for name, old, new in (("eq2_sigma.txt", "beta1", "betaX"),
+                               ("table1.txt", "E0", "Q9")):
+            p = data_copy / name
+            p.write_text(p.read_text().replace(old, new, 1))
+        assert main(["verify", "--fixtures", str(data_copy)]) == 2
+        assert capsys.readouterr() == ("", "error: eq2_sigma.txt:1: expected "
+                                           "label beta1, found 'betaX'\n")
 
     def test_non_utf8_file_is_named(self, data_copy):
         p = data_copy / "table1.txt"
