@@ -294,7 +294,8 @@ def test_code_flags_agree_with_the_dense_oracle(fx):
             assert str(exc) == details["reason"] == \
                 f"generator Gram matrix is {fault}", bs
         status, details = claims._check_gram_orthogonality(fx, ctx)
-        assert details.get("gram_singular", False) is (fault == "singular")
+        assert details.get("gram_singular", False) is \
+            (fault == "singular"), bs
         assert status == {None: "confirmed", "singular": "degenerate",
                           "not 8I": "refuted"}[fault], bs
     assert faults == {None: 228, "singular": 56, "not 8I": 228}
