@@ -98,12 +98,19 @@ GRID_MODES = (["--format", "md"], ["--format", "json"],
               ["--theta=1", GRID_F, "--format", "md"],
               ["--theta=3/8", GRID_F, "--format", "json"])
 SPINOR_GRID = GOLDEN / "spinor-grid.json"
-# the last f overflows e^X under both readings
+# e^X with X = t beta_1, a Hermitian code squaring to I, has entries
+# cosh t and +-sinh t, so it overflows binary64 from t = ln(2 DBL_MAX),
+# about 710.5: f_1 = 710 succeeds, and 711, 720 and 1000 overflow under
+# both readings.  The fixture Y at f_1 = 710 is not Hermitian, and e^Y
+# overflows, so with --split 710 fails too.
 SPINOR_F = ("0,0,0,0,0,0,0,0", "0.25,0,0,0,0,0,0,-0.5",
             "0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9",
             "1.5,-2.25,0.75,3,-0.125,2,-1,0.5",
             "-3.7,1.9,-0.42,2.6,4.1,-1.3,0.07,-2.2",
+            "710,0,0,0,0,0,0,0", "711,0,0,0,0,0,0,0", "720,0,0,0,0,0,0,0",
             "1000,0,0,0,0,0,0,0")
+SPINOR_OVERFLOW_F = SPINOR_F[-3:]
+SPLIT_OVERFLOW_F = SPINOR_F[-4:]
 AUDIT_GRID = GOLDEN / "audit-grid.json"
 
 
@@ -159,12 +166,14 @@ def test_audit_grid_matches_digests():
 
 def test_spinor_grid_exits():
     # every spinor of the grid succeeds but the overflowing f, which
-    # exits 2 naming --f
+    # exit 2 naming --f
     for argv in spinor_grid():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
-        if argv[3] == f"--f={SPINOR_F[-1]}":
+        overflowing = SPLIT_OVERFLOW_F if "--split" in argv else \
+            SPINOR_OVERFLOW_F
+        if argv[3] in {f"--f={f}" for f in overflowing}:
             assert (rc, out.getvalue()) == (2, "")
             assert err.getvalue().startswith(f"error: {argv[3]}: ")
         else:
