@@ -419,39 +419,46 @@ def run_all(fixtures: FixtureStore, variant: str = "sigma") -> ClaimReport:
 # written by dump_json; key order fixed by construction, so two runs
 # over the same inputs are byte-identical)
 
+# json.dumps' kind of each type; a subclass takes its base's (isinstance)
+_JSON_KINDS = {str: str, float: float, int: int, dict: dict, list: list,
+               tuple: list, bool: bool, type(None): bool}
+
+
 def dump_json(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, for str, int, float,
-    bool and None values in lists, tuples and str-keyed dicts.  A
-    non-finite float raises ValueError where json.dumps prints NaN or
-    Infinity, which is not JSON."""
+    bool and None values in lists, tuples and str-keyed dicts, and
+    their subclasses.  A non-finite float raises ValueError where
+    json.dumps prints NaN or Infinity, which is not JSON."""
     out = []
     put = out.append
 
     def enc(o, pad):
-        if isinstance(o, str):
+        kind = _JSON_KINDS.get(type(o)) or next(
+            (k for t, k in _JSON_KINDS.items() if isinstance(o, t)), None)
+        if kind is str:
             put(_json_str(o))
-        elif isinstance(o, dict):
+        elif kind is float:
+            if not math.isfinite(o):
+                raise ValueError(f"non-finite float {o!r} is not JSON")
+            put(float.__repr__(o))
+        elif kind is dict:
             sep, inner = "{" + pad + "  ", pad + "  "
             for k, v in o.items():
                 put(sep + _json_str(k) + ": ")
                 enc(v, inner)
                 sep = "," + inner
             put(pad + "}" if o else "{}")
-        elif isinstance(o, (list, tuple)):
+        elif kind is list:
             sep, inner = "[" + pad + "  ", pad + "  "
             for v in o:
                 put(sep)
                 enc(v, inner)
                 sep = "," + inner
             put(pad + "]" if o else "[]")
-        elif o is None or o is True or o is False:
-            put("null" if o is None else "true" if o else "false")
-        elif isinstance(o, int):
+        elif kind is int:
             put(int.__repr__(o))
-        elif isinstance(o, float):
-            if not math.isfinite(o):
-                raise ValueError(f"non-finite float {o!r} is not JSON")
-            put(float.__repr__(o))
+        elif kind is bool:
+            put("null" if o is None else "true" if o else "false")
         else:
             raise TypeError(f"{type(o).__name__} is not JSON serializable")
     enc(obj, "\n")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .claims import (REFUTED, context, dump_json, form_cells, map_line,
                      render_markdown, run_all, to_json)
 from .exact import ScalarParseError, parse_dyadic
-from .fixtures import FixtureError, load_fixtures
+from .fixtures import FixtureError, load_fixtures, load_y_terms
 from .matrices import beta_set, compare_tables
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
@@ -282,10 +282,10 @@ def _octonion_terms(row, eps: float = 1e-15):
     terms = []
     for j, c in enumerate(row):
         z = complex(c)
-        if abs(z) <= eps:
+        if (mag := abs(z)) <= eps:
             continue
-        terms.append({"unit": f"e{j}",
-                      "re": z.real, "im": z.imag, "abs": abs(z)})
+        terms.append({"unit": f"e{j}", "re": z.real, "im": z.imag,
+                      "abs": mag})
     return terms
 
 
@@ -311,33 +311,31 @@ def cmd_spinor(args) -> int:
 
 
 def _spinor(args, fvals) -> int:
-    """Transform and print; raises NonFiniteInput when e^X or e^Y
-    overflows, ToleranceNotMet when a series misses tol."""
+    """Transform, and print in the one format asked for; --split reads
+    eq21_Y1.txt and eq21_Y2.txt alone.  Raises NonFiniteInput when e^X
+    or e^Y overflows, ToleranceNotMet when a series misses tol."""
     bs = beta_set(args.beta_variant)
-    psi_out = spinor_transform(standard_spinor(), numeric_X(fvals, bs),
-                               args.tol)
-    payload = {"f": fvals, "tol": args.tol,
-               "components": [{"index": i + 1,
-                               "terms": _octonion_terms(row)}
-                              for i, row in enumerate(psi_out)]}
-    lines = [_render_octonion_line(f"psi{i + 1}'", c["terms"])
-             for i, c in enumerate(payload["components"])]
+    out = {"psi": spinor_transform(standard_spinor(), numeric_X(fvals, bs),
+                                   args.tol)}
     if args.split:
-        fx = load_fixtures(_fixture_dir(args))
-        y_num = substitute_terms(fx.eq21_y_terms, fvals)
-        phi_out = split_transform(build_split_basis(), y_num, args.tol)
-        payload["split"] = {
-            "y_source": "fixture sum (eq21_Y1 + eq21_Y2)",
-            "components": [{"index": i + 1, "terms": _octonion_terms(row)}
-                           for i, row in enumerate(phi_out)],
-        }
-        lines.append(f"Y source: {payload['split']['y_source']}")
-        lines += [_render_octonion_line(f"phi{i + 1}'", c["terms"])
-                  for i, c in enumerate(payload["split"]["components"])]
+        y_num = substitute_terms(load_y_terms(_fixture_dir(args)), fvals)
+        out["phi"] = split_transform(build_split_basis(), y_num, args.tol)
+    terms = {k: list(map(_octonion_terms, rows)) for k, rows in out.items()}
+    y_source = "fixture sum (eq21_Y1 + eq21_Y2)"
     if args.format == "json":
+        comps = {k: [{"index": i + 1, "terms": t} for i, t in enumerate(v)]
+                 for k, v in terms.items()}
+        payload = {"f": fvals, "tol": args.tol, "components": comps["psi"]}
+        if args.split:
+            payload["split"] = {"y_source": y_source,
+                                "components": comps["phi"]}
         print(dump_json(payload))
-    else:
-        print("\n".join(lines))
+        return 0
+    lines = [_render_octonion_line(f"{k}{i + 1}'", t)
+             for k, v in terms.items() for i, t in enumerate(v)]
+    if args.split:
+        lines.insert(8, f"Y source: {y_source}")   # after the 8 psi lines
+    print("\n".join(lines))
     return 0
 
 

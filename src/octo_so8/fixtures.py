@@ -151,22 +151,24 @@ def parse_map_lines(text: str, filename: str) -> tuple:
 # ---------------------------------------------------------------------------
 # the store
 
-# Every load_fixtures() call requires the whole set, and passes over it
-# in this order: read (a missing file is named), decode, parse.
-_READERS = (
-    ("eq2_sigma.txt", parse_term_lines),
-    ("eq6_X.txt", parse_form_matrix),
-    ("eq12_R12.txt", parse_theta_grid),
-    ("eq13_delta.txt", parse_form_matrix),
-    ("eq14_map.txt", parse_map_lines),
-    ("eq21_Y1.txt", parse_form_matrix),
-    ("eq21_Y2.txt", parse_form_matrix),
-    ("eq23_C.txt", functools.partial(parse_form_matrix, size=4)),
-    ("eq24_D.txt", functools.partial(parse_form_matrix, size=4)),
-    ("table1.txt", functools.partial(parse_signed_grid, label="E")),
-    ("table2.txt", functools.partial(parse_signed_grid, label="e")),
-)
-FIXTURE_FILES = tuple(name for name, _ in _READERS)
+# load_fixtures() reads the whole set, load_y_terms() the two Y files;
+# each passes over its files in this order: read (a missing file is
+# named), decode, parse.
+_READERS = {
+    "eq2_sigma.txt": parse_term_lines,
+    "eq6_X.txt": parse_form_matrix,
+    "eq12_R12.txt": parse_theta_grid,
+    "eq13_delta.txt": parse_form_matrix,
+    "eq14_map.txt": parse_map_lines,
+    "eq21_Y1.txt": parse_form_matrix,
+    "eq21_Y2.txt": parse_form_matrix,
+    "eq23_C.txt": functools.partial(parse_form_matrix, size=4),
+    "eq24_D.txt": functools.partial(parse_form_matrix, size=4),
+    "table1.txt": functools.partial(parse_signed_grid, label="E"),
+    "table2.txt": functools.partial(parse_signed_grid, label="e"),
+}
+FIXTURE_FILES = tuple(_READERS)
+_Y = slice(5, 7)   # eq21_Y1.txt and eq21_Y2.txt in FIXTURE_FILES
 
 
 class FixtureStore(NamedTuple):
@@ -188,21 +190,21 @@ class FixtureStore(NamedTuple):
     digests: dict          # filename -> sha256 hex
 
 
-def _read_raw(directory: Optional[str]) -> dict:
-    """The bytes of every fixture file, from *directory* or from the
-    bundled package data when *directory* is None."""
+def _read_raw(directory: Optional[str], names=FIXTURE_FILES) -> tuple:
+    """The bytes of the named fixture files, from *directory* or from
+    the bundled package data when *directory* is None."""
     root = (resources.files("octo_so8") / "data" if directory is None
             else Path(directory))
     if not root.is_dir():
         raise FixtureError(f"fixture directory not found: {root}")
-    raw = {}
-    for name in FIXTURE_FILES:
+    raw = []
+    for name in names:
         try:
-            raw[name] = (root / name).read_bytes()
+            raw.append((root / name).read_bytes())
         except (FileNotFoundError, IsADirectoryError):
             raise FixtureError(
                 f"missing fixture file: {root / name}") from None
-    return raw
+    return tuple(raw)
 
 
 def _decode(name: str, data: bytes) -> str:
@@ -223,25 +225,42 @@ def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
     eq2 dicts."""
     import hashlib   # here, so commands that read no fixture never load it
     raw = _read_raw(directory)
-    parsed = _parse(tuple(raw[name] for name in FIXTURE_FILES))
+    parsed = _parse(raw)
     return parsed._replace(
         eq2=dict(parsed.eq2),
-        digests={name: hashlib.sha256(raw[name]).hexdigest()
-                 for name in FIXTURE_FILES})
+        digests={name: hashlib.sha256(data).hexdigest()
+                 for name, data in zip(FIXTURE_FILES, raw)})
+
+
+def load_y_terms(directory: Optional[str] = None) -> tuple:
+    """FixtureStore.eq21_y_terms off eq21_Y1.txt and eq21_Y2.txt alone,
+    read and parsed as load_fixtures does, with its messages; no other
+    file is read, and none is digested."""
+    return _parse_y(_read_raw(directory, FIXTURE_FILES[_Y]))
+
+
+def _read_all(names, raw) -> list:
+    """The named files' bytes all decoded, then each read by its reader."""
+    text = [_decode(name, data) for name, data in zip(names, raw)]
+    return [_READERS[name](t, name) for name, t in zip(names, text)]
+
+
+@functools.lru_cache(maxsize=4)
+def _parse_y(raw: tuple) -> tuple:
+    y1, y2 = _read_all(FIXTURE_FILES[_Y], raw)
+    return tuple(tuple((complex(e.constant), tuple(
+        (a, complex(c)) for a, c in enumerate(e.coeffs[1:]) if c))
+        for e in row) for row in (y1 + y2).rows)
 
 
 @functools.lru_cache(maxsize=4)
 def _parse(raw: tuple) -> FixtureStore:
-    """The store parsed from the files' bytes: every file decoded, then
-    read in FIXTURE_FILES order; load_fixtures fills in the digests."""
-    text = [_decode(name, data) for name, data in zip(FIXTURE_FILES, raw)]
+    """The store parsed from the files' bytes, in FIXTURE_FILES order;
+    load_fixtures fills in the digests."""
     (eq2, eq6, (eq12_const, eq12_theta), eq13, eq14, y1, y2, eq23_c, eq24_d,
-     table1, table2) = [read(t, name)
-                        for (name, read), t in zip(_READERS, text)]
+     table1, table2) = _read_all(FIXTURE_FILES, raw)
     return FixtureStore(
         table1=table1, table2=table2, eq2=eq2, eq6=eq6, eq13=eq13, eq14=eq14,
         eq12_const=eq12_const, eq12_theta=eq12_theta, eq21_y1=y1, eq21_y2=y2,
-        eq21_y_terms=tuple(tuple((complex(e.constant), tuple(
-            (a, complex(c)) for a, c in enumerate(e.coeffs[1:]) if c))
-            for e in row) for row in (y1 + y2).rows),
-        eq23_c=eq23_c, eq24_d=eq24_d, digests={})
+        eq21_y_terms=_parse_y(raw[_Y]), eq23_c=eq23_c, eq24_d=eq24_d,
+        digests={})

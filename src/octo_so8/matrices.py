@@ -183,15 +183,16 @@ class Pauli(NamedTuple):
         c, q = self.cell(i)
         return PHASES[q] if c == j else _ZERO
 
+    # products build with tuple.__new__: NamedTuple's __new__ is Python
     def __matmul__(self, other):
         if not isinstance(other, Pauli):
             return NotImplemented
-        return Pauli(self.x ^ other.x, self.z ^ other.z,
-                     (self.q + other.q
-                      + 2 * (self.z & other.x).bit_count()) % 4)
+        return tuple.__new__(Pauli, (
+            self.x ^ other.x, self.z ^ other.z,
+            (self.q + other.q + 2 * (self.z & other.x).bit_count()) % 4))
 
     def __neg__(self) -> "Pauli":
-        return Pauli(self.x, self.z, (self.q + 2) % 4)
+        return tuple.__new__(Pauli, (self.x, self.z, (self.q + 2) % 4))
 
     def commutes(self, other: "Pauli") -> bool:
         return ((self.x & other.z).bit_count()

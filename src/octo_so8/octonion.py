@@ -15,6 +15,7 @@ coefficients.  Its immutable coefficient tuple, with +, -, negation,
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 from .exact import CoeffTuple, CRational
@@ -120,6 +121,7 @@ class Octonion(CoeffTuple):
 SPLIT_PAIRS = ((0, 7), (1, 4), (2, 5), (3, 6))   # (a, b) of each u_m
 
 
+@functools.cache   # immutable: a tuple of Octonions
 def build_split_basis() -> tuple:
     """(u0, u1, u2, u3, u0*, u1*, u2*, u3*)."""
     u, us = [], []

@@ -20,10 +20,11 @@ rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from itertools import chain
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import CRational
@@ -259,8 +260,7 @@ def _matmul(a, b, hermitian: bool = False) -> list:
 
 
 def _all_finite(m) -> bool:
-    return all(math.isfinite(v.real) and math.isfinite(v.imag)
-               for v in chain.from_iterable(m))
+    return all(map(cmath.isfinite, chain.from_iterable(m)))
 
 
 def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
@@ -304,17 +304,17 @@ _THETA = ((2.0 ** -40, (0.04051, 0.2401, 0.6193, 1.326, 2.178, 3.359, 4.615)),
                         3.539)))
 # (m, p): T_m from A^2..A^p and m/p - 1 Horner steps in A^p: 3..9 products
 _DEGREES = ((6, 3), (9, 3), (12, 4), (16, 4), (20, 5), (25, 5), (30, 6))
+_INV_FACTORIAL = tuple(1 / math.factorial(k) for k in range(31))   # to m = 30
 
 
-def _combine(c0: float, coeffs, mats, start=None) -> list:
-    """start + c0*I + sum_j coeffs[j] * mats[j] for real c0 and coeffs
-    and rows of complex, entry by entry: Hermitian terms give an exactly
-    Hermitian sum."""
-    n = len(mats[0])
-    acc = list(chain.from_iterable(start or [[0j] * n] * n))
-    for c, mat in zip(coeffs, mats):
-        acc = list(map(add, acc, map(complex(c).__mul__,
-                                     chain.from_iterable(mat))))
+def _combine(c0: float, coeffs, flats, n: int, start=None) -> list:
+    """start + c0*I + sum_j coeffs[j] * mats[j] for real c0 and coeffs,
+    n x n rows of complex, each mats[j] flattened as flats[j], entry by
+    entry: Hermitian terms give an exactly Hermitian sum."""
+    acc = list(chain.from_iterable(start)) if start else [0j] * (n * n)
+    for c, flat in zip(coeffs, flats):
+        c = complex(c)
+        acc = [v + c * w for v, w in zip(acc, flat)]
     for k in range(0, n * n, n + 1):
         acc[k] += c0
     return [acc[i * n:(i + 1) * n] for i in range(n)]
@@ -336,9 +336,11 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     scipy.linalg.expm was at most 1e-12.  An exactly Hermitian input
     (every X is one) has every product summed on its upper triangle
     only and mirrored, so e^X comes back exactly Hermitian with a real
-    diagonal.  Raises NonFiniteInput when the input or the result holds
-    NaN or infinity, or when the norm exceeds 2^1022; ToleranceNotMet
-    when tol < 2^-53.
+    diagonal; when a lower bound on its top eigenvalue exceeds ln n +
+    ln 2^1024 + 1 (712.86 at n = 8), an entry of e^A overflows, and no
+    product runs.  Raises NonFiniteInput when the input or the result
+    holds NaN or infinity, or when the norm exceeds 2^1022;
+    ToleranceNotMet when tol < 2^-53.
     """
     a = [[complex(v) for v in row] for row in m]
     if not _all_finite(a):
@@ -359,19 +361,30 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
         s = max(0, e - f + (x > y)) if norm else 0   # exact, no division
         choices.append((p + deg // p - 2 + s, s, deg, p))
     _, s, deg, p = min(choices)   # ties: the fewest squarings
+    n = len(a)
     # every power and product here is a real polynomial in a
     hermitian = all(a[i][j] == a[j][i].conjugate()
-                    for i in range(len(a)) for j in range(i, len(a)))
+                    for i in range(n) for j in range(i, n))
+    if hermitian and a:
+        # lambda_max >= a_ii and >= (a_ii + a_jj)/2 + |a_ij|, the top
+        # eigenvalue of a 2x2 principal block, and max|e^A| >= e^lambda_max
+        # / n; past ln(n 2^1024) by a margin of 1, no rounding is finite
+        d = [a[i][i].real for i in range(n)]
+        low = max(d + [(d[i] + d[j]) / 2 + abs(a[i][j])
+                       for i in range(n) for j in range(i + 1, n)])
+        if low > math.log(n) + 1024 * math.log(2) + 1:
+            raise NonFiniteInput("exponential overflows binary64")
     scale = 2.0 ** -s                 # exact: s < 1030
     powers = [[[v * scale for v in row] for row in a]]   # A, A^2, .., A^p
     for _ in range(p - 1):
         powers.append(_matmul(powers[-1], powers[0], hermitian))
-    c = [1 / math.factorial(k) for k in range(deg + 1)]
+    flats = [list(chain.from_iterable(pw)) for pw in powers]
+    c = _INV_FACTORIAL
     # T_m = sum_i B_i (A^p)^i, B_i = sum_(j<p) c_(ip+j) A^j, the last B
     # also taking c_m A^p; Horner in A^p
-    result = _combine(c[deg - p], c[deg - p + 1:], powers)
+    result = _combine(c[deg - p], c[deg - p + 1:deg + 1], flats, n)
     for i in range(deg - 2 * p, -1, -p):
-        result = _combine(c[i], c[i + 1:i + p], powers,
+        result = _combine(c[i], c[i + 1:i + p], flats, n,
                           _matmul(powers[-1], result, hermitian))
     for _ in range(s):
         result = _matmul(result, result, hermitian)

@@ -5,6 +5,8 @@ per-term spinor transport, a token reader over Fractions, plus
 block-algebra helpers only the tests need."""
 
 import functools
+import itertools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -15,6 +17,7 @@ import numpy as np
 from octo_so8 import (CRational, Octonion, SquareMatrix, beta_set, gram,
                       invert_exact, matrix_exp, plane_product)
 from octo_so8.matrices import SIGMA_TERMS, TENSOR_ASSIGNMENTS, from_blocks
+from octo_so8.rotations import _DEGREES, _THETA, DEFAULT_TOL, _matmul
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +296,59 @@ def octonion_transport(psi, x_num):
             acc = acc + complex(e[i][j]) * numeric[j]
         out.append(acc.coeffs)
     return np.array(out, dtype=np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# the exponential as it stood before its bookkeeping was trimmed: a
+# 1/k! list per call, _combine by map over each power's rows, and
+# finiteness read off math.isfinite; the series runs for every input.
+# The package must match it bit for bit wherever it returns, and raise
+# wherever its result is not finite.
+
+def _combine_reference(c0: float, coeffs, mats, start=None) -> list:
+    n = len(mats[0])
+    acc = list(itertools.chain.from_iterable(start or [[0j] * n] * n))
+    for c, mat in zip(coeffs, mats):
+        acc = list(map(operator.add, acc, map(
+            complex(c).__mul__, itertools.chain.from_iterable(mat))))
+    for k in range(0, n * n, n + 1):
+        acc[k] += c0
+    return [acc[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _finite_reference(m) -> bool:
+    return all(math.isfinite(v.real) and math.isfinite(v.imag)
+               for v in itertools.chain.from_iterable(m))
+
+
+def matrix_exp_reference(m, tol: float = DEFAULT_TOL):
+    """(e^A, None), or (None, message) where the series gives NaN or
+    infinity; the input checks are the package's."""
+    a = [[complex(v) for v in row] for row in m]
+    norm = max((sum(map(abs, row)) for row in a), default=0.0)
+    table = next(t for tabled, t in _THETA if tabled <= tol)
+    choices, (x, e) = [], math.frexp(norm)
+    for (deg, p), theta in zip(_DEGREES, table):
+        y, f = math.frexp(theta)
+        s = max(0, e - f + (x > y)) if norm else 0
+        choices.append((p + deg // p - 2 + s, s, deg, p))
+    _, s, deg, p = min(choices)
+    hermitian = all(a[i][j] == a[j][i].conjugate()
+                    for i in range(len(a)) for j in range(i, len(a)))
+    scale = 2.0 ** -s
+    powers = [[[v * scale for v in row] for row in a]]
+    for _ in range(p - 1):
+        powers.append(_matmul(powers[-1], powers[0], hermitian))
+    c = [1 / math.factorial(k) for k in range(deg + 1)]
+    result = _combine_reference(c[deg - p], c[deg - p + 1:], powers)
+    for i in range(deg - 2 * p, -1, -p):
+        result = _combine_reference(c[i], c[i + 1:i + p], powers,
+                                    _matmul(powers[-1], result, hermitian))
+    for _ in range(s):
+        result = _matmul(result, result, hermitian)
+    if not _finite_reference(result):
+        return None, "exponential overflows binary64"
+    return result, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Claim registry: frozen verdicts, details payloads, report rendering."""
 
+import enum
 import json
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -245,10 +247,49 @@ JSON_LEAVES = st.one_of(
     st.booleans(), st.none(),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1.5e300, 0.1, -2.5]))
+
+
+# subclasses, which dump_json reads as json.dumps does, by isinstance
+class Str(str):
+    pass
+
+
+class Int(int):
+    pass
+
+
+class Float(float):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Dict(dict):
+    pass
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2 ** 70
+
+
+SUBCLASS_LEAVES = st.one_of(
+    JSON_TEXT.map(Str), st.integers().map(Int), st.sampled_from(Level),
+    st.floats(allow_nan=False, allow_infinity=False).map(Float))
 JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.one_of(st.lists(inner, max_size=5),
-                            st.dictionaries(JSON_TEXT, inner, max_size=5)),
+    st.one_of(JSON_LEAVES, SUBCLASS_LEAVES),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(List),
+        st.builds(Pair, inner, inner),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+        st.dictionaries(JSON_TEXT.map(Str), inner, max_size=5).map(Dict)),
     max_leaves=40)
 
 

@@ -275,6 +275,9 @@ class TestRotate:
         assert err.startswith("error: fixture directory not found")
 
 
+SPINOR_F = "--f=0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9"
+
+
 class TestSpinor:
     def test_zero_action_is_identity(self, capsys):
         rc, out, _ = run(capsys, "spinor", "--f", "0,0,0,0,0,0,0,0")
@@ -302,6 +305,44 @@ class TestSpinor:
         payload = run_json(capsys, "spinor", "--f", "0,0,0,0,0,0,0,1",
                            "--split")
         assert payload["split"]["y_source"] == "fixture sum (eq21_Y1 + eq21_Y2)"
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    def test_split_reads_no_file_but_the_two_y_files(self, capsys, data_copy,
+                                                     fmt):
+        # a bad token in table1.txt fails verify, which reads the whole
+        # set, and leaves --split, which reads eq21_Y1 and eq21_Y2, as
+        # it prints on the bundled set
+        path = data_copy / "table1.txt"
+        path.write_text(path.read_text("utf-8").replace("E0", "Q9", 1),
+                        "utf-8")
+        argv = ("spinor", SPINOR_F, "--split", "--format", fmt)
+        rc, out, err = run(capsys, *argv, "--fixtures", str(data_copy))
+        assert (rc, err) == (0, "")
+        assert out == run(capsys, *argv)[1]
+        rc, out, err = run(capsys, "verify", "--fixtures", str(data_copy))
+        assert (rc, out) == (2, "")
+        assert err == "error: table1.txt:1: bad cell token 'Q9'\n"
+
+    @pytest.mark.parametrize("command", [("verify",),
+                                         ("spinor", SPINOR_F, "--split")])
+    def test_split_names_a_bad_y_file_as_verify_does(self, capsys, data_copy,
+                                                     command):
+        path = data_copy / "eq21_Y2.txt"
+        rows = path.read_text("utf-8").split("\n")
+        rows[4] = " ".join(["--f1"] + rows[4].split()[1:])
+        path.write_text("\n".join(rows), "utf-8")
+        rc, out, err = run(capsys, *command, "--fixtures", str(data_copy))
+        assert (rc, out) == (2, "")
+        assert err == ("error: eq21_Y2.txt:5: column 1: consecutive signs "
+                       "in '--f1'\n")
+
+    def test_split_names_a_missing_y_file(self, capsys, data_copy):
+        (data_copy / "eq21_Y1.txt").unlink()
+        rc, out, err = run(capsys, "spinor", SPINOR_F, "--split",
+                           "--fixtures", str(data_copy))
+        assert (rc, out) == (2, "")
+        assert err == ("error: missing fixture file: "
+                       f"{data_copy / 'eq21_Y1.txt'}\n")
 
     @pytest.mark.parametrize("argv", [
         ("--f=1000,0,0,0,0,0,0,0",),

@@ -10,6 +10,7 @@ from octo_so8 import (FixtureError, beta_set, fixtures, load_fixtures,
 from octo_so8.cli import main
 from octo_so8.fixtures import (
     FIXTURE_FILES,
+    load_y_terms,
     parse_form_matrix,
     parse_map_lines,
     parse_signed_grid,
@@ -42,6 +43,15 @@ class TestLoading:
                 assert terms == tuple((a, complex(c)) for a, c in
                                       enumerate(form.coeffs[1:]) if c)
         assert load_fixtures().eq21_y_terms is fx.eq21_y_terms
+
+    def test_y_terms_need_only_the_two_y_files(self, fx, data_copy):
+        for name in FIXTURE_FILES:
+            if name not in ("eq21_Y1.txt", "eq21_Y2.txt"):
+                (data_copy / name).unlink()
+        assert load_y_terms(str(data_copy)) == fx.eq21_y_terms
+        assert load_y_terms() is load_y_terms()    # the parse was reused
+        with pytest.raises(FixtureError, match="missing fixture file"):
+            load_fixtures(str(data_copy))
 
     def test_directory_copy_loads_identically(self, fx, data_copy):
         # the bundled set and a copy are read through one path

@@ -4,7 +4,7 @@ exponential, verify's exp-action claim) run on plain lists of complex.
 numpy serves the tests as an oracle only.  Nothing loads
 ``dataclasses`` (the records are NamedTuples) or ``fractions`` (every
 exact scalar is a CRational built from ints), and only a command that
-reads the fixtures loads ``hashlib``, for their digests.
+reads the whole fixture set loads ``hashlib``, for its digests.
 
 Each case runs in a fresh interpreter, since this test process has
 all these modules loaded already."""
@@ -42,12 +42,12 @@ print(json.dumps(steps))
 """
 
 F = "--f=0.3,-0.2,0.7,0.1,0,-0.5,0.4,0.9"
-# Commands that read no fixture file, and those that do.
-NO_FIXTURES = [["spinor", F],
+# Commands that digest no fixture file, and those that do.  spinor
+# --split reads the two files of Y, and digests neither.
+NO_FIXTURES = [["spinor", F], ["spinor", F, "--split"],
                ["rotate", "1", "2", "--theta=1/4", "--f=1,0,0,0,0,0,0,0"],
                ["rotate", "3", "7"], ["gram"], ["dump-beta", "3"]]
-READ_FIXTURES = [["rotate", "5", "6"], ["tables"], ["verify"],
-                 ["spinor", F, "--split"]]
+READ_FIXTURES = [["rotate", "5", "6"], ["tables"], ["verify"]]
 
 
 def modules_loaded(*commands) -> dict:
@@ -112,7 +112,7 @@ def test_no_command_loads_fractions(every_command):
 
 
 @pytest.mark.parametrize("reader", READ_FIXTURES,
-                         ids=["rotate-5-6", "tables", "verify", "spinor-split"])
+                         ids=["rotate-5-6", "tables", "verify"])
 def test_hashlib_loads_only_with_the_fixtures(reader):
     steps = modules_loaded(*NO_FIXTURES, reader)
     assert loading(steps, "hashlib") == [" ".join(reader)], steps

@@ -3,23 +3,28 @@
 The theta_m tables are recomputed from the backward-error series in
 exact rationals; the guarantee is checked against an exact rational
 Taylor sum of X at dyadic f; the Paterson-Stockmeyer evaluation is held
-to its product counts; and the fixture Y by scatter is checked bit for
-bit against substituting every coefficient.
+to its product counts; the evaluation, and its early overflow verdict,
+are checked bit for bit against the reference exponential of
+tests/oracles.py; and the fixture Y by scatter is checked bit for bit
+against substituting every coefficient.
 """
 
 import math
 import random
 import statistics
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
 
-from octo_so8 import CRational, SquareMatrix, ToleranceNotMet, beta_set
+from octo_so8 import (CRational, NonFiniteInput, SquareMatrix,
+                      ToleranceNotMet, beta_set)
 from octo_so8 import rotations
 from octo_so8.matrices import monomial_sum
 from octo_so8.rotations import (_DEGREES, _THETA, DEFAULT_TOL, matrix_exp,
                                 numeric_X, substitute_terms)
-from oracles import substitute_numeric
+from oracles import matrix_exp_reference, substitute_numeric
 
 READINGS = ("sigma", "tensor")
 TERMS = 60   # terms of a series summed exactly; the rest is bounded
@@ -231,6 +236,77 @@ def test_tol_below_every_table_names_2_to_the_minus_53():
 
 def test_zero_takes_the_cheapest_degree(products):
     assert count(products, [[0j] * 8 for _ in range(8)]) == 3
+
+
+# ---------------------------------------------------------------------------
+# bit for bit against the reference exponential
+
+def bits(m) -> list:
+    """Every entry's two binary64 parts as bytes, so -0.0 != 0.0."""
+    return [struct.pack("<dd", v.real, v.imag) for row in m for v in row]
+
+
+def same_as_reference(m, tol=DEFAULT_TOL):
+    want, message = matrix_exp_reference(m, tol)
+    if message is None:
+        assert bits(matrix_exp(m, tol)) == bits(want)
+    else:
+        with pytest.raises(NonFiniteInput) as exc:
+            matrix_exp(m, tol)
+        assert str(exc.value) == message
+    return message is None
+
+
+def test_matches_the_reference_on_benchmark_like_x_and_y(fx):
+    rng = random.Random("matrix_exp reference")
+    for _ in range(300):
+        f = bench_like_f(rng)
+        for reading in READINGS:
+            assert same_as_reference(numeric_X(f, beta_set(reading)))
+        same_as_reference(substitute_terms(fx.eq21_y_terms, f))
+
+
+def test_matches_the_reference_on_general_matrices_with_exact_zeros():
+    # sparse entries of both zero signs keep exact zeros in every power
+    rng = random.Random("matrix_exp general")
+    zeros = (0.0, -0.0)
+
+    def entry(density):
+        if rng.random() >= density:
+            return complex(rng.choice(zeros), rng.choice(zeros))
+        return complex(rng.gauss(0, 2), rng.choice(zeros + (rng.gauss(0, 2),)))
+    for n in (1, 2, 3, 8):
+        for density in (0.15, 0.4, 1.0):
+            for _ in range(15):
+                m = [[entry(density) for _ in range(n)] for _ in range(n)]
+                same_as_reference(m)
+                # its Hermitian part, so the mirrored products run too
+                same_as_reference([[(m[i][j] + m[j][i].conjugate()) / 2
+                                    for j in range(n)] for i in range(n)])
+
+
+def test_overflow_verdict_across_the_bound():
+    # t beta_A for a Hermitian code has lambda_max = |t|; the early
+    # verdict, for lambda_max past ln(8 DBL_MAX) ~ 711.86 plus its
+    # margin, must fall where the series overflows, with its message
+    edge = math.log(8) + math.log(sys.float_info.max)
+    ts = [edge + k / 4 for k in range(-12, 13)]
+    outcomes = set()
+    for reading in READINGS:
+        for a in range(8):
+            f = [0.0] * 8
+            for t in ts + [-t for t in ts]:
+                f[a] = t
+                outcomes.add(same_as_reference(numeric_X(f,
+                                                         beta_set(reading))))
+    assert outcomes == {True, False}
+
+
+def test_overflow_verdict_runs_no_product(products):
+    x = numeric_X([720.0] + [0.0] * 7)
+    with pytest.raises(NonFiniteInput, match="exponential overflows"):
+        matrix_exp(x)
+    assert products[0] == 0
 
 
 # ---------------------------------------------------------------------------
