@@ -165,8 +165,8 @@ def test_audit_grid_matches_digests():
 
 
 def test_spinor_grid_exits():
-    # every spinor of the grid succeeds but the overflowing f, which
-    # exit 2 naming --f
+    # every spinor of the grid succeeds but those of an overflowing f,
+    # which exit 2 naming --f
     for argv in spinor_grid():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
