@@ -1,11 +1,12 @@
 """Claim ledger: every checkable statement in the source material gets
 one Claim with a stable id, a coordinate anchor, and a checker.
 
-run_all() executes the registry against a FixtureStore and assembles a
-deterministic ClaimReport.  Refutations are report content, never
-exceptions; only operational failures (missing files, parse errors)
-raise.  Checkers return (status, details) with status one of
-"confirmed", "refuted", "degenerate".
+run_all() executes the registry against a FixtureStore and returns the
+deterministic report as the JSON document that to_json prints.
+Refutations are report content, never exceptions; only operational
+failures (missing files, parse errors) raise.  Checkers return
+(status, details) with status one of "confirmed", "refuted",
+"degenerate".
 
 Everything the checkers derive without reading a fixture lives on
 ``context(bs)``, built on first use, once per generator reading in a
@@ -87,8 +88,8 @@ class _Context:
 
     @cached_property
     def eq14(self):
-        """The component map of plane (1,2), or the DegenerateBasis
-        message when the Gram matrix is not 8*I."""
+        """The (lines, residual) component map of plane (1,2), or the
+        DegenerateBasis message when the Gram matrix is not 8*I."""
         try:
             return rotation_component_map(1, 2, self.bs)
         except DegenerateBasis as exc:
@@ -211,13 +212,13 @@ def _check_eq13_increment(fx, ctx):
 def _check_eq14_map(fx, ctx):
     if isinstance(cm := ctx.eq14, str):
         return DEGENERATE, {"reason": cm}
-    lines = [{**map_line(a, derived, stated),
+    derived, residual = cm
+    lines = [{**map_line(a, d, stated),
               "stated_has_imaginary_coeff": stated.has_imaginary_coeff()}
-             for a, (derived, stated) in enumerate(zip(cm.lines, fx.eq14))]
-    residual = form_cells(cm.residual)
-    ok = all(ln["match"] for ln in lines) and not residual
-    return _status(ok), {"lines": lines,
-                         "projection_residual_cells": residual}
+             for a, (d, stated) in enumerate(zip(derived, fx.eq14))]
+    cells = form_cells(residual)
+    ok = all(ln["match"] for ln in lines) and not cells
+    return _status(ok), {"lines": lines, "projection_residual_cells": cells}
 
 
 def _check_eq15_alternates(fx, ctx):
@@ -319,27 +320,22 @@ def _check_gram_orthogonality(fx, ctx):
 
 def _check_table_48_16(fx, ctx):
     diff = compare_tables(fx.table2, ctx.table)
-    counts = diff.counts
+    counts = diff["counts"]
     ok = (counts["identical"] == 48 and counts["sign_flipped"] == 16
           and counts["structurally_different"] == 0)
     return _status(ok), {"stated": {"identical": 48, "sign_flipped": 16},
-                         "counts": counts, "cells": list(diff.cells)}
+                         **diff}
 
 
 def _check_table1_self_consistency(fx, ctx):
     diff = compare_tables(ctx.table, fx.table1)
-    ok = diff.counts["identical"] == 64
-    return _status(ok), {"counts": diff.counts, "cells": list(diff.cells)}
+    return _status(diff["counts"]["identical"] == 64), diff
 
 
 def _check_table2_fixture(fx, ctx):
     diff = compare_tables(TABLE, fx.table2)
-    ok = diff.counts["identical"] == 64
-    return _status(ok), {
-        "counts": diff.counts,
-        "cells": list(diff.cells),
-        "oriented_triples": [list(t) for t in ctx.triples],
-    }
+    return _status(diff["counts"]["identical"] == 64), {
+        **diff, "oriented_triples": [list(t) for t in ctx.triples]}
 
 
 def _check_x_traceless_hermitian(fx, ctx):
@@ -386,32 +382,23 @@ CLAIMS = (
 )
 
 
-class ClaimResult(NamedTuple):
-    id: str
-    anchor: str
-    status: str
-    details: dict
-
-
-class ClaimReport(NamedTuple):
-    version: str
-    fixtures: tuple   # ({"name", "digest"}, ...) sorted by name
-    claims: tuple     # ClaimResult, sorted by id
-    summary: dict     # {"confirmed", "refuted", "degenerate"}
-
-
-def run_all(fixtures: FixtureStore, variant: str = "sigma") -> ClaimReport:
+def run_all(fixtures: FixtureStore, variant: str = "sigma") -> dict:
+    """The report of every claim under one generator reading, as the
+    JSON document to_json prints: version, fixtures ({"name", "digest"}
+    sorted by name), claims ({"id", "anchor", "status", "details"}
+    sorted by id) and summary (the number of claims with each status)."""
     ctx = context(beta_set(variant))
-    results = []
+    claims = []
+    summary = {CONFIRMED: 0, REFUTED: 0, DEGENERATE: 0}
     for claim in sorted(CLAIMS, key=lambda c: c.id):
         status, details = claim.checker(fixtures, ctx)
-        results.append(ClaimResult(claim.id, claim.anchor, status, details))
-    summary = {CONFIRMED: 0, REFUTED: 0, DEGENERATE: 0}
-    for r in results:
-        summary[r.status] += 1
-    fx_rows = tuple({"name": n, "digest": fixtures.digests[n]}
-                    for n in sorted(fixtures.digests))
-    return ClaimReport(TOOLKIT_VERSION, fx_rows, tuple(results), summary)
+        summary[status] += 1
+        claims.append({"id": claim.id, "anchor": claim.anchor,
+                       "status": status, "details": details})
+    return {"version": TOOLKIT_VERSION,
+            "fixtures": [{"name": n, "digest": fixtures.digests[n]}
+                         for n in sorted(fixtures.digests)],
+            "claims": claims, "summary": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +452,24 @@ def dump_json(obj) -> str:
     return "".join(out)
 
 
-def report_dict(report: ClaimReport) -> dict:
-    return {
-        "version": report.version,
-        "fixtures": [dict(f) for f in report.fixtures],
-        "claims": [{"id": r.id, "anchor": r.anchor, "status": r.status,
-                    "details": r.details} for r in report.claims],
-        "summary": dict(report.summary),
-    }
+def to_json(report: dict) -> str:
+    return dump_json(report)
 
 
-def to_json(report: ClaimReport) -> str:
-    return dump_json(report_dict(report))
-
-
-def render_markdown(report: ClaimReport) -> str:
+def render_markdown(report: dict) -> str:
     lines = [
         "# Verification report",
         "",
-        f"version: {report.version}",
+        f"version: {report['version']}",
         "",
         "## Fixtures",
         "",
         "| file | sha256 |",
         "| --- | --- |",
     ]
-    for f in report.fixtures:
+    for f in report["fixtures"]:
         lines.append(f"| {f['name']} | {f['digest']} |")
-    s = report.summary
+    s = report["summary"]
     lines += [
         "",
         "## Summary",
@@ -505,10 +482,10 @@ def render_markdown(report: ClaimReport) -> str:
         "| id | anchor | status |",
         "| --- | --- | --- |",
     ]
-    for r in report.claims:
-        lines.append(f"| {r.id} | {r.anchor} | {r.status} |")
-    for r in report.claims:
-        lines += ["", f"### {r.id}", "", f"- anchor: {r.anchor}",
-                  f"- status: {r.status}", "", "```json",
-                  dump_json(r.details), "```"]
+    for r in report["claims"]:
+        lines.append(f"| {r['id']} | {r['anchor']} | {r['status']} |")
+    for r in report["claims"]:
+        lines += ["", f"### {r['id']}", "", f"- anchor: {r['anchor']}",
+                  f"- status: {r['status']}", "", "```json",
+                  dump_json(r["details"]), "```"]
     return "\n".join(lines) + "\n"

@@ -23,14 +23,13 @@ from .claims import (REFUTED, context, dump_json, form_cells, map_line,
                      render_markdown, run_all, to_json)
 from .exact import ScalarParseError, parse_dyadic
 from .fixtures import FixtureError, load_fixtures, load_y_terms
-from .matrices import beta_set, compare_tables
+from .matrices import beta_set, compare_tables, render_table
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
                         rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor,
                         substitute_terms)
 from .octonion import build_split_basis
-from .splitrep import split_transform
 
 _FORMATS = ("md", "json")
 
@@ -132,24 +131,24 @@ def cmd_tables(args) -> int:
     diff = compare_tables(fx.table2, derived)
     if args.format == "json":
         print(dump_json({
-            "octonion_table": fx.table2.render("e"),
-            "derived_e_table": derived.render("E"),
-            "diff": {"counts": diff.counts, "cells": list(diff.cells)},
+            "octonion_table": render_table(fx.table2, "e"),
+            "derived_e_table": render_table(derived, "E"),
+            "diff": diff,
         }))
         return 0
-    c = diff.counts
+    c = diff["counts"]
     out = ["## Octonion multiplication table (fixture)", ""]
-    out += _md_grid(fx.table2.render("e"), "e")
+    out += _md_grid(render_table(fx.table2, "e"), "e")
     out += ["", "## Derived E-matrix multiplication table", ""]
-    out += _md_grid(derived.render("E"), "E")
+    out += _md_grid(render_table(derived, "E"), "E")
     out += ["", "## Diff (octonion fixture vs derived E)", "",
             f"identical: {c['identical']}, sign-flipped: {c['sign_flipped']},"
             f" structurally-different: {c['structurally_different']}"]
-    if diff.cells:
+    if diff["cells"]:
         out += ["", "| row | col | octonion | derived | kind |",
                 "| --- | --- | --- | --- | --- |"]
         out += [f"| {d['row']} | {d['col']} | {d['left']} | {d['right']} |"
-                f" {d['kind']} |" for d in diff.cells]
+                f" {d['kind']} |" for d in diff["cells"]]
     print("\n".join(out))
     return 0
 
@@ -161,7 +160,7 @@ def cmd_verify(args) -> int:
         print(to_json(report))
     else:
         print(render_markdown(report), end="")
-    if args.strict and report.summary[REFUTED] > 0:
+    if args.strict and report["summary"][REFUTED] > 0:
         return 1
     return 0
 
@@ -213,7 +212,7 @@ def cmd_rotate(args) -> int:
     fvals = (None if args.f is None else _flag_value(
         "--f", args.f, lambda t: _f_values(t, parse_dyadic)))
     try:     # the lines once per command: both rotations below use them
-        cm = rotation_component_map(k, l, bs, fvals)
+        derived, per_theta = rotation_component_map(k, l, bs, fvals)
     except DegenerateBasis as exc:
         raise DegenerateBasis(
             f"plane ({k},{l}) under the {bs.variant} reading: {exc}") from None
@@ -224,8 +223,8 @@ def cmd_rotate(args) -> int:
         comparable = n == plane_product(1, 2, bs)
         fx = load_fixtures(_fixture_dir(args)) if comparable else None
         lines = [map_line(a, line, fx.eq14[a] if comparable else None)
-                 for a, line in enumerate(cm.lines)]
-        residual = form_cells(cm.residual)
+                 for a, line in enumerate(derived)]
+        residual = form_cells(per_theta)
         if args.format == "json":
             print(dump_json({"plane": [k, l], "mode": "symbolic",
                              "lines": lines, "residual_cells": residual}))
@@ -244,10 +243,11 @@ def cmd_rotate(args) -> int:
         print("\n".join(out))
         return 0
 
-    first = [f + theta * d for f, d in zip(fvals, cm.lines)]
-    exact, residual = rotate_exact(fvals, k, l, theta, bs, cm)
+    first = [f + theta * d for f, d in zip(fvals, derived)]
+    exact, residual = rotate_exact(fvals, k, l, theta, bs,
+                                   (derived, per_theta))
     try:
-        first_residual = abs(float(theta)) * _max_abs_cells(cm.residual)
+        first_residual = abs(float(theta)) * _max_abs_cells(per_theta)
         exact_residual = _max_abs_cells(residual)
         if first_residual == math.inf:     # finite factors, infinite product
             raise OverflowError
@@ -319,7 +319,7 @@ def _spinor(args, fvals) -> int:
                                    args.tol)}
     if args.split:
         y_num = substitute_terms(load_y_terms(_fixture_dir(args)), fvals)
-        out["phi"] = split_transform(build_split_basis(), y_num, args.tol)
+        out["phi"] = spinor_transform(build_split_basis(), y_num, args.tol)
     terms = {k: list(map(_octonion_terms, rows)) for k, rows in out.items()}
     y_source = "fixture sum (eq21_Y1 + eq21_Y2)"
     if args.format == "json":

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .exact import ScalarParseError
-from .matrices import SignedTable, SquareMatrix
+from .matrices import SquareMatrix
 from .symbolic import parse_linear_form, parse_theta_affine
 
 class FixtureError(ValueError):
@@ -56,8 +56,9 @@ _TERM = re.compile(r"^([+-]?)S([0-9])([0-9])$")
 _MAP_LABEL = re.compile(r"^f([1-8]):$")
 
 
-def parse_signed_grid(text: str, filename: str, label: str) -> SignedTable:
-    """8x8 grid of tokens like ``e3`` / ``-E5`` with basis letter *label*."""
+def parse_signed_grid(text: str, filename: str, label: str) -> tuple:
+    """8x8 grid of tokens like ``e3`` / ``-E5`` with basis letter *label*,
+    as a signed table: 8 rows of 8 (sign, k) cells."""
     rows = []
     for lineno, line in _rows(text, filename, 8):
         row = []
@@ -71,7 +72,7 @@ def parse_signed_grid(text: str, filename: str, label: str) -> SignedTable:
                       f"basis index out of range 0..7 in {tok!r}")
             row.append((-1 if m.group(1) == "-" else 1, k))
         rows.append(tuple(row))
-    return SignedTable(tuple(rows))
+    return tuple(rows)
 
 
 def parse_term_lines(text: str, filename: str) -> dict:
@@ -168,13 +169,13 @@ _READERS = {
     "table2.txt": functools.partial(parse_signed_grid, label="e"),
 }
 FIXTURE_FILES = tuple(_READERS)
-_Y = slice(5, 7)   # eq21_Y1.txt and eq21_Y2.txt in FIXTURE_FILES
+_Y_FILES = ("eq21_Y1.txt", "eq21_Y2.txt")
 
 
 class FixtureStore(NamedTuple):
     """Every bundled fixture, parsed, plus a sha256 digest per file."""
-    table1: SignedTable
-    table2: SignedTable
+    table1: tuple          # 8x8 (sign, k) cells, as matrices.signed_table
+    table2: tuple
     eq2: dict              # same shape as matrices.SIGMA_TERMS
     eq6: SquareMatrix      # 8x8 linear forms
     eq12_const: SquareMatrix
@@ -183,8 +184,6 @@ class FixtureStore(NamedTuple):
     eq14: tuple            # 8 linear forms, the per-component flow
     eq21_y1: SquareMatrix
     eq21_y2: SquareMatrix
-    eq21_y_terms: tuple    # Y = eq21_y1 + eq21_y2 cells, summed once per
-                           # parse: (const, ((a, c_(a+1)), ...)), c != 0
     eq23_c: SquareMatrix   # 4x4
     eq24_d: SquareMatrix   # 4x4
     digests: dict          # filename -> sha256 hex
@@ -233,10 +232,11 @@ def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
 
 
 def load_y_terms(directory: Optional[str] = None) -> tuple:
-    """FixtureStore.eq21_y_terms off eq21_Y1.txt and eq21_Y2.txt alone,
-    read and parsed as load_fixtures does, with its messages; no other
-    file is read, and none is digested."""
-    return _parse_y(_read_raw(directory, FIXTURE_FILES[_Y]))
+    """The cells of Y = Y1 + Y2 as (const, ((a, c_(a+1)), ...)), c != 0,
+    in complex, for rotations.substitute_terms: eq21_Y1.txt and
+    eq21_Y2.txt alone, read and parsed as load_fixtures does, with its
+    messages; no other file is read, and none is digested."""
+    return _parse_y(_read_raw(directory, _Y_FILES))
 
 
 def _read_all(names, raw) -> list:
@@ -247,7 +247,7 @@ def _read_all(names, raw) -> list:
 
 @functools.lru_cache(maxsize=4)
 def _parse_y(raw: tuple) -> tuple:
-    y1, y2 = _read_all(FIXTURE_FILES[_Y], raw)
+    y1, y2 = _read_all(_Y_FILES, raw)
     return tuple(tuple((complex(e.constant), tuple(
         (a, complex(c)) for a, c in enumerate(e.coeffs[1:]) if c))
         for e in row) for row in (y1 + y2).rows)
@@ -262,5 +262,4 @@ def _parse(raw: tuple) -> FixtureStore:
     return FixtureStore(
         table1=table1, table2=table2, eq2=eq2, eq6=eq6, eq13=eq13, eq14=eq14,
         eq12_const=eq12_const, eq12_theta=eq12_theta, eq21_y1=y1, eq21_y2=y2,
-        eq21_y_terms=_parse_y(raw[_Y]), eq23_c=eq23_c, eq24_d=eq24_d,
-        digests={})
+        eq23_c=eq23_c, eq24_d=eq24_d, digests={})

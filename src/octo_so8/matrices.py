@@ -383,39 +383,27 @@ def audit_E_alternates(bs: BetaSet, ems: tuple):
 
 
 # ---------------------------------------------------------------------------
-# signed multiplication tables
+# signed multiplication tables: 8 rows of 8 (sign, k) cells, the product
+# sign * basis_k; None marks a product that is not +/- a basis element
 
-class SignedTable(NamedTuple):
-    """8x8 grid of (sign, basis_index) cells; None marks a product that
-    is not +/- a basis element."""
-    cells: tuple   # 8 rows of 8 cells
-
-    def cell(self, i: int, j: int):
-        return self.cells[i][j]
-
-    def render(self, prefix: str):
-        def tok(c):
-            if c is None:
-                return "?"
-            sign, k = c
-            return ("-" if sign < 0 else "") + f"{prefix}{k}"
-        return [[tok(c) for c in row] for row in self.cells]
+def render_table(table: tuple, prefix: str):
+    """The cells as tokens like ``e3`` / ``-E5``, ``?`` for None."""
+    def tok(c):
+        if c is None:
+            return "?"
+        sign, k = c
+        return ("-" if sign < 0 else "") + f"{prefix}{k}"
+    return [[tok(c) for c in row] for row in table]
 
 
-def signed_table(ems: tuple) -> SignedTable:
+def signed_table(ems: tuple) -> tuple:
     """Multiplication table of the E family, matched against +/-E_k
     (the first match in the order +E_0, -E_0, +E_1, ...)."""
     lookup: dict = {}
     for k, e in enumerate(ems):
         lookup.setdefault(e, (1, k))
         lookup.setdefault(-e, (-1, k))
-    return SignedTable(tuple(tuple(lookup.get(a @ b) for b in ems)
-                             for a in ems))
-
-
-class TableDiff(NamedTuple):
-    counts: dict   # {"identical", "sign_flipped", "structurally_different"}
-    cells: tuple   # non-identical cells, row-major
+    return tuple(tuple(lookup.get(a @ b) for b in ems) for a in ems)
 
 
 def _cell_token(c) -> str:
@@ -424,12 +412,15 @@ def _cell_token(c) -> str:
     return ("+" if c[0] > 0 else "-") + str(c[1])
 
 
-def compare_tables(left: SignedTable, right: SignedTable) -> TableDiff:
+def compare_tables(left: tuple, right: tuple) -> dict:
+    """{"counts", "cells"}: the number of identical, sign-flipped and
+    structurally different cells, and a {"row", "col", "left", "right",
+    "kind"} dict for each non-identical cell, row-major, 0-indexed."""
     counts = {"identical": 0, "sign_flipped": 0, "structurally_different": 0}
     cells = []
     for i in range(8):
         for j in range(8):
-            a, b = left.cell(i, j), right.cell(i, j)
+            a, b = left[i][j], right[i][j]
             if a == b and a is not None:
                 counts["identical"] += 1
                 continue
@@ -442,4 +433,4 @@ def compare_tables(left: SignedTable, right: SignedTable) -> TableDiff:
                 kind = "structurally-different"
             cells.append({"row": i, "col": j, "left": _cell_token(a),
                           "right": _cell_token(b), "kind": kind})
-    return TableDiff(counts, tuple(cells))
+    return {"counts": counts, "cells": cells}

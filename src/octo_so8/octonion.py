@@ -19,10 +19,9 @@ import functools
 from typing import NamedTuple, Sequence
 
 from .exact import CoeffTuple, CRational
-from .matrices import SignedTable
 
 # cell (i, j) = (sign, k) meaning e_i * e_j = sign * e_k
-_T = (
+TABLE = (
     ((+1, 0), (+1, 1), (+1, 2), (+1, 3), (+1, 4), (+1, 5), (+1, 6), (+1, 7)),
     ((+1, 1), (-1, 0), (+1, 3), (-1, 2), (+1, 7), (-1, 6), (+1, 5), (-1, 4)),
     ((+1, 2), (-1, 3), (-1, 0), (+1, 1), (+1, 6), (+1, 7), (-1, 4), (-1, 5)),
@@ -34,9 +33,6 @@ _T = (
 )
 
 
-TABLE = SignedTable(_T)
-
-
 def oriented_triples():
     """The seven oriented imaginary triples (i, j, k) with
     e_i e_j = e_k, smallest index first, implied by the table."""
@@ -44,7 +40,7 @@ def oriented_triples():
     seen = set()
     for i in range(1, 8):
         for j in range(i + 1, 8):
-            sign, k = _T[i][j]
+            sign, k = TABLE[i][j]
             key = frozenset((i, j, k))
             if key in seen:
                 continue
@@ -84,7 +80,7 @@ class Octonion(CoeffTuple):
             for j, b in enumerate(other.coeffs):
                 if not b:
                     continue
-                sign, k = _T[i][j]
+                sign, k = TABLE[i][j]
                 p = a * b
                 out[k] = out[k] + (p if sign > 0 else -p)
         return Octonion(out)

@@ -177,7 +177,7 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     and the anticommuting beta_B come from N's record, which forms the
     N beta_B only on the plane's first call, and the N beta_B
     terms are extract_components' lines and residual, or the given
-    ComponentMap of this plane at f.  Raises DegenerateBasis, as
+    (lines, residual) pair of this plane at f.  Raises DegenerateBasis, as
     extract_components does, before it looks at theta, then
     SingularRotation, naming the plane and theta, when 1 - s theta^2 = 0.
     """
@@ -199,19 +199,15 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
             residual.map(lambda e: scaled[id(e)]))
 
 
-class ComponentMap(NamedTuple):
-    """First-order component flow f_A -> f_A + theta * lines[A]."""
-    lines: tuple         # 8 entries of f's type, the theta coefficients
-    residual: SquareMatrix   # per-theta residual outside the span
-
-
 def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
-                           f: Optional[Sequence] = None) -> ComponentMap:
+                           f: Optional[Sequence] = None) -> tuple:
     """extract_components of beta_k beta_l at f, by default at the f
-    symbols: the first-order action of the (k, l) rotation."""
+    symbols: the first-order action of the (k, l) rotation, the flow
+    f_A -> f_A + theta * lines[A] and the per-theta residual outside
+    the span, as the pair (lines, residual)."""
     bs = betas or beta_set()
-    return ComponentMap(*extract_components(plane_product(k, l, bs),
-                                            SYMBOLS if f is None else f, bs))
+    return extract_components(plane_product(k, l, bs),
+                              SYMBOLS if f is None else f, bs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
 
 
 def substitute_terms(terms, fvals: Sequence) -> list:
-    """Form cells given as FixtureStore.eq21_y_terms, at finite float f:
+    """Form cells given as fixtures.load_y_terms does, at finite float f:
     each adds c * f_a, in a order, onto its constant.  A zero c would
     only add signed zeros to a sum that starts at +0 and so is never
     -0, so this equals substituting every coefficient bit for bit."""

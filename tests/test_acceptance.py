@@ -59,7 +59,7 @@ def _record(n, label, ok):
 
 
 def _claim(report, cid):
-    return next(r for r in report.claims if r.id == cid)
+    return next(r for r in report["claims"] if r["id"] == cid)
 
 
 def test_criterion_01_octonion_table_and_laws(fx):
@@ -67,7 +67,7 @@ def test_criterion_01_octonion_table_and_laws(fx):
     ok = True
     for i in range(8):
         for j in range(8):
-            sign, k = fx.table2.cell(i, j)
+            sign, k = fx.table2[i][j]
             ok &= Octonion.unit(i) * Octonion.unit(j) == Octonion.unit(k) * sign
     rng = random.Random(8128)
     for _ in range(500):
@@ -87,7 +87,7 @@ def test_criterion_01_octonion_table_and_laws(fx):
 def test_criterion_02_split_relation_family(report):
     checks = verify_split_relations()
     ok = len(checks) == 64 and all(c.ok for c in checks)
-    verdicts = _claim(report, "eq18-relations").details["verdicts"]
+    verdicts = _claim(report, "eq18-relations")["details"]["verdicts"]
     ok &= len(verdicts) == 64 and all(v["ok"] for v in verdicts)
     b = build_split_basis()
     u, u_star = b[:4], b[4:]
@@ -101,7 +101,7 @@ def test_criterion_03_generator_consistency(report):
     sig, ten = beta_set("sigma"), beta_set("tensor")
     ok = all(sig.beta(a) == ten.beta(a) for a in range(1, 8))
     c8 = _claim(report, "beta8-consistency")
-    ok &= c8.status == "refuted" and len(c8.details["cells"]) == 16
+    ok &= c8["status"] == "refuted" and len(c8["details"]["cells"]) == 16
     ok &= gram(sig) == SquareMatrix.identity(8).scale(CDyadic(8))
     gt = gram(ten)
     ok &= gt.at(0, 7) == CDyadic(8)
@@ -136,9 +136,9 @@ def test_criterion_05_rotation_machinery(fx):
                              ZERO_FORM).scale(theta)
     ok &= increment == fx.eq13.scale(theta).scale(2)
 
-    cm = rotation_component_map(1, 2)
+    lines, _ = rotation_component_map(1, 2)
     flags = {a + 1 for a in range(8)
-             if render_linear_form(cm.lines[a]) !=
+             if render_linear_form(lines[a]) !=
              render_linear_form(fx.eq14[a])}
     ok &= flags == {1, 3, 4}
 
@@ -168,7 +168,7 @@ def test_criterion_06_duplicate_rotation_planes(report):
     ok &= set(cls) == {(k, l) for k in range(1, 9) for l in range(k + 1, 9)
                        if as_monomial(plane_product(k, l)) == target}
     ok &= sum(len(c) for c in classes) == 28
-    det = _claim(report, "dup-rotations").details
+    det = _claim(report, "dup-rotations")["details"]
     ok &= sum(len(c) for c in det["partition"]) == 28
     _record(6, "duplicate-rotation-planes", ok)
 
@@ -176,19 +176,19 @@ def test_criterion_06_duplicate_rotation_planes(report):
 def test_criterion_07_table_cross_comparison(fx, report):
     derived = signed_table(build_E(beta_set()))
     d = compare_tables(fx.table2, derived)
-    ok = sum(d.counts.values()) == 64
-    ok &= d.counts != {"identical": 48, "sign_flipped": 16,
-                         "structurally_different": 0}
+    ok = sum(d["counts"].values()) == 64
+    ok &= d["counts"] != {"identical": 48, "sign_flipped": 16,
+                          "structurally_different": 0}
     c = _claim(report, "table-48-16")
-    ok &= c.status == "refuted" and len(c.details["cells"]) == 20
+    ok &= c["status"] == "refuted" and len(c["details"]["cells"]) == 20
 
     d1 = compare_tables(derived, fx.table1)
-    ok &= d1.counts == {"identical": 63, "sign_flipped": 1,
-                          "structurally_different": 0}
+    ok &= d1["counts"] == {"identical": 63, "sign_flipped": 1,
+                           "structurally_different": 0}
     c1 = _claim(report, "table1-self-consistency")
-    ok &= c1.status == "refuted"
-    ok &= c1.details["cells"][0]["row"] == 6
-    ok &= c1.details["cells"][0]["col"] == 5
+    ok &= c1["status"] == "refuted"
+    ok &= c1["details"]["cells"][0]["row"] == 6
+    ok &= c1["details"]["cells"][0]["col"] == 5
     _record(7, "table-cross-comparison", ok)
 
 
@@ -213,7 +213,8 @@ def test_criterion_08_block_sum_audit(fx, report):
     ok &= not audits[2]["ok"]                   # stated top-left B == C fails
     ok &= len(b_minus_c.nonzero_cells()) == 16  # ...and the diff is attached
     c = _claim(report, "eq22-blocks")
-    ok &= c.status == "refuted" and len(c.details["b_minus_c_cells"]) == 16
+    ok &= c["status"] == "refuted"
+    ok &= len(c["details"]["b_minus_c_cells"]) == 16
     _record(8, "block-sum-audit", ok)
 
 

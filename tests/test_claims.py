@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octo_so8 import TOOLKIT_VERSION, cli, render_markdown, run_all, to_json
-from octo_so8.claims import CLAIMS, dump_json, report_dict
+from octo_so8 import (TOOLKIT_VERSION, beta_set, cli, compare_tables,
+                      render_markdown, run_all, to_json)
+from octo_so8.claims import CLAIMS, context, dump_json
+from octo_so8.octonion import TABLE
 
 EXPECTED_STATUSES = {
     "beta-consistency": "confirmed",
@@ -36,7 +38,7 @@ EXPECTED_STATUSES = {
 
 
 def claim(report, cid):
-    return next(r for r in report.claims if r.id == cid)
+    return next(r for r in report["claims"] if r["id"] == cid)
 
 
 @pytest.fixture(scope="module")
@@ -57,28 +59,28 @@ class TestRegistry:
 
 class TestDefaultRun:
     def test_summary(self, report):
-        assert report.summary == {"confirmed": 14, "refuted": 5,
-                                  "degenerate": 0}
+        assert report["summary"] == {"confirmed": 14, "refuted": 5,
+                                     "degenerate": 0}
 
     def test_statuses(self, report):
-        got = {r.id: r.status for r in report.claims}
+        got = {r["id"]: r["status"] for r in report["claims"]}
         assert got == EXPECTED_STATUSES
 
     def test_claims_sorted_by_id(self, report):
-        ids = [r.id for r in report.claims]
+        ids = [r["id"] for r in report["claims"]]
         assert ids == sorted(ids)
 
     def test_fixture_rows_sorted_by_name(self, report):
-        names = [f["name"] for f in report.fixtures]
+        names = [f["name"] for f in report["fixtures"]]
         assert names == sorted(names) and len(names) == 11
 
     def test_version(self, report):
-        assert report.version == TOOLKIT_VERSION == "0.1.0"
+        assert report["version"] == TOOLKIT_VERSION == "0.1.0"
 
 
 class TestFrozenDetails:
     def test_table_48_16(self, report):
-        det = claim(report, "table-48-16").details
+        det = claim(report, "table-48-16")["details"]
         assert det["stated"] == {"identical": 48, "sign_flipped": 16}
         assert det["counts"] == {"identical": 44, "sign_flipped": 20,
                                  "structurally_different": 0}
@@ -93,14 +95,14 @@ class TestFrozenDetails:
         assert all(c["kind"] == "sign-flipped" for c in det["cells"])
 
     def test_table1_self_consistency(self, report):
-        det = claim(report, "table1-self-consistency").details
+        det = claim(report, "table1-self-consistency")["details"]
         assert det["counts"] == {"identical": 63, "sign_flipped": 1,
                                  "structurally_different": 0}
         assert det["cells"] == [{"row": 6, "col": 5, "left": "+1",
                                  "right": "-1", "kind": "sign-flipped"}]
 
     def test_eq14_map(self, report):
-        det = claim(report, "eq14-map").details
+        det = claim(report, "eq14-map")["details"]
         mismatched = {l["component"] for l in det["lines"] if not l["match"]}
         assert mismatched == {1, 3, 4}
         by_comp = {l["component"]: l for l in det["lines"]}
@@ -118,14 +120,14 @@ class TestFrozenDetails:
         ]
 
     def test_beta8(self, report):
-        det = claim(report, "beta8-consistency").details
+        det = claim(report, "beta8-consistency")["details"]
         assert det["differing_cells"] == 16
         assert len(det["cells"]) == 16
         assert det["cells"][0] == {"row": 1, "col": 1,
                                    "left": "1", "right": "0"}
 
     def test_eq22_blocks(self, report):
-        det = claim(report, "eq22-blocks").details
+        det = claim(report, "eq22-blocks")["details"]
         by_name = {a["name"]: a for a in det["audits"]}
         assert by_name["first-matrix-block-form"]["ok"] is True
         assert by_name["second-matrix-block-form"]["cells"] == [
@@ -137,14 +139,14 @@ class TestFrozenDetails:
         assert bmc[0] == {"row": 1, "col": 1, "entry": "f1+f7"}
 
     def test_dup_rotations(self, report):
-        det = claim(report, "dup-rotations").details
+        det = claim(report, "dup-rotations")["details"]
         assert det["class_of_plane_1_2"] == [[1, 2], [5, 6], [7, 8]]
         partition = det["partition"]
         assert sum(len(c) for c in partition) == 28
         assert len(partition) == 23
 
     def test_gram(self, report):
-        det = claim(report, "gram-orthogonality").details
+        det = claim(report, "gram-orthogonality")["details"]
         assert det["variant"] == "sigma"
         assert det["cells_off_8I"] == []
         assert [1, 2] in det["anticommuting_pairs"]
@@ -153,7 +155,7 @@ class TestFrozenDetails:
         assert det["tensor_reading_singular"] is True
 
     def test_exp_action(self, report):
-        det = claim(report, "exp-action").details
+        det = claim(report, "exp-action")["details"]
         assert det["zero_exponent_is_exact_identity"] is True
         assert det["zero_action_fixes_spinor"] is True
         assert det["diagonal_oracle_max_error"] <= det["tolerance_bound"]
@@ -162,7 +164,7 @@ class TestFrozenDetails:
         assert det["generator_reading"] == "sigma"
 
     def test_eq19(self, report):
-        det = claim(report, "eq19-split-spinor").details
+        det = claim(report, "eq19-split-spinor")["details"]
         assert det["components"] == 8
         assert [p["pair"] for p in det["pairs"]] == [[0, 7], [1, 4],
                                                      [2, 5], [3, 6]]
@@ -171,7 +173,7 @@ class TestFrozenDetails:
                    and p["starred_is_conjugate"] for p in det["pairs"])
 
     def test_eq18(self, report):
-        det = claim(report, "eq18-relations").details
+        det = claim(report, "eq18-relations")["details"]
         assert det["identities_checked"] == 64
         assert len(det["verdicts"]) == 64
         assert all(v["ok"] for v in det["verdicts"])
@@ -183,13 +185,13 @@ class TestFrozenDetails:
 
 class TestTensorVariant:
     def test_summary(self, treport):
-        assert treport.summary == {"confirmed": 8, "refuted": 9,
-                                   "degenerate": 2}
+        assert treport["summary"] == {"confirmed": 8, "refuted": 9,
+                                      "degenerate": 2}
 
     def test_degenerate_claims(self, treport):
-        assert claim(treport, "eq14-map").status == "degenerate"
-        assert claim(treport, "gram-orthogonality").status == "degenerate"
-        assert claim(treport, "eq14-map").details == {
+        assert claim(treport, "eq14-map")["status"] == "degenerate"
+        assert claim(treport, "gram-orthogonality")["status"] == "degenerate"
+        assert claim(treport, "eq14-map")["details"] == {
             "reason": "generator Gram matrix is singular",
         }
 
@@ -197,15 +199,15 @@ class TestTensorVariant:
         # these five hold under the orthogonal reading but not here
         for cid in ("dup-rotations", "eq13-increment", "eq15-alternates",
                     "eq6-fixture", "eq8-eq9-blocks"):
-            assert claim(treport, cid).status == "refuted"
+            assert claim(treport, cid)["status"] == "refuted"
 
     def test_variant_insensitive_claims(self, treport):
         for cid in ("beta-consistency", "eq2-fixture", "table2-fixture",
                     "eq18-relations", "exp-action"):
-            assert claim(treport, cid).status == "confirmed"
+            assert claim(treport, cid)["status"] == "confirmed"
 
     def test_gram_details(self, treport):
-        det = claim(treport, "gram-orthogonality").details
+        det = claim(treport, "gram-orthogonality")["details"]
         assert det["gram_singular"] is True
         assert {"row": 1, "col": 8, "left": "8", "right": "0"} \
             in det["cells_off_8I"]
@@ -221,11 +223,10 @@ class TestSerialization:
         assert json.dumps(json.loads(s), indent=2) == s
 
     def test_dict_schema(self, report):
-        d = report_dict(report)
-        assert list(d) == ["version", "fixtures", "claims", "summary"]
-        for row in d["claims"]:
+        assert list(report) == ["version", "fixtures", "claims", "summary"]
+        for row in report["claims"]:
             assert list(row) == ["id", "anchor", "status", "details"]
-        for row in d["fixtures"]:
+        for row in report["fixtures"]:
             assert list(row) == ["name", "digest"]
 
     def test_markdown_rendering(self, report):
@@ -235,6 +236,33 @@ class TestSerialization:
         for cid in EXPECTED_STATUSES:
             assert f"### {cid}" in md
         assert md.endswith("\n")
+
+
+class TestPlainData:
+    """The report and each table diff are the JSON data they print: a
+    round trip through the encoder gives back an equal value, so no
+    tuple or record hides inside them."""
+
+    def test_report_round_trips(self, report, treport):
+        for r in (report, treport):
+            assert json.loads(to_json(r)) == r
+
+    @pytest.mark.parametrize("reading", ["sigma", "tensor"])
+    def test_table_diffs_round_trip(self, fx, reading):
+        derived = context(beta_set(reading)).table
+        for left, right in ((fx.table2, derived), (derived, fx.table1),
+                            (TABLE, fx.table2)):
+            diff = compare_tables(left, right)
+            assert list(diff) == ["counts", "cells"]
+            assert json.loads(dump_json(diff)) == diff
+
+    @pytest.mark.parametrize("reading", ["sigma", "tensor"])
+    def test_tables_json_prints_the_diff(self, fx, reading, capsys):
+        assert cli.main(["tables", "--beta-variant", reading,
+                         "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["diff"]
+        assert printed == compare_tables(fx.table2,
+                                         context(beta_set(reading)).table)
 
 
 # values json.dumps writes: escapes, control, non-ASCII and astral
@@ -305,7 +333,7 @@ class TestDumpJson:
 
     def test_reports_match_json_dumps(self, report, treport):
         for r in (report, treport):
-            assert to_json(r) == json.dumps(report_dict(r), indent=2)
+            assert to_json(r) == json.dumps(r, indent=2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, value):

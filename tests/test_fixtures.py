@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from octo_so8 import (FixtureError, beta_set, fixtures, load_fixtures,
-                      parse_linear_form, rotation_component_map)
+                      parse_linear_form)
 from octo_so8.cli import main
 from octo_so8.fixtures import (
     FIXTURE_FILES,
@@ -36,19 +36,19 @@ class TestLoading:
         assert sorted(fx.eq2) == list(range(1, 9))
 
     def test_split_y_is_summed_once(self, fx):
-        y = fx.eq21_y1 + fx.eq21_y2
-        for y_row, terms_row in zip(y.rows, fx.eq21_y_terms, strict=True):
+        y, y_terms = fx.eq21_y1 + fx.eq21_y2, load_y_terms()
+        for y_row, terms_row in zip(y.rows, y_terms, strict=True):
             for form, (const, terms) in zip(y_row, terms_row, strict=True):
                 assert const == complex(form.constant)
                 assert terms == tuple((a, complex(c)) for a, c in
                                       enumerate(form.coeffs[1:]) if c)
-        assert load_fixtures().eq21_y_terms is fx.eq21_y_terms
+        assert load_y_terms() is y_terms
 
     def test_y_terms_need_only_the_two_y_files(self, fx, data_copy):
         for name in FIXTURE_FILES:
             if name not in ("eq21_Y1.txt", "eq21_Y2.txt"):
                 (data_copy / name).unlink()
-        assert load_y_terms(str(data_copy)) == fx.eq21_y_terms
+        assert load_y_terms(str(data_copy)) == load_y_terms()
         assert load_y_terms() is load_y_terms()    # the parse was reused
         with pytest.raises(FixtureError, match="missing fixture file"):
             load_fixtures(str(data_copy))
@@ -192,9 +192,8 @@ class TestRecords:
     tuple with the same values."""
 
     @pytest.fixture()
-    def records(self, fx, report):
-        return [beta_set("sigma"), fx, report.claims[0],
-                rotation_component_map(1, 2)]
+    def records(self, fx):
+        return [beta_set("sigma"), fx]
 
     def test_fields_are_read_only(self, records):
         for record in records:
@@ -214,7 +213,7 @@ class TestSignedGridGrammar:
     def test_accepts_signs_and_blank_lines(self):
         text = "\n" + GOOD_GRID.replace("e1", "-e1") + "\n\n"
         t = parse_signed_grid(text, "t.txt", "e")
-        assert t.cell(0, 1) == (-1, 1)
+        assert t[0][1] == (-1, 1)
 
     def test_wrong_label_letter(self):
         with pytest.raises(FixtureError, match="bad cell token 'e0'"):

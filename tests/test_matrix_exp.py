@@ -21,6 +21,7 @@ import pytest
 from octo_so8 import (CRational, NonFiniteInput, SquareMatrix,
                       ToleranceNotMet, beta_set)
 from octo_so8 import rotations
+from octo_so8.fixtures import load_y_terms
 from octo_so8.matrices import monomial_sum
 from octo_so8.rotations import (_DEGREES, _THETA, DEFAULT_TOL, matrix_exp,
                                 numeric_X, substitute_terms)
@@ -194,16 +195,16 @@ def count(products, m, tol=DEFAULT_TOL) -> int:
     return products[0]
 
 
-def test_fewest_products_on_benchmark_like_inputs(products, fx):
+def test_fewest_products_on_benchmark_like_inputs(products):
     rng = random.Random("matrix_exp products")
-    xs, ys = [], []
+    xs, ys, y_terms = [], [], load_y_terms()
     for _ in range(100):
         f = bench_like_f(rng)
         for reading in READINGS:
             x = numeric_X(f, beta_set(reading))
             xs.append(count(products, x))
             assert xs[-1] == fewest_products(x, _THETA[0][1])
-        y = substitute_terms(fx.eq21_y_terms, f)
+        y = substitute_terms(y_terms, f)
         ys.append(count(products, y))
         assert ys[-1] == fewest_products(y, _THETA[0][1])
     assert statistics.median(xs) <= 10
@@ -257,13 +258,14 @@ def same_as_reference(m, tol=DEFAULT_TOL):
     return message is None
 
 
-def test_matches_the_reference_on_benchmark_like_x_and_y(fx):
+def test_matches_the_reference_on_benchmark_like_x_and_y():
     rng = random.Random("matrix_exp reference")
+    y_terms = load_y_terms()
     for _ in range(300):
         f = bench_like_f(rng)
         for reading in READINGS:
             assert same_as_reference(numeric_X(f, beta_set(reading)))
-        same_as_reference(substitute_terms(fx.eq21_y_terms, f))
+        same_as_reference(substitute_terms(y_terms, f))
 
 
 def test_matches_the_reference_on_general_matrices_with_exact_zeros():
@@ -314,9 +316,10 @@ def test_overflow_verdict_runs_no_product(products):
 
 def test_y_by_scatter_is_bit_identical_to_full_substitution(fx):
     rng = random.Random("Y scatter")
+    y_terms = load_y_terms()
     for _ in range(300):
         f = [rng.gauss(0, 1) * rng.uniform(0.01, 30) for _ in range(8)]
-        got = substitute_terms(fx.eq21_y_terms, f)
+        got = substitute_terms(y_terms, f)
         want = substitute_numeric(fx.eq21_y1 + fx.eq21_y2, f)
         assert [[(v.real, v.imag) for v in row] for row in got] == \
             [[(v.real, v.imag) for v in row] for row in want]
@@ -326,7 +329,7 @@ def test_y_by_scatter_is_bit_identical_to_full_substitution(fx):
             [[math.copysign(1, v.imag) for v in row] for row in want]
 
 
-def test_y_terms_keep_only_the_nonzero_coefficients(fx):
-    terms = [t for row in fx.eq21_y_terms for _, cell in row for t in cell]
+def test_y_terms_keep_only_the_nonzero_coefficients():
+    terms = [t for row in load_y_terms() for _, cell in row for t in cell]
     assert len(terms) == 128
     assert all(c != 0 for _, c in terms)

@@ -274,7 +274,7 @@ class TestDerivedObjects:
                         break
                 row.append(found)
             cells.append(tuple(row))
-        assert signed_table(build_E(beta_set(reading))).cells == tuple(cells)
+        assert signed_table(build_E(beta_set(reading))) == tuple(cells)
 
     def test_anticommutator_audit(self, reading):
         d = dense_betas(reading)

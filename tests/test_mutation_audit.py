@@ -189,15 +189,15 @@ def test_file_map_covers_every_reader(base):
     # a flip of each file's first value token changes some claim, and
     # none outside the file's entry in FILES, on the full reports
     fx, _ = base
-    want = {r: run_all(fx, r).claims for r in READINGS}
+    want = {r: run_all(fx, r)["claims"] for r in READINGS}
     for name in FIXTURE_FILES:
         parse, claim_ids = FILES[name]
         lineno, _, col, tok = next(p for p in _positions(name)
                                    if _flipped(name, p[2], p[3]))
         mutant = fx._replace(**parse(_replace(
             name, lineno, col, _flipped(name, col, tok))))
-        changed = {g.id for r in READINGS
-                   for g, w in zip(run_all(mutant, r).claims, want[r])
+        changed = {g["id"] for r in READINGS
+                   for g, w in zip(run_all(mutant, r)["claims"], want[r])
                    if g != w}
         assert changed and changed <= set(claim_ids), (name, changed)
 

@@ -19,7 +19,7 @@ class TestBasisProducts:
         # the bundled signed table is the ground truth for e_i * e_j
         for i in range(8):
             for j in range(8):
-                sign, k = fx.table2.cell(i, j)
+                sign, k = fx.table2[i][j]
                 expected = Octonion.unit(k) * sign
                 assert Octonion.unit(i) * Octonion.unit(j) == expected
 

@@ -268,10 +268,10 @@ class TestFirstOrder:
 
     def test_increment_is_linear_in_theta(self):
         # the component map's increment f' - f doubles with theta
-        cm = rotation_component_map(1, 2)
+        lines, _ = rotation_component_map(1, 2)
         f = [Dyadic(k, 1) for k in range(1, 9)]
-        a = [Dyadic(1, 2) * line.substitute(f) for line in cm.lines]
-        b = [Dyadic(1, 1) * line.substitute(f) for line in cm.lines]
+        a = [Dyadic(1, 2) * line.substitute(f) for line in lines]
+        b = [Dyadic(1, 1) * line.substitute(f) for line in lines]
         assert b == [2 * v for v in a]
         assert any(not v.is_zero() for v in a)
 
@@ -294,25 +294,25 @@ class TestComponentExtraction:
         assert span_combination(forms, bs) + residual == comm
 
     def test_component_map_lines(self):
-        cm = rotation_component_map(1, 2)
-        rendered = [render_linear_form(f) for f in cm.lines]
+        lines, _ = rotation_component_map(1, 2)
+        rendered = [render_linear_form(f) for f in lines]
         assert rendered == ["2*f2", "-2*f1", "0", "0",
                             "2*f6", "-2*f5", "2*f8", "-2*f7"]
 
     def test_component_map_residual_cells(self):
-        cm = rotation_component_map(1, 2)
+        _, residual = rotation_component_map(1, 2)
         cells = [(i, j, render_linear_form(e))
-                 for i, j, e in cm.residual.nonzero_cells()]
+                 for i, j, e in residual.nonzero_cells()]
         assert cells == [
             (1, 8, "-2*f4"), (2, 7, "2*f4"), (3, 6, "2*f4"), (4, 5, "-2*f4"),
             (5, 4, "-2*f4"), (6, 3, "2*f4"), (7, 2, "2*f4"), (8, 1, "-2*f4"),
         ]
 
     def test_lines_at_f(self):
-        cm = rotation_component_map(1, 2)
+        lines, _ = rotation_component_map(1, 2)
         f = [Dyadic(1)] + [Dyadic(0)] * 7
         # f2' = f2 - 2*theta*f1 = -1/2
-        assert f[1] + Dyadic(1, 2) * cm.lines[1].substitute(f) == \
+        assert f[1] + Dyadic(1, 2) * lines[1].substitute(f) == \
             CDyadic(-1, 0, 2)
 
     def test_projection_keeps_the_entry_type(self):
@@ -359,11 +359,11 @@ class TestComponentExtraction:
         assert main(["rotate", str(k), str(l), f"--theta={theta}",
                      "--f=" + ",".join(map(str, f)), "--format", "json"]) == 0
         got = json.loads(capsys.readouterr().out)["first_order"]
-        cm = rotation_component_map(k, l)
-        assert got["f_prime"] == [str(f[a] + theta * cm.lines[a].substitute(f))
+        lines, residual = rotation_component_map(k, l)
+        assert got["f_prime"] == [str(f[a] + theta * lines[a].substitute(f))
                                   for a in range(8)]
         assert got["residual_max"] == abs(float(theta)) * max(
-            abs(complex(e.substitute(f))) for row in cm.residual.rows
+            abs(complex(e.substitute(f))) for row in residual.rows
             for e in row)
 
     def test_degenerate_basis_detected(self):

@@ -14,9 +14,9 @@ from octo_so8 import (
     audit_Y_blocks,
     block_decompose,
     build_split_basis,
-    split_transform,
 )
 from octo_so8.matrices import from_blocks
+from octo_so8.splitrep import split_transform
 from oracles import block_sum_oracle
 
 
