@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import sys
+from itertools import chain, filterfalse
 from typing import Optional, Sequence
 
 from .claims import (REFUTED, context, dump_json, form_cells, map_line,
@@ -32,6 +33,7 @@ from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
 from .octonion import build_split_basis
 
 _FORMATS = ("md", "json")
+_Y_SOURCE = "fixture sum (eq21_Y1 + eq21_Y2)"
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +280,55 @@ def cmd_rotate(args) -> int:
 
 
 def _octonion_terms(row, eps: float = 1e-15):
-    """The terms of one row of a spinor coefficient array."""
+    """The terms (j, re, im, abs) of one row of a spinor coefficient
+    array: its coefficients on e_j of magnitude above eps."""
     terms = []
     for j, c in enumerate(row):
         z = complex(c)
         if (mag := abs(z)) <= eps:
             continue
-        terms.append({"unit": f"e{j}", "re": z.real, "im": z.imag,
-                      "abs": mag})
+        terms.append((j, z.real, z.imag, mag))
     return terms
 
 
 def _render_octonion_line(label: str, terms) -> str:
     if not terms:
         return f"{label} = 0"
-    body = " + ".join(f"({t['re']:.12g}{t['im']:+.12g}i)*{t['unit']}"
-                      for t in terms)
-    mags = ", ".join(f"|{t['unit']}|={t['abs']:.12g}" for t in terms)
+    body = " + ".join(f"({re:.12g}{im:+.12g}i)*e{j}" for j, re, im, _ in terms)
+    mags = ", ".join(f"|e{j}|={mag:.12g}" for j, _, _, mag in terms)
     return f"{label} = {body}   [{mags}]"
+
+
+def _json_components(rows, n: int) -> str:
+    """A spinor's component list, {"index", "terms"} per component and
+    {"unit", "re", "im", "abs"} per term, as json.dumps(..., indent=2)
+    writes it at an indent of n spaces: one %-template per term, floats
+    by float.__repr__."""
+    a, b, c, d = ("\n" + " " * (n + k) for k in (2, 4, 6, 8))
+    term = (f'{c}{{{d}"unit": "e%d",{d}"re": %r,{d}"im": %r,{d}"abs": %r'
+            f'{c}}}')
+    comps = [f'{a}{{{b}"index": {i},{b}"terms": '
+             + (f"[{','.join([term % t for t in terms])}{b}]" if terms
+                else "[]") + f"{a}}}"
+             for i, terms in enumerate(rows, 1)]
+    return f"[{','.join(comps)}\n{' ' * n}]"
+
+
+def _spinor_json(fvals, tol: float, psi, phi=None) -> str:
+    """The spinor payload, f, tol, psi's components and with phi the
+    split block, byte for byte as dump_json writes it from the dict,
+    and like it raising ValueError at the first non-finite float."""
+    floats = chain(fvals, (tol,), *(t[1:] for rows in (psi, phi or ())
+                                    for terms in rows for t in terms))
+    if (bad := next(filterfalse(math.isfinite, floats), None)) is not None:
+        raise ValueError(f"non-finite float {bad!r} is not JSON")
+    f = ",\n    ".join(map(float.__repr__, fvals))
+    text = (f'{{\n  "f": [\n    {f}\n  ],\n  "tol": {tol!r},\n'
+            f'  "components": {_json_components(psi, 2)}')
+    if phi is not None:
+        text += (f',\n  "split": {{\n    "y_source": "{_Y_SOURCE}",\n'
+                 f'    "components": {_json_components(phi, 4)}\n  }}')
+    return text + "\n}"
 
 
 def cmd_spinor(args) -> int:
@@ -321,20 +354,13 @@ def _spinor(args, fvals) -> int:
         y_num = substitute_terms(load_y_terms(_fixture_dir(args)), fvals)
         out["phi"] = spinor_transform(build_split_basis(), y_num, args.tol)
     terms = {k: list(map(_octonion_terms, rows)) for k, rows in out.items()}
-    y_source = "fixture sum (eq21_Y1 + eq21_Y2)"
     if args.format == "json":
-        comps = {k: [{"index": i + 1, "terms": t} for i, t in enumerate(v)]
-                 for k, v in terms.items()}
-        payload = {"f": fvals, "tol": args.tol, "components": comps["psi"]}
-        if args.split:
-            payload["split"] = {"y_source": y_source,
-                                "components": comps["phi"]}
-        print(dump_json(payload))
+        print(_spinor_json(fvals, args.tol, terms["psi"], terms.get("phi")))
         return 0
     lines = [_render_octonion_line(f"{k}{i + 1}'", t)
              for k, v in terms.items() for i, t in enumerate(v)]
     if args.split:
-        lines.insert(8, f"Y source: {y_source}")   # after the 8 psi lines
+        lines.insert(8, f"Y source: {_Y_SOURCE}")   # after the 8 psi lines
     print("\n".join(lines))
     return 0
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import octo_so8
 from octo_so8 import SquareMatrix, cli
@@ -414,6 +416,65 @@ class TestSpinor:
         assert (rc, out) == (2, "")
         assert err == ("error: --tol=1e-200: tol below 2^-53, the smallest "
                        "tolerance with a tabulated Taylor degree\n")
+
+
+class TestSpinorJson:
+    """The spinor JSON writer against json.dumps of the payload dict
+    that the CLI built before it wrote from the term tuples."""
+
+    @staticmethod
+    def payload(fvals, tol, psi, phi=None) -> dict:
+        def comps(rows):
+            return [{"index": i, "terms": [
+                {"unit": f"e{j}", "re": re, "im": im, "abs": mag}
+                for j, re, im, mag in terms]} for i, terms in enumerate(rows, 1)]
+        out = {"f": fvals, "tol": tol, "components": comps(psi)}
+        if phi is not None:
+            out["split"] = {"y_source": "fixture sum (eq21_Y1 + eq21_Y2)",
+                            "components": comps(phi)}
+        return out
+
+    def test_every_json_argv_of_the_spinor_grid(self, capsys, monkeypatch):
+        from test_golden import spinor_grid
+        calls, real = [], cli._spinor_json
+        monkeypatch.setattr(cli, "_spinor_json",
+                            lambda *a: calls.append(a) or real(*a))
+        written = 0
+        for argv in spinor_grid():
+            if argv[-1] != "json":
+                continue
+            calls.clear()
+            rc, out, _ = run(capsys, *argv)
+            if rc:
+                assert (rc, out, calls) == (2, "", [])
+                continue
+            (args,) = calls
+            assert out == json.dumps(self.payload(*args), indent=2) + "\n"
+            assert ("split" in json.loads(out)) == ("--split" in argv)
+            written += 1
+        assert written == 22      # 36 json argvs less the 14 that overflow
+
+    floats = st.floats(allow_nan=False, allow_infinity=False) | \
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0])
+    rows = st.lists(st.lists(st.tuples(st.integers(0, 7), floats, floats,
+                                       floats), max_size=8),
+                    min_size=8, max_size=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fvals=st.lists(floats, min_size=8, max_size=8), tol=floats,
+           psi=rows, phi=st.none() | rows)
+    def test_drawn_payloads(self, fvals, tol, psi, phi):
+        assert cli._spinor_json(fvals, tol, psi, phi) == \
+            json.dumps(self.payload(fvals, tol, psi, phi), indent=2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_term_raises_as_dump_json_does(self, bad):
+        psi = [[(0, 1.0, 0.0, 1.0)]] * 7 + [[(3, 0.5, bad, 2.0)]]
+        with pytest.raises(ValueError) as want:
+            cli.dump_json(self.payload([0.0] * 8, 1e-3, psi))
+        with pytest.raises(ValueError) as got:
+            cli._spinor_json([0.0] * 8, 1e-3, psi)
+        assert str(got.value) == str(want.value)
 
 
 class TestMonomialPathsOnly:
