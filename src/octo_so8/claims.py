@@ -40,8 +40,8 @@ from .octonion import (SPLIT_PAIRS, TABLE, Octonion, build_split_basis,
                        oriented_triples, verify_split_relations)
 from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         assemble_X, block_decompose, commutator_terms,
-                        duplicate_rotation_scan, hermiticity_defect,
-                        matrix_exp, numeric_X, plane_product,
+                        duplicate_rotation_scan, generator_exp,
+                        hermiticity_defect, numeric_X, plane_product,
                         rotation_component_map, spinor_transform,
                         standard_spinor, unitarity_defect)
 from .splitrep import audit_Y_blocks
@@ -122,16 +122,18 @@ class _Context:
     @cached_property
     def exp_action(self):
         """(zero exponent exact, zero action fixes the spinor, diagonal
-        oracle error, hermiticity defect, unitarity defect) of e^X."""
+        oracle error, hermiticity defect, unitarity defect) of e^X, by
+        generator_exp, the exponential that spinor prints."""
         zero = [[0j] * 8 for _ in range(8)]
         identity = [[complex(i == j) for j in range(8)] for i in range(8)]
-        identity_exact = matrix_exp(zero) == identity
+        identity_exact = generator_exp(zero, self.bs) == identity
         # the standard spinor's coefficient array is the identity
-        spinor_fixed = spinor_transform(standard_spinor(), zero) == identity
+        spinor_fixed = spinor_transform(standard_spinor(), zero,
+                                        betas=self.bs) == identity
         # scalar oracle: an f8-only vector makes X diagonal, so exp is
         # elementwise on the diagonal signs
         ln2 = math.log(2.0)
-        e = matrix_exp(numeric_X([0.0] * 7 + [ln2], self.bs))
+        e = generator_exp(numeric_X([0.0] * 7 + [ln2], self.bs), self.bs)
         signs = [1, 1, -1, -1, -1, -1, 1, 1]
         oracle = [[math.exp(s * ln2) if i == j else 0.0 for j in range(8)]
                   for i, s in enumerate(signs)]

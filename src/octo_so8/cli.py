@@ -349,7 +349,7 @@ def _spinor(args, fvals) -> int:
     or e^Y overflows, ToleranceNotMet when a series misses tol."""
     bs = beta_set(args.beta_variant)
     out = {"psi": spinor_transform(standard_spinor(), numeric_X(fvals, bs),
-                                   args.tol)}
+                                   args.tol, bs)}
     if args.split:
         y_num = substitute_terms(load_y_terms(_fixture_dir(args)), fvals)
         out["phi"] = spinor_transform(build_split_basis(), y_num, args.tol)

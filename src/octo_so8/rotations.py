@@ -316,6 +316,25 @@ def _combine(c0: float, coeffs, flats, n: int, start=None) -> list:
     return [acc[i * n:(i + 1) * n] for i in range(n)]
 
 
+def _checked(m, tol: float) -> tuple:
+    """(rows of complex, max row sum, theta table) for matrix_exp and
+    generator_exp; raises as matrix_exp documents."""
+    a = [[complex(v) for v in row] for row in m]
+    if not _all_finite(a):
+        raise NonFiniteInput("matrix contains NaN or infinity")
+    try:
+        norm = max((sum(map(abs, row)) for row in a), default=0.0)
+    except OverflowError:            # |z| of a finite z can overflow
+        norm = math.inf
+    if not norm <= 2.0 ** 1022:       # inf included
+        raise NonFiniteInput("matrix norm overflows binary64")
+    table = next((t for tabled, t in _THETA if tabled <= tol), None)
+    if table is None:
+        raise ToleranceNotMet("tol below 2^-53, the smallest tolerance "
+                              "with a tabulated Taylor degree")
+    return a, norm, table
+
+
 def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     """Scaling-and-squaring Taylor exponential of a square matrix given
     as rows of numbers; returns rows of complex.
@@ -338,19 +357,7 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     holds NaN or infinity, or when the norm exceeds 2^1022;
     ToleranceNotMet when tol < 2^-53.
     """
-    a = [[complex(v) for v in row] for row in m]
-    if not _all_finite(a):
-        raise NonFiniteInput("matrix contains NaN or infinity")
-    try:
-        norm = max((sum(map(abs, row)) for row in a), default=0.0)
-    except OverflowError:            # |z| of a finite z can overflow
-        norm = math.inf
-    if not norm <= 2.0 ** 1022:       # inf included
-        raise NonFiniteInput("matrix norm overflows binary64")
-    table = next((t for tabled, t in _THETA if tabled <= tol), None)
-    if table is None:
-        raise ToleranceNotMet("tol below 2^-53, the smallest tolerance "
-                              "with a tabulated Taylor degree")
+    a, norm, table = _checked(m, tol)
     choices, (x, e) = [], math.frexp(norm)
     for (deg, p), theta in zip(_DEGREES, table):
         y, f = math.frexp(theta)
@@ -382,18 +389,227 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     for i in range(deg - 2 * p, -1, -p):
         result = _combine(c[i], c[i + 1:i + p], flats, n,
                           _matmul(powers[-1], result, hermitian))
+    # T_m of a norm under 5 is finite; a non-finite square stays so
     for _ in range(s):
         result = _matmul(result, result, hermitian)
-    if not _all_finite(result):
-        raise NonFiniteInput("exponential overflows binary64")
+        if not _all_finite(result):
+            raise NonFiniteInput("exponential overflows binary64")
     return result
+
+# Gamma = I (x) X (x) I, the code (x, z) = (2, 0), pairs row r with
+# r ^ 2; _R holds the rows with bit 1 clear
+_GAMMA = Pauli(2, 0)
+_R = (0, 1, 4, 5)
+# the Jacobi pairs (i, j) in cyclic order, each with the other two
+_PAIRS = tuple((i, j, tuple(k for k in range(4) if k not in (i, j)))
+               for i in range(4) for j in range(i + 1, 4))
+_SWEEPS = 30
+# past ln(8 * 2^1024) + 1 an entry of e^X overflows (its largest
+# diagonal entry is at least e^sigma_max / 8); past 709, e^sigma is
+# within 2^1024 / 4 and the functions are scaled by 2^-8 until the end
+_OVERFLOW = math.log(8) + 1024 * math.log(2) + 1
+_SCALED = 709.0
+
+
+@functools.lru_cache(maxsize=8)
+def chiral(bs: BetaSet) -> bool:
+    """Whether every beta_A is Hermitian and anticommutes with Gamma =
+    I (x) X (x) I, read off the codes.  Then X = numeric_X(f, bs) at
+    real f anticommutes with Gamma, and in Gamma's eigenbasis
+    (e_r +- e_(r^2))/sqrt 2, r in _R, it is [[0, A], [A^H, 0]] with
+    A_ij = X[r_i][r_j] - X[r_i][r_j ^ 2]."""
+    return all(b.hermitian() and not _GAMMA.commutes(b) for b in bs.mats)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v), 0j)
+
+
+def _jacobi(p) -> tuple:
+    """(lam, v) with p v = v diag(lam), near enough, for p 4x4 Hermitian
+    given as rows of complex: cyclic complex
+    Jacobi (Golub and Van Loan, Matrix Computations, sec. 8.5) until the
+    off-diagonal sum of squares is at most 1e-31 of the diagonal one, or
+    _SWEEPS sweeps.  A rotation J = [[c, s u], [-s conj(u), c]] on the
+    pair (i, j), with u the phase of p_ij, zeroes p_ij; p's off-diagonal
+    is rotated in place."""
+    lam = [p[i][i].real for i in range(4)]
+    v = [[complex(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(_SWEEPS):
+        if 2 * sum(abs(p[i][j]) ** 2 for i, j, _ in _PAIRS) <= \
+                1e-31 * sum(x * x for x in lam):
+            break
+        for i, j, others in _PAIRS:
+            pi, pj = p[i], p[j]
+            b = pi[j]
+            if not b:
+                continue
+            m, a, d = abs(b), lam[i], lam[j]
+            tau = (d - a) / (2 * m)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1 / math.hypot(1.0, t)
+            su = t * c * b / m
+            sv = su.conjugate()
+            for row in v:
+                x, y = row[i], row[j]
+                row[i], row[j] = c * x - sv * y, su * x + c * y
+            for k in others:
+                pk = p[k]
+                x, y = pk[i], pk[j]
+                pk[i], pk[j] = x, y = c * x - sv * y, su * x + c * y
+                pi[k], pj[k] = x.conjugate(), y.conjugate()
+            lam[i], lam[j] = a - t * m, d + t * m
+            pi[j] = pj[i] = 0j
+    return lam, v
+
+
+def _gram_upper(rows, vals=None) -> list:
+    """rows^H diag(vals) rows, or rows^H rows, for 4 rows of complex:
+    the upper triangle summed, the diagonal real, the lower mirrored."""
+    cols = list(zip(*rows))
+    left = [[z.conjugate() for z in col] for col in cols]
+    if vals is not None:
+        left = [[z * x for z, x in zip(col, vals)] for col in left]
+    out = [[0j] * 4 for _ in range(4)]
+    for i, u in enumerate(left):
+        out[i][i] = complex(_dot(u, cols[i]).real)
+        for j in range(i + 1, 4):
+            out[i][j] = z = _dot(u, cols[j])
+            out[j][i] = z.conjugate()
+    return out
+
+
+def _row_sum_norm(m) -> float:
+    return max(sum(map(abs, row)) for row in m)
+
+
+def _scaled_functions(sigma, h: float):
+    """h cosh s, h shc s and h g(s), as three lists, for each s of sigma;
+    past _SCALED, h e^s / 2 over 1, s and s^2 (e^-s is below its last
+    bit there)."""
+    fc, fs, fg = [], [], []
+    for s in sigma:
+        if s > _SCALED:
+            e = math.exp(s / 2) * h * math.exp(s / 2) / 2
+            fc.append(e)
+            fs.append(e / s)
+            fg.append(e / s / s)
+        elif s:
+            fc.append(h * math.cosh(s))
+            fs.append(h * (math.sinh(s) / s))
+            fg.append(h * (2 * (math.sinh(s / 2) / s) ** 2))
+        else:
+            fc.append(h)
+            fs.append(h)
+            fg.append(h / 2)
+    return fc, fs, fg
+
+
+def _chiral_exp(x, tol: float):
+    """e^X through Gamma's chirality for a Hermitian X that anticommutes
+    with Gamma, or None when the a posteriori check below fails.
+
+    With P = A A^H, shc(s) = sinh s / s and g(s) = (cosh s - 1)/s^2, e^X
+    is, in Gamma's eigenbasis, [[cosh sqrt P, shc(sqrt P) A], [A^H
+    shc(sqrt P), I + A^H g(sqrt P) A]], four 4x4 blocks c, t, t^H, d;
+    cell (a, b) of e^X is (c + s_b t + s_a t^H + s_a s_b d)_ij / 2 for
+    _CELL[a] = (i, s_a) and _CELL[b] = (j, s_b).  With P's Jacobi
+    eigensystem (V, lam) and B = V^H A, c = V diag(cosh sigma) V^H,
+    t = V diag(shc sigma) B and d = I + B^H diag(g(sigma)) B, sigma =
+    sqrt(lam); shc and g are entire in lam, so no term divides by a
+    singular value.
+
+    The check: with rho = |P V - V diag(lam)| and eta = |V^H V - I| in
+    max row sums, rho + 2 eta |P| <= tol |P|.  V's nearest unitary then
+    diagonalizes P + dP exactly, |dP| <= tol |P| to first order, so the
+    blocks are those of an X whose square X^2 = P (+) A^H A is moved by
+    at most tol relative, the size of change that |dX| <= tol |X| makes
+    to it.  Each entry is then within about (tol + 2^-52) sigma_max / 2
+    of cosh sigma_max of its exact value before the rounding of the
+    assembly, sigma_max = |X|_2: about 1e-13 relative at sigma_max = 300.
+
+    sigma_max past _OVERFLOW raises NonFiniteInput, and so does an entry
+    that overflows when the scaling by 2^-8 is undone; the functions
+    are halved before the cells add up, so no sum overflows where its
+    cell does not.  The upper triangle is summed and mirrored, so e^X
+    is exactly Hermitian with a real diagonal, and X = 0 gives the
+    exact identity.
+    """
+    a = [[x[r][c] - x[r][c ^ 2] for c in _R] for r in _R]
+    if max(map(abs, chain.from_iterable(a))) > _OVERFLOW:   # <= sigma_max
+        raise NonFiniteInput("exponential overflows binary64")
+    acols = list(zip(*a))
+    p = _gram_upper([[z.conjugate() for z in col] for col in acols])  # A A^H
+    lam, v = _jacobi([row[:] for row in p])
+    vcols = list(zip(*v))
+    norm = _row_sum_norm(p)
+    rho = _row_sum_norm([[_dot(row, col) - vi * lk
+                          for col, vi, lk in zip(vcols, vrow, lam)]
+                         for row, vrow in zip(p, v)])
+    eta = _row_sum_norm([[z - (i == j) for j, z in enumerate(row)]
+                         for i, row in enumerate(_gram_upper(v))])
+    if not rho + 2 * eta * norm <= tol * norm:
+        return None
+    sigma = [math.sqrt(max(lk, 0.0)) for lk in lam]
+    if max(sigma) > _OVERFLOW:
+        raise NonFiniteInput("exponential overflows binary64")
+    k = 8 if max(sigma) > _SCALED else 0
+    h = 2.0 ** (-1 - k)
+    fc, fs, fg = _scaled_functions(sigma, h)
+    vh = [[z.conjugate() for z in col] for col in vcols]      # V^H
+    b = [[_dot(row, col) for col in acols] for row in vh]     # V^H A
+    c = _gram_upper(vh, fc)
+    d = _gram_upper(b, fg)
+    bcols = list(zip(*b))
+    t = [[_dot(row, col) for col in bcols]
+         for row in ([z * f for z, f in zip(vrow, fs)] for vrow in v)]
+    out = [[0j] * 8 for _ in range(8)]
+    for i, ri in enumerate(_R):
+        qi = ri ^ 2
+        d[i][i] += h
+        for j in range(i, 4):
+            rj = _R[j]
+            qj = rj ^ 2
+            cij, tij, dij, th = c[i][j], t[i][j], d[i][j], t[j][i].conjugate()
+            cp, cm, wp, wm = cij + th, cij - th, tij + dij, tij - dij
+            # each cell is set once, with its mirror
+            out[ri][rj] = z = cp + wp
+            out[rj][ri] = z.conjugate()
+            out[ri][qj] = z = cp - wp
+            out[qj][ri] = z.conjugate()
+            if j != i:
+                out[qi][rj] = z = cm + wm
+                out[rj][qi] = z.conjugate()
+            out[qi][qj] = z = cm - wm
+            out[qj][qi] = z.conjugate()
+        out[ri][ri], out[qi][qi] = (complex(out[ri][ri].real),
+                                    complex(out[qi][qi].real))
+    if k:
+        back = 2.0 ** k
+        out = [[z * back for z in row] for row in out]
+    if not _all_finite(out):
+        raise NonFiniteInput("exponential overflows binary64")
+    return out
+
+
+def generator_exp(x_num, betas: BetaSet, tol: float = DEFAULT_TOL) -> list:
+    """e^X for X = numeric_X(f, betas) at real f, as rows of complex:
+    through Gamma's chirality (_chiral_exp) when chiral(betas), and by
+    matrix_exp where betas is not chiral or the chirality route's check
+    of tol fails.  Raises as matrix_exp does, with its messages."""
+    a, _, _ = _checked(x_num, tol)
+    if chiral(betas) and (e := _chiral_exp(a, tol)) is not None:
+        return e
+    return matrix_exp(a, tol)
 
 
 def spinor_transform(psi: Sequence[Octonion], x_num,
-                     tol: float = DEFAULT_TOL) -> list:
+                     tol: float = DEFAULT_TOL,
+                     betas: Optional[BetaSet] = None) -> list:
     """The coefficients of psi' = exp(X) psi as one product exp(X) C,
     where row j of C holds psi_j's coefficients on e0..e7; row i of the
-    result is psi'_i.  Each row is added up over j in order by plain
+    result is psi'_i.  exp(X) is generator_exp's for x_num =
+    numeric_X(f, betas) at real f, and matrix_exp's without betas.  Each row is added up over j in order by plain
     additions, so it equals the per-term sum psi'_i = sum_j exp(X)_ij
     psi_j bit for bit whatever rounding a Python version's sum() uses.
     Zero coefficients are skipped: their terms are signed zeros, which
@@ -403,7 +619,9 @@ def spinor_transform(psi: Sequence[Octonion], x_num,
     c = [[(k, z) for k, z in enumerate(map(complex, o.coeffs)) if z]
          for o in psi]
     out = []
-    for row in matrix_exp(x_num, tol):
+    e = (matrix_exp(x_num, tol) if betas is None
+         else generator_exp(x_num, betas, tol))
+    for row in e:
         acc = [0j] * 8
         for e, terms in zip(row, c):
             for k, z in terms:

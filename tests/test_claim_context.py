@@ -103,7 +103,7 @@ def test_each_object_is_built_once_and_on_demand(fx, capsys, monkeypatch):
     assert "table" in vars(ctx) and "x" not in vars(ctx)
 
 
-FIXTURE_FREE = ("audit_E_alternates", "build_split_basis", "matrix_exp",
+FIXTURE_FREE = ("audit_E_alternates", "build_split_basis", "generator_exp",
                 "oriented_triples")
 
 
@@ -131,7 +131,7 @@ def test_fixture_free_work_is_done_once_per_reading(fx, monkeypatch):
              "oriented_triples": 1, "from_blocks": 1}   # Y1
     # exp-action reads the sigma context under either reading; its two
     # exponentials run when that context is first asked
-    assert runs[0] == Counter(first, matrix_exp=2)
+    assert runs[0] == Counter(first, generator_exp=2)
     assert runs[2] == Counter(first)
     # later calls only compare against the fixtures
     assert runs[1] == runs[3] == Counter()

@@ -311,6 +311,46 @@ def test_overflow_verdict_runs_no_product(products):
     assert products[0] == 0
 
 
+@pytest.fixture()
+def finite_products(monkeypatch):
+    """Whether each matrix product matrix_exp runs comes out finite."""
+    finite = []
+    real = rotations._matmul
+
+    def counted(*args):
+        out = real(*args)
+        finite.append(rotations._all_finite(out))
+        return out
+    monkeypatch.setattr(rotations, "_matmul", counted)
+    return finite
+
+
+def test_split_at_710_stops_at_its_first_non_finite_square(finite_products,
+                                                           capsys):
+    # e^X at f_1 = 710 is finite and takes no product; the fixture Y is
+    # not Hermitian, so e^Y runs the series, and there inf appears first
+    # in the last of the schedule's 17 products
+    from octo_so8.cli import main
+    f = "--f=710,0,0,0,0,0,0,0"
+    assert main(["spinor", f, "--split"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {f}: exponential overflows binary64\n"
+    assert finite_products == [True] * 16 + [False]
+    y = substitute_terms(load_y_terms(), [710.0] + [0.0] * 7)
+    assert len(finite_products) == fewest_products(y, _THETA[0][1])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_squarings_stop_at_the_first_non_finite_square(finite_products, k):
+    # Y at 2^k times f_1 = 710 takes k more squarings, and each square
+    # past the first infinite one is skipped
+    y = substitute_terms(load_y_terms(), [710.0 * 2 ** k] + [0.0] * 7)
+    with pytest.raises(NonFiniteInput, match="^exponential overflows"):
+        matrix_exp(y)
+    assert finite_products == [True] * 16 + [False]
+    assert fewest_products(y, _THETA[0][1]) == 17 + k
+
+
 # ---------------------------------------------------------------------------
 # Y(f) by scatter
 
