@@ -12,10 +12,14 @@ the Gram matrix to be 8*I, with no dense conjugation, trace projection,
 Gram matrix or repeated N beta_B product.  The module provides the
 first-order map and the exact rotation of f, at the f symbols or at
 exact f, the symbolic X, the duplicate-plane scan, and the numeric
-matrix exponential used for spinor transport.
+exponentials used for spinor transport: e^X through Gamma = I (x) X
+(x) I, which anticommutes with every generator, as one 4x4 Hermitian
+eigenproblem (generator_exp), and the general Taylor series
+(matrix_exp) for Y and for readings without Gamma.
 
 Only the numeric section uses floats.  It works on plain lists of
-rows of Python ``complex``, 8x8 throughout, so no command needs numpy.
+rows of Python ``complex``, 8x8 matrices and the 4x4 blocks of X in
+Gamma's eigenbasis, so no command needs numpy.
 """
 
 from __future__ import annotations
@@ -353,9 +357,10 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     only and mirrored, so e^X comes back exactly Hermitian with a real
     diagonal; when a lower bound on its top eigenvalue exceeds ln n +
     ln 2^1024 + 1 (712.86 at n = 8), an entry of e^A overflows, and no
-    product runs.  Raises NonFiniteInput when the input or the result
-    holds NaN or infinity, or when the norm exceeds 2^1022;
-    ToleranceNotMet when tol < 2^-53.
+    product runs.  Raises NonFiniteInput when the input holds NaN or
+    infinity, when the norm exceeds 2^1022, or at the first square that
+    is not finite (no later square would be); ToleranceNotMet when tol
+    < 2^-53.
     """
     a, norm, table = _checked(m, tol)
     choices, (x, e) = [], math.frexp(norm)
@@ -403,7 +408,6 @@ _R = (0, 1, 4, 5)
 # the Jacobi pairs (i, j) in cyclic order, each with the other two
 _PAIRS = tuple((i, j, tuple(k for k in range(4) if k not in (i, j)))
                for i in range(4) for j in range(i + 1, 4))
-_SWEEPS = 30
 # past ln(8 * 2^1024) + 1 an entry of e^X overflows (its largest
 # diagonal entry is at least e^sigma_max / 8); past 709, e^sigma is
 # within 2^1024 / 4 and the functions are scaled by 2^-8 until the end
@@ -413,11 +417,10 @@ _SCALED = 709.0
 
 @functools.lru_cache(maxsize=8)
 def chiral(bs: BetaSet) -> bool:
-    """Whether every beta_A is Hermitian and anticommutes with Gamma =
-    I (x) X (x) I, read off the codes.  Then X = numeric_X(f, bs) at
-    real f anticommutes with Gamma, and in Gamma's eigenbasis
-    (e_r +- e_(r^2))/sqrt 2, r in _R, it is [[0, A], [A^H, 0]] with
-    A_ij = X[r_i][r_j] - X[r_i][r_j ^ 2]."""
+    """Whether every beta_A is Hermitian and anticommutes with Gamma,
+    read off the codes.  Then X = numeric_X(f, bs) at real f is [[0, A],
+    [A^H, 0]] in Gamma's eigenbasis (e_r +- e_(r^2))/sqrt 2, r in _R,
+    with A_ij = X[r_i][r_j] - X[r_i][r_j ^ 2]."""
     return all(b.hermitian() and not _GAMMA.commutes(b) for b in bs.mats)
 
 
@@ -426,16 +429,15 @@ def _dot(u, v):
 
 
 def _jacobi(p) -> tuple:
-    """(lam, v) with p v = v diag(lam), near enough, for p 4x4 Hermitian
-    given as rows of complex: cyclic complex
-    Jacobi (Golub and Van Loan, Matrix Computations, sec. 8.5) until the
-    off-diagonal sum of squares is at most 1e-31 of the diagonal one, or
-    _SWEEPS sweeps.  A rotation J = [[c, s u], [-s conj(u), c]] on the
-    pair (i, j), with u the phase of p_ij, zeroes p_ij; p's off-diagonal
-    is rotated in place."""
+    """(lam, v) with p v = v diag(lam), near enough, for a 4x4 Hermitian
+    p given as rows of complex, whose off-diagonal it rotates in place:
+    cyclic complex Jacobi (Golub and Van Loan, Matrix Computations, sec.
+    8.5), J = [[c, s u], [-s conj(u), c]] with u the phase of p_ij
+    zeroing p_ij, until the off-diagonal sum of squares is at most 1e-31
+    of the diagonal one, or 30 sweeps."""
     lam = [p[i][i].real for i in range(4)]
     v = [[complex(i == j) for j in range(4)] for i in range(4)]
-    for _ in range(_SWEEPS):
+    for _ in range(30):
         if 2 * sum(abs(p[i][j]) ** 2 for i, j, _ in _PAIRS) <= \
                 1e-31 * sum(x * x for x in lam):
             break
@@ -463,13 +465,11 @@ def _jacobi(p) -> tuple:
     return lam, v
 
 
-def _gram_upper(rows, vals=None) -> list:
-    """rows^H diag(vals) rows, or rows^H rows, for 4 rows of complex:
-    the upper triangle summed, the diagonal real, the lower mirrored."""
+def _gram_upper(rows, vals=(1.0,) * 4) -> list:
+    """rows^H diag(vals) rows for 4 rows of complex: the upper triangle
+    summed, the diagonal real, the lower mirrored."""
     cols = list(zip(*rows))
-    left = [[z.conjugate() for z in col] for col in cols]
-    if vals is not None:
-        left = [[z * x for z, x in zip(col, vals)] for col in left]
+    left = [[z.conjugate() * x for z, x in zip(col, vals)] for col in cols]
     out = [[0j] * 4 for _ in range(4)]
     for i, u in enumerate(left):
         out[i][i] = complex(_dot(u, cols[i]).real)
@@ -483,57 +483,32 @@ def _row_sum_norm(m) -> float:
     return max(sum(map(abs, row)) for row in m)
 
 
-def _scaled_functions(sigma, h: float):
-    """h cosh s, h shc s and h g(s), as three lists, for each s of sigma;
-    past _SCALED, h e^s / 2 over 1, s and s^2 (e^-s is below its last
-    bit there)."""
-    fc, fs, fg = [], [], []
-    for s in sigma:
-        if s > _SCALED:
-            e = math.exp(s / 2) * h * math.exp(s / 2) / 2
-            fc.append(e)
-            fs.append(e / s)
-            fg.append(e / s / s)
-        elif s:
-            fc.append(h * math.cosh(s))
-            fs.append(h * (math.sinh(s) / s))
-            fg.append(h * (2 * (math.sinh(s / 2) / s) ** 2))
-        else:
-            fc.append(h)
-            fs.append(h)
-            fg.append(h / 2)
-    return fc, fs, fg
-
-
 def _chiral_exp(x, tol: float):
-    """e^X through Gamma's chirality for a Hermitian X that anticommutes
-    with Gamma, or None when the a posteriori check below fails.
+    """e^X for a Hermitian X that anticommutes with Gamma, or None when
+    the check of tol below fails.
 
     With P = A A^H, shc(s) = sinh s / s and g(s) = (cosh s - 1)/s^2, e^X
-    is, in Gamma's eigenbasis, [[cosh sqrt P, shc(sqrt P) A], [A^H
-    shc(sqrt P), I + A^H g(sqrt P) A]], four 4x4 blocks c, t, t^H, d;
-    cell (a, b) of e^X is (c + s_b t + s_a t^H + s_a s_b d)_ij / 2 for
-    _CELL[a] = (i, s_a) and _CELL[b] = (j, s_b).  With P's Jacobi
-    eigensystem (V, lam) and B = V^H A, c = V diag(cosh sigma) V^H,
-    t = V diag(shc sigma) B and d = I + B^H diag(g(sigma)) B, sigma =
-    sqrt(lam); shc and g are entire in lam, so no term divides by a
-    singular value.
+    is [[cosh sqrt P, shc(sqrt P) A], [A^H shc(sqrt P), I + A^H g(sqrt P)
+    A]] in Gamma's eigenbasis, blocks c, t, t^H and d; its cells (r, s)
+    for r, s in {r_i, r_i ^ 2} x {r_j, r_j ^ 2} are (c +- t^H +- t +- d)_ij
+    / 2.  From P's Jacobi eigensystem (V, lam), sigma = sqrt(lam) and
+    B = V^H A: c = V diag(cosh sigma) V^H, t = V diag(shc sigma) B and
+    d = I + B^H diag(g(sigma)) B; shc and g are entire in lam, so no
+    term divides by a singular value.
 
-    The check: with rho = |P V - V diag(lam)| and eta = |V^H V - I| in
-    max row sums, rho + 2 eta |P| <= tol |P|.  V's nearest unitary then
-    diagonalizes P + dP exactly, |dP| <= tol |P| to first order, so the
-    blocks are those of an X whose square X^2 = P (+) A^H A is moved by
-    at most tol relative, the size of change that |dX| <= tol |X| makes
-    to it.  Each entry is then within about (tol + 2^-52) sigma_max / 2
-    of cosh sigma_max of its exact value before the rounding of the
-    assembly, sigma_max = |X|_2: about 1e-13 relative at sigma_max = 300.
+    The check asks rho + 2 eta |P| <= tol |P|, with rho = |P V - V
+    diag(lam)| and eta = |V^H V - I| in max row sums.  The unitary
+    nearest V then diagonalizes P + dP, |dP| <= tol |P| to first order:
+    the blocks are those of an X whose square P (+) A^H A moves by at
+    most tol relative, the size of change |dX| <= tol |X| makes to it,
+    and each entry is within about (tol + 2^-52) sigma_max / 2 of cosh
+    sigma_max of its exact value, before the assembly's rounding.
 
-    sigma_max past _OVERFLOW raises NonFiniteInput, and so does an entry
-    that overflows when the scaling by 2^-8 is undone; the functions
-    are halved before the cells add up, so no sum overflows where its
-    cell does not.  The upper triangle is summed and mirrored, so e^X
-    is exactly Hermitian with a real diagonal, and X = 0 gives the
-    exact identity.
+    sigma_max past _OVERFLOW raises NonFiniteInput, as does an entry
+    that overflows when the 2^-8 scaling is undone; the functions are
+    halved before the cells add up, so no sum overflows where its cell
+    does not.  Each cell is set with its mirror, so e^X is exactly
+    Hermitian with a real diagonal, and X = 0 gives the exact identity.
     """
     a = [[x[r][c] - x[r][c ^ 2] for c in _R] for r in _R]
     if max(map(abs, chain.from_iterable(a))) > _OVERFLOW:   # <= sigma_max
@@ -555,7 +530,17 @@ def _chiral_exp(x, tol: float):
         raise NonFiniteInput("exponential overflows binary64")
     k = 8 if max(sigma) > _SCALED else 0
     h = 2.0 ** (-1 - k)
-    fc, fs, fg = _scaled_functions(sigma, h)
+    funcs = []
+    for sg in sigma:
+        if sg > _SCALED:        # e^-sigma is below the last bit of e^sigma
+            e = math.exp(sg / 2) * h * math.exp(sg / 2) / 2
+            funcs.append((e, e / sg, e / sg / sg))
+        elif sg:
+            funcs.append((h * math.cosh(sg), h * (math.sinh(sg) / sg),
+                          h * (2 * (math.sinh(sg / 2) / sg) ** 2)))
+        else:
+            funcs.append((h, h, h / 2))
+    fc, fs, fg = zip(*funcs)
     vh = [[z.conjugate() for z in col] for col in vcols]      # V^H
     b = [[_dot(row, col) for col in acols] for row in vh]     # V^H A
     c = _gram_upper(vh, fc)
