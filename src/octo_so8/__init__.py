@@ -13,9 +13,9 @@ from .octonion import Octonion, build_split_basis, verify_split_relations
 from .rotations import (DegenerateBasis, NonFiniteInput, SingularRotation,
                         ToleranceNotMet, assemble_X, block_decompose,
                         duplicate_rotation_scan, extract_components,
-                        generator_exp, invert_exact, matrix_exp, plane_product, rotate_exact,
-                        rotation_component_map, spinor_transform,
-                        standard_spinor, substitute_matrix)
+                        generator_exp, invert_exact, matrix_exp,
+                        plane_product, rotate_exact, rotation_component_map,
+                        spinor_transform, standard_spinor, substitute_matrix)
 from .splitrep import audit_Y_blocks
 from .symbolic import LinearForm, parse_linear_form, render_linear_form
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from json.encoder import encode_basestring_ascii as _json_str
+from _json import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple
 
 from .exact import CRational

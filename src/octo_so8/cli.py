@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 from .claims import (REFUTED, context, dump_json, form_cells, map_line,
                      render_markdown, run_all, to_json)
 from .exact import ScalarParseError, parse_dyadic
-from .fixtures import FixtureError, load_fixtures, load_y_terms
+from .fixtures import (FixtureError, load_files, load_fixtures, load_y_terms,
+                       sha256_hex)
 from .matrices import beta_set, compare_tables, render_table
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
@@ -128,19 +129,19 @@ def _md_grid(tokens, prefix: str):
 # subcommands
 
 def cmd_tables(args) -> int:
-    fx = load_fixtures(_fixture_dir(args))
+    table2, = load_files(("table2.txt",), _fixture_dir(args))
     derived = context(beta_set(args.beta_variant)).table
-    diff = compare_tables(fx.table2, derived)
+    diff = compare_tables(table2, derived)
     if args.format == "json":
         print(dump_json({
-            "octonion_table": render_table(fx.table2, "e"),
+            "octonion_table": render_table(table2, "e"),
             "derived_e_table": render_table(derived, "E"),
             "diff": diff,
         }))
         return 0
     c = diff["counts"]
     out = ["## Octonion multiplication table (fixture)", ""]
-    out += _md_grid(render_table(fx.table2, "e"), "e")
+    out += _md_grid(render_table(table2, "e"), "e")
     out += ["", "## Derived E-matrix multiplication table", ""]
     out += _md_grid(render_table(derived, "E"), "E")
     out += ["", "## Diff (octonion fixture vs derived E)", "",
@@ -196,8 +197,7 @@ def _clip(text: str) -> str:
     sha256, so that a message stays short."""
     if len(text) <= 160:
         return text
-    import hashlib
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    digest = sha256_hex(text.encode("utf-8"))[:16]
     return f"{text[:60]}<...{len(text)} chars, sha256 {digest}...>{text[-60:]}"
 
 
@@ -221,10 +221,10 @@ def cmd_rotate(args) -> int:
 
     if fvals is None:
         # eq14 states the map of plane (1,2); any plane with the same
-        # product is compared against it
-        comparable = n == plane_product(1, 2, bs)
-        fx = load_fixtures(_fixture_dir(args)) if comparable else None
-        lines = [map_line(a, line, fx.eq14[a] if comparable else None)
+        # product is compared against it, and only such a plane reads it
+        stated = (load_files(("eq14_map.txt",), _fixture_dir(args))[0]
+                  if n == plane_product(1, 2, bs) else (None,) * 8)
+        lines = [map_line(a, line, stated[a])
                  for a, line in enumerate(derived)]
         residual = form_cells(per_theta)
         if args.format == "json":

@@ -152,9 +152,9 @@ def parse_map_lines(text: str, filename: str) -> tuple:
 # ---------------------------------------------------------------------------
 # the store
 
-# load_fixtures() reads the whole set, load_y_terms() the two Y files;
-# each passes over its files in this order: read (a missing file is
-# named), decode, parse.
+# load_fixtures() reads and digests the whole set, load_files() the files
+# it is given, and load_y_terms() the two Y files; each passes over its
+# files in this order: read (a missing file is named), decode, parse.
 _READERS = {
     "eq2_sigma.txt": parse_term_lines,
     "eq6_X.txt": parse_form_matrix,
@@ -189,6 +189,28 @@ class FixtureStore(NamedTuple):
     digests: dict          # filename -> sha256 hex
 
 
+@functools.cache
+def _sha256():
+    """The interpreter's own SHA-256 constructor, imported on first use:
+    _sha2 from Python 3.12, _sha256 before it.  hashlib maps OpenSSL's
+    libcrypto (3.7 MB of peak RSS on CPython 3.11, Linux x86-64), so
+    its constructor serves only a build that ships neither, such as a
+    FIPS one."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+def sha256_hex(data: bytes) -> str:
+    """The sha256 hex digest of data, as hashlib.sha256 gives it."""
+    return _sha256()(data).hexdigest()
+
+
 def _read_raw(directory: Optional[str], names=FIXTURE_FILES) -> tuple:
     """The bytes of the named fixture files, from *directory* or from
     the bundled package data when *directory* is None."""
@@ -221,45 +243,44 @@ def load_fixtures(directory: Optional[str] = None) -> FixtureStore:
     Every call reads and digests all the files, so a missing, edited
     or malformed file shows on every call; only the parse of contents
     already parsed is reused.  Each call returns its own digests and
-    eq2 dicts."""
-    import hashlib   # here, so commands that read no fixture never load it
+    eq2 dicts.  verify is the one command that calls it; the others
+    read through load_files or load_y_terms."""
     raw = _read_raw(directory)
-    parsed = _parse(raw)
-    return parsed._replace(
-        eq2=dict(parsed.eq2),
-        digests={name: hashlib.sha256(data).hexdigest()
+    (eq2, eq6, (eq12_const, eq12_theta), eq13, eq14, y1, y2, eq23_c, eq24_d,
+     table1, table2) = _parse(FIXTURE_FILES, raw)
+    return FixtureStore(
+        table1=table1, table2=table2, eq2=dict(eq2), eq6=eq6, eq13=eq13,
+        eq14=eq14, eq12_const=eq12_const, eq12_theta=eq12_theta,
+        eq21_y1=y1, eq21_y2=y2, eq23_c=eq23_c, eq24_d=eq24_d,
+        digests={name: sha256_hex(data)
                  for name, data in zip(FIXTURE_FILES, raw)})
+
+
+def load_files(names: tuple, directory: Optional[str] = None) -> tuple:
+    """The named fixture files alone, parsed in order, with
+    load_fixtures' passes, messages and parse memo; no other file is
+    read, and none is digested."""
+    return _parse(names, _read_raw(directory, names))
 
 
 def load_y_terms(directory: Optional[str] = None) -> tuple:
     """The cells of Y = Y1 + Y2 as (const, ((a, c_(a+1)), ...)), c != 0,
     in complex, for rotations.substitute_terms: eq21_Y1.txt and
-    eq21_Y2.txt alone, read and parsed as load_fixtures does, with its
-    messages; no other file is read, and none is digested."""
-    return _parse_y(_read_raw(directory, _Y_FILES))
+    eq21_Y2.txt alone, as load_files reads them."""
+    return _y_terms(_read_raw(directory, _Y_FILES))
 
 
-def _read_all(names, raw) -> list:
-    """The named files' bytes all decoded, then each read by its reader."""
+@functools.lru_cache(maxsize=8)
+def _parse(names: tuple, raw: tuple) -> tuple:
+    """The named files' bytes all decoded, then each read by its
+    reader."""
     text = [_decode(name, data) for name, data in zip(names, raw)]
-    return [_READERS[name](t, name) for name, t in zip(names, text)]
+    return tuple(_READERS[name](t, name) for name, t in zip(names, text))
 
 
 @functools.lru_cache(maxsize=4)
-def _parse_y(raw: tuple) -> tuple:
-    y1, y2 = _read_all(_Y_FILES, raw)
+def _y_terms(raw: tuple) -> tuple:
+    y1, y2 = _parse(_Y_FILES, raw)
     return tuple(tuple((complex(e.constant), tuple(
         (a, complex(c)) for a, c in enumerate(e.coeffs[1:]) if c))
         for e in row) for row in (y1 + y2).rows)
-
-
-@functools.lru_cache(maxsize=4)
-def _parse(raw: tuple) -> FixtureStore:
-    """The store parsed from the files' bytes, in FIXTURE_FILES order;
-    load_fixtures fills in the digests."""
-    (eq2, eq6, (eq12_const, eq12_theta), eq13, eq14, y1, y2, eq23_c, eq24_d,
-     table1, table2) = _read_all(FIXTURE_FILES, raw)
-    return FixtureStore(
-        table1=table1, table2=table2, eq2=eq2, eq6=eq6, eq13=eq13, eq14=eq14,
-        eq12_const=eq12_const, eq12_theta=eq12_theta, eq21_y1=y1, eq21_y2=y2,
-        eq23_c=eq23_c, eq24_d=eq24_d, digests={})

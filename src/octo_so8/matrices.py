@@ -300,8 +300,10 @@ def beta_set(variant: str = "sigma") -> BetaSet:
     if variant not in ("sigma", "tensor"):
         raise ValueError(f"unknown beta variant {variant!r}")
     if variant not in _CACHE:
-        builder = beta_sigma_expansion if variant == "sigma" else beta_tensor_text
-        _CACHE[variant] = BetaSet(variant, tuple(builder(a) for a in range(1, 9)))
+        builder = (beta_sigma_expansion if variant == "sigma"
+                   else beta_tensor_text)
+        _CACHE[variant] = BetaSet(variant,
+                                  tuple(builder(a) for a in range(1, 9)))
     return _CACHE[variant]
 
 

@@ -594,9 +594,10 @@ def spinor_transform(psi: Sequence[Octonion], x_num,
     """The coefficients of psi' = exp(X) psi as one product exp(X) C,
     where row j of C holds psi_j's coefficients on e0..e7; row i of the
     result is psi'_i.  exp(X) is generator_exp's for x_num =
-    numeric_X(f, betas) at real f, and matrix_exp's without betas.  Each row is added up over j in order by plain
-    additions, so it equals the per-term sum psi'_i = sum_j exp(X)_ij
-    psi_j bit for bit whatever rounding a Python version's sum() uses.
+    numeric_X(f, betas) at real f, and matrix_exp's without betas.
+    Each row is added up over j in order by plain additions, so it
+    equals the per-term sum psi'_i = sum_j exp(X)_ij psi_j bit for bit
+    whatever rounding a Python version's sum() uses.
     Zero coefficients are skipped: their terms are signed zeros, which
     leave a sum that starts at +0 unchanged."""
     if len(psi) != len(x_num):
@@ -608,9 +609,9 @@ def spinor_transform(psi: Sequence[Octonion], x_num,
          else generator_exp(x_num, betas, tol))
     for row in e:
         acc = [0j] * 8
-        for e, terms in zip(row, c):
+        for e_ij, terms in zip(row, c):
             for k, z in terms:
-                acc[k] += e * z
+                acc[k] += e_ij * z
         out.append(acc)
     return out
 

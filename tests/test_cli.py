@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 import octo_so8
 from octo_so8 import SquareMatrix, cli
 from octo_so8.cli import main
+from octo_so8.fixtures import FIXTURE_FILES
+from test_golden import AUDIT_GRID, ROTATE_GRID, audit_grid, cli_digest, \
+    rotate_grid
 
 
 def run(capsys, *argv):
@@ -103,6 +106,57 @@ class TestVerify:
         assert (rc, out) == (2, "")
         assert err == ("error: eq6_X.txt:1: column 1: scalar atom "
                        "'100000000000...' has more than 4300 digits\n")
+
+
+class TestNarrowReads:
+    """tables reads table2.txt alone and symbolic rotate eq14_map.txt
+    alone, with verify's passes and messages; only verify reads the
+    whole set."""
+
+    GRIDS = {"table2.txt": (AUDIT_GRID, [a for a in audit_grid()
+                                         if a[0] == "tables"]),
+             "eq14_map.txt": (ROTATE_GRID, [a for a in rotate_grid()
+                                            if not a[5].startswith("--t")])}
+    BROKEN = {"table2.txt": ("e3", "e9", "table2.txt:1: basis index out of "
+                             "range 0..7 in 'e9'"),
+              "eq14_map.txt": ("f7: 2*f8", "f7: 2*f9", "eq14_map.txt:7: bad "
+                               "scalar atom 'f9' in 'f9'")}
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_no_other_file_is_read(self, capsys, data_copy, name):
+        # every other file malformed: verify fails, and each argv of the
+        # grid that reads name prints its golden bytes from the copy
+        for other in FIXTURE_FILES:
+            if other != name:
+                (data_copy / other).write_text("not a fixture\n", "utf-8")
+        path, argvs = self.GRIDS[name]
+        want = json.loads(path.read_text("utf-8"))
+        for argv in argvs:
+            got = cli_digest(argv + ["--fixtures", str(data_copy)])
+            assert got == want[" ".join(argv)], argv
+        rc, out, err = run(capsys, "verify", "--fixtures", str(data_copy))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: eq2_sigma.txt:")
+
+    @pytest.mark.parametrize("command, name", [
+        (("tables",), "table2.txt"), (("verify",), "table2.txt"),
+        (("rotate", "5", "6"), "eq14_map.txt"), (("verify",), "eq14_map.txt")])
+    def test_a_malformed_file_is_named_as_verify_names_it(
+            self, capsys, data_copy, command, name):
+        old, new, message = self.BROKEN[name]
+        path = data_copy / name
+        path.write_text(path.read_text("utf-8").replace(old, new, 1), "utf-8")
+        rc, out, err = run(capsys, *command, "--fixtures", str(data_copy))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, name", [
+        (("tables",), "table2.txt"), (("rotate", "5", "6"), "eq14_map.txt"),
+        (("rotate", "7", "8", "--format", "json"), "eq14_map.txt")])
+    def test_a_missing_file_is_named(self, capsys, data_copy, command, name):
+        (data_copy / name).unlink()
+        rc, out, err = run(capsys, *command, "--fixtures", str(data_copy))
+        assert (rc, out) == (2, "")
+        assert err == f"error: missing fixture file: {data_copy / name}\n"
 
 
 class TestRotate:

@@ -1,16 +1,25 @@
 """Fixture loading: grammar validation, locations in errors, digests."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import octo_so8
 from octo_so8 import (FixtureError, beta_set, fixtures, load_fixtures,
                       parse_linear_form)
 from octo_so8.cli import main
 from octo_so8.fixtures import (
     FIXTURE_FILES,
     load_y_terms,
+    sha256_hex,
     parse_form_matrix,
     parse_map_lines,
     parse_signed_grid,
@@ -185,6 +194,42 @@ class TestParseMemo:
         assert second.eq2 == eq2
         assert second.digests is not first.digests
         assert second.eq2 is not first.eq2
+
+
+class TestDigest:
+    """sha256_hex, from the interpreter's own SHA-256 module, against
+    hashlib's, which maps OpenSSL."""
+
+    def test_every_bundled_file(self):
+        data = resources.files("octo_so8") / "data"
+        for name in FIXTURE_FILES:
+            raw = (data / name).read_bytes()
+            assert sha256_hex(raw) == hashlib.sha256(raw).hexdigest(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=4096))
+    def test_drawn_bytes(self, data):
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    def test_the_constructor_is_the_built_in_one(self):
+        assert fixtures._sha256().__module__ in ("_sha2", "_sha256")
+
+    def test_hashlib_fallback_prints_the_same_report(self, capsys):
+        # a build without _sha2 and _sha256 digests through hashlib
+        probe = ("import sys\n"
+                 "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                 "from octo_so8.cli import main\n"
+                 "rc = main(['verify', '--format', 'json'])\n"
+                 "assert 'hashlib' in sys.modules\n"
+                 "sys.exit(rc)\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(octo_so8.__file__).resolve().parents[1]))
+        env.pop("OCTO_SO8_FIXTURES", None)
+        p = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, env=env, timeout=120)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert main(["verify", "--format", "json"]) == 0
+        assert p.stdout == capsys.readouterr().out
 
 
 class TestRecords:

@@ -2,7 +2,8 @@
 module but ``__init__``, every imported name is used, every private
 module-level name is referenced again, and every member of a private
 module-level class is read as an attribute somewhere in the package, so
-a deletion leaves no orphan import, helper or cached property behind."""
+a deletion leaves no orphan import, helper or cached property behind.
+No line of any module, ``__init__`` included, exceeds 79 columns."""
 
 import ast
 from pathlib import Path
@@ -92,6 +93,13 @@ def test_every_private_class_member_is_read():
     read = _attributes_read(trees)
     assert sorted(set().union(*(_unread_members(t, read) for t in trees))) \
         == []
+
+
+def test_no_line_exceeds_79_columns():
+    long = [f"{p.name}:{k}" for p in sorted(SRC.glob("*.py"))
+            for k, line in enumerate(p.read_text("utf-8").splitlines(), 1)
+            if len(line) > 79]
+    assert long == []
 
 
 def test_an_orphaned_import_and_helper_are_caught():
