@@ -5,6 +5,7 @@ predicate or the a posteriori check of tol fails, and overflow off the
 axes of f."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -12,6 +13,7 @@ import math
 import random
 import struct
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,29 @@ def test_benchmark_like_f_against_scipy(reading):
         x = numeric_X([rng.gauss(0, 1) * rng.uniform(0.05, 4)
                        for _ in range(8)], bs)
         assert relative_error(generator_exp(x, bs), x) <= 5e-13
+
+
+# sha256 of generator_exp's entries as float.hex, over 200 seeded
+# benchmark-like X per reading: a rewrite of the route's arithmetic must
+# keep every bit (the same under CPython 3.10 to 3.13)
+ROUTE_DIGESTS = {
+    "sigma": "ff6ca1e683a1b27b9361f2a09ac224b0"
+             "9c32ec4664d4f3e8ffda7766e633b213",
+    "tensor": "1365b6f2941eab4336d916db3c1377b0"
+              "78ca46bc9767677560bfd39dd8d525cd"}
+
+
+@pytest.mark.parametrize("reading", READINGS)
+def test_route_bits_pinned_by_digest(reading):
+    rng = random.Random(f"route bits {reading}")
+    bs = beta_set(reading)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        x = numeric_X([rng.gauss(0, 1) * rng.uniform(0.05, 4)
+                       for _ in range(8)], bs)
+        for v in chain.from_iterable(generator_exp(x, bs)):
+            digest.update(f"{v.real.hex()} {v.imag.hex()}\n".encode())
+    assert digest.hexdigest() == ROUTE_DIGESTS[reading]
 
 
 component = st.floats(-80, 80, allow_nan=False) | st.sampled_from(

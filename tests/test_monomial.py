@@ -293,10 +293,16 @@ class TestDerivedObjects:
 
     def test_numeric_X_bit_identical_to_dense_conversion(self, reading):
         # the dense reference: each generator converted entry by entry,
-        # scaled by complex(f_A) and summed over A from a zero array
-        f = [0.3, -0.2, 0.7, 0.1, -0.0, -0.5, 0.4, 0.9]
-        acc = np.zeros((8, 8), dtype=np.complex128)
-        for a in range(8):
-            acc = acc + complex(f[a]) * complex_array(dense_betas(reading)[a])
-        assert np.array(numeric_X(f, beta_set(reading))).tobytes() == \
-            acc.tobytes()
+        # scaled by complex(f_A) and summed over A from a zero array; f
+        # takes signed zeros, the subnormal 5e-324, ints, and +-1e300,
+        # which tensor's beta_8 = beta_1 adds to 2e300 or cancels
+        for f in ([0.3, -0.2, 0.7, 0.1, -0.0, -0.5, 0.4, 0.9],
+                  [-0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 3, -2],
+                  [1e300, -0.0, -1e300, 0, 5e-324, 1, -7, 1e300],
+                  [-1e300, 5e-324, -0.0, 1e300, 0.0, -5e-324, 0, 1e300]):
+            acc = np.zeros((8, 8), dtype=np.complex128)
+            for a in range(8):
+                acc = acc + complex(f[a]) * complex_array(
+                    dense_betas(reading)[a])
+            assert np.array(numeric_X(f, beta_set(reading))).tobytes() == \
+                acc.tobytes()
