@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .exact import CRational
 from .fixtures import FixtureStore
-from .matrices import (SIGMA_TERMS, BetaSet, SquareMatrix,
+from .matrices import (SIGMA_TERMS, BetaSet, Pauli, SquareMatrix,
                        anticommutator_audit, audit_E_alternates, beta_set,
                        build_E, compare_tables, diff_cells, from_blocks,
                        gram, gram_fault, monomial_sum, signed_table)
@@ -52,8 +52,7 @@ TOOLKIT_VERSION = "0.1.0"
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 DEGENERATE = "degenerate"
-_IDENTITY = SquareMatrix.identity(8)
-_EIGHT_I = _IDENTITY.scale(CRational(8))
+_EIGHT_I = SquareMatrix.identity(8).scale(CRational(8))
 
 
 def _status(ok: bool) -> str:
@@ -190,7 +189,7 @@ def _check_dup_rotations(fx, ctx):
 
 def _check_eq12_fixture(fx, ctx):
     n = plane_product(1, 2, ctx.bs)
-    const_cells = diff_cells(fx.eq12_const, _IDENTITY)
+    const_cells = diff_cells(fx.eq12_const, Pauli(0, 0))
     theta_cells = diff_cells(fx.eq12_theta, n)
     ok = not const_cells and not theta_cells
     return _status(ok), {"constant_part_cells": const_cells,

@@ -17,9 +17,9 @@ exponentials used for spinor transport: e^X through Gamma = I (x) X
 eigenproblem (generator_exp), and the general Taylor series
 (matrix_exp) for Y and for readings without Gamma.
 
-Only the numeric section uses floats.  It works on plain lists of
-rows of Python ``complex``, 8x8 matrices and the 4x4 blocks of X in
-Gamma's eigenbasis, so no command needs numpy.
+Only the numeric section uses floats, on plain lists of rows of Python
+``complex`` with one product, _matmul; X(f) and Y(f) both come from
+tables of cell terms (substitute_terms), so no command needs numpy.
 """
 
 from __future__ import annotations
@@ -241,11 +241,11 @@ _UNITS = tuple(map(complex, PHASES))
 
 
 def _matmul(a, b, hermitian: bool = False) -> list:
-    """a @ b for matrices given as lists of rows of complex.  With
-    hermitian=True the product is known to be Hermitian (a and b are
-    commuting Hermitian matrices): only the upper triangle is summed,
-    the diagonal keeps its real part and the lower triangle mirrors the
-    upper one, so the result is exactly Hermitian."""
+    """a @ b for matrices given as lists of rows of complex, the one
+    product of the numeric section.  With hermitian=True the product is
+    known to be Hermitian (a power of a Hermitian matrix, or M^H D M for
+    a real diagonal D): only the upper triangle is summed, the diagonal
+    keeps its real part and the lower triangle mirrors the upper one."""
     cols = list(zip(*b))
     if not hermitian:
         return [[sum(map(mul, row, col), 0j) for col in cols] for row in a]
@@ -263,26 +263,37 @@ def _all_finite(m) -> bool:
     return all(map(cmath.isfinite, chain.from_iterable(m)))
 
 
-def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
-    """sum_A f_A beta_A as 8 rows of complex; fvals may be floats.
+def _adjoint(m) -> list:
+    return [[z.conjugate() for z in col] for col in zip(*m)]
 
-    Each generator adds f_A * i**q at its cells (r, c), in A order.
-    For finite f the skipped cells would only add signed zeros to a sum
-    that starts at +0, so the matrix is bit-identical to the dense sum
-    of f_A times each generator's complex matrix.
-    """
-    rows = [[0j] * 8 for _ in range(8)]
-    for a, b in enumerate((betas or beta_set()).mats):
-        z = complex(fvals[a])
+
+def _row_sum_norm(m) -> float:
+    return max((sum(map(abs, row)) for row in m), default=0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _x_terms(bs: BetaSet) -> tuple:
+    """The cells of X = sum_A f_A beta_A as substitute_terms takes
+    them, (0j, ((A, i**q), ...)) in A order, read off the codes."""
+    cells = [[[] for _ in range(8)] for _ in range(8)]
+    for a, b in enumerate(bs.mats):
         for r, (c, q) in enumerate(map(b.cell, range(8))):
-            rows[r][c] += z * _UNITS[q]
-    return rows
+            cells[r][c].append((a, _UNITS[q]))
+    return tuple(tuple((0j, tuple(cell)) for cell in row) for row in cells)
+
+
+def numeric_X(fvals: Sequence, betas: Optional[BetaSet] = None) -> list:
+    """sum_A f_A beta_A as 8 rows of complex at complex(f_A), so f may
+    be floats or ints: _x_terms through substitute_terms, bit-identical
+    to the dense sum of f_A times each generator's complex matrix."""
+    return substitute_terms(_x_terms(betas or beta_set()),
+                            [complex(v) for v in fvals])
 
 
 def substitute_terms(terms, fvals: Sequence) -> list:
-    """Form cells given as fixtures.load_y_terms does, at finite float f:
-    each adds c * f_a, in a order, onto its constant.  A zero c would
-    only add signed zeros to a sum that starts at +0 and so is never
+    """Form cells given as _x_terms or fixtures.load_y_terms does, at
+    finite f: each adds c * f_a, in a order, onto its constant.  A zero c
+    would only add signed zeros to a sum that starts at +0 and so is never
     -0, so this equals substituting every coefficient bit for bit."""
     out = []
     for row in terms:
@@ -327,7 +338,7 @@ def _checked(m, tol: float) -> tuple:
     if not _all_finite(a):
         raise NonFiniteInput("matrix contains NaN or infinity")
     try:
-        norm = max((sum(map(abs, row)) for row in a), default=0.0)
+        norm = _row_sum_norm(a)
     except OverflowError:            # |z| of a finite z can overflow
         norm = math.inf
     if not norm <= 2.0 ** 1022:       # inf included
@@ -371,16 +382,14 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     _, s, deg, p = min(choices)   # ties: the fewest squarings
     n = len(a)
     # every power and product here is a real polynomial in a
-    hermitian = all(a[i][j] == a[j][i].conjugate()
-                    for i in range(n) for j in range(i, n))
+    hermitian = a == _adjoint(a)
     if hermitian and a:
         # lambda_max >= a_ii and >= (a_ii + a_jj)/2 + |a_ij|, the top
-        # eigenvalue of a 2x2 principal block, and max|e^A| >= e^lambda_max
-        # / n; past ln(n 2^1024) by a margin of 1, no rounding is finite
+        # eigenvalue of a 2x2 principal block
         d = [a[i][i].real for i in range(n)]
         low = max(d + [(d[i] + d[j]) / 2 + abs(a[i][j])
                        for i in range(n) for j in range(i + 1, n)])
-        if low > math.log(n) + 1024 * math.log(2) + 1:
+        if low > _overflow(n):
             raise NonFiniteInput("exponential overflows binary64")
     scale = 2.0 ** -s                 # exact: s < 1030
     powers = [[[v * scale for v in row] for row in a]]   # A, A^2, .., A^p
@@ -408,11 +417,16 @@ _R = (0, 1, 4, 5)
 # the Jacobi pairs (i, j) in cyclic order, each with the other two
 _PAIRS = tuple((i, j, tuple(k for k in range(4) if k not in (i, j)))
                for i in range(4) for j in range(i + 1, 4))
-# past ln(8 * 2^1024) + 1 an entry of e^X overflows (its largest
-# diagonal entry is at least e^sigma_max / 8); past 709, e^sigma is
-# within 2^1024 / 4 and the functions are scaled by 2^-8 until the end
-_OVERFLOW = math.log(8) + 1024 * math.log(2) + 1
+# past 709, e^sigma is within 2^1024 / 4 and the functions are scaled by
+# 2^-8 until the end
 _SCALED = 709.0
+
+
+def _overflow(n: int) -> float:
+    """ln n + ln 2^1024 + 1: past it, the top eigenvalue of an n x n
+    Hermitian A puts an entry of e^A past binary64, whatever the
+    rounding (max|e^A| >= e^lambda_max / n)."""
+    return math.log(n) + 1024 * math.log(2) + 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -422,10 +436,6 @@ def chiral(bs: BetaSet) -> bool:
     [A^H, 0]] in Gamma's eigenbasis (e_r +- e_(r^2))/sqrt 2, r in _R,
     with A_ij = X[r_i][r_j] - X[r_i][r_j ^ 2]."""
     return all(b.hermitian() and not _GAMMA.commutes(b) for b in bs.mats)
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v), 0j)
 
 
 def _jacobi(p) -> tuple:
@@ -465,24 +475,6 @@ def _jacobi(p) -> tuple:
     return lam, v
 
 
-def _gram_upper(rows, vals=(1.0,) * 4) -> list:
-    """rows^H diag(vals) rows for 4 rows of complex: the upper triangle
-    summed, the diagonal real, the lower mirrored."""
-    cols = list(zip(*rows))
-    left = [[z.conjugate() * x for z, x in zip(col, vals)] for col in cols]
-    out = [[0j] * 4 for _ in range(4)]
-    for i, u in enumerate(left):
-        out[i][i] = complex(_dot(u, cols[i]).real)
-        for j in range(i + 1, 4):
-            out[i][j] = z = _dot(u, cols[j])
-            out[j][i] = z.conjugate()
-    return out
-
-
-def _row_sum_norm(m) -> float:
-    return max(sum(map(abs, row)) for row in m)
-
-
 def _chiral_exp(x, tol: float):
     """e^X for a Hermitian X that anticommutes with Gamma, or None when
     the check of tol below fails.
@@ -504,29 +496,27 @@ def _chiral_exp(x, tol: float):
     and each entry is within about (tol + 2^-52) sigma_max / 2 of cosh
     sigma_max of its exact value, before the assembly's rounding.
 
-    sigma_max past _OVERFLOW raises NonFiniteInput, as does an entry
+    sigma_max past _overflow(8) raises NonFiniteInput, as does an entry
     that overflows when the 2^-8 scaling is undone; the functions are
     halved before the cells add up, so no sum overflows where its cell
     does not.  Each cell is set with its mirror, so e^X is exactly
     Hermitian with a real diagonal, and X = 0 gives the exact identity.
     """
     a = [[x[r][c] - x[r][c ^ 2] for c in _R] for r in _R]
-    if max(map(abs, chain.from_iterable(a))) > _OVERFLOW:   # <= sigma_max
+    if max(map(abs, chain.from_iterable(a))) > _overflow(8):  # <= sigma_max
         raise NonFiniteInput("exponential overflows binary64")
-    acols = list(zip(*a))
-    p = _gram_upper([[z.conjugate() for z in col] for col in acols])  # A A^H
+    p = _matmul(a, _adjoint(a), True)                          # A A^H
     lam, v = _jacobi([row[:] for row in p])
-    vcols = list(zip(*v))
+    vh = _adjoint(v)
     norm = _row_sum_norm(p)
-    rho = _row_sum_norm([[_dot(row, col) - vi * lk
-                          for col, vi, lk in zip(vcols, vrow, lam)]
-                         for row, vrow in zip(p, v)])
+    rho = _row_sum_norm([[z - vi * lk for z, vi, lk in zip(row, vrow, lam)]
+                         for row, vrow in zip(_matmul(p, v), v)])
     eta = _row_sum_norm([[z - (i == j) for j, z in enumerate(row)]
-                         for i, row in enumerate(_gram_upper(v))])
+                         for i, row in enumerate(_matmul(vh, v, True))])
     if not rho + 2 * eta * norm <= tol * norm:
         return None
     sigma = [math.sqrt(max(lk, 0.0)) for lk in lam]
-    if max(sigma) > _OVERFLOW:
+    if max(sigma) > _overflow(8):
         raise NonFiniteInput("exponential overflows binary64")
     k = 8 if max(sigma) > _SCALED else 0
     h = 2.0 ** (-1 - k)
@@ -541,20 +531,17 @@ def _chiral_exp(x, tol: float):
         else:
             funcs.append((h, h, h / 2))
     fc, fs, fg = zip(*funcs)
-    vh = [[z.conjugate() for z in col] for col in vcols]      # V^H
-    b = [[_dot(row, col) for col in acols] for row in vh]     # V^H A
-    c = _gram_upper(vh, fc)
-    d = _gram_upper(b, fg)
-    bcols = list(zip(*b))
-    t = [[_dot(row, col) for col in bcols]
-         for row in ([z * f for z, f in zip(vrow, fs)] for vrow in v)]
+    b = _matmul(vh, a)                                          # V^H A
+    c = _matmul([[z * f for z, f in zip(r, fc)] for r in v], vh, True)
+    d = _matmul([[z * g for z, g in zip(r, fg)] for r in _adjoint(b)], b,
+                True)
+    t = _matmul([[z * f for z, f in zip(r, fs)] for r in v], b)
     out = [[0j] * 8 for _ in range(8)]
     for i, ri in enumerate(_R):
         qi = ri ^ 2
         d[i][i] += h
         for j in range(i, 4):
-            rj = _R[j]
-            qj = rj ^ 2
+            rj, qj = _R[j], _R[j] ^ 2
             cij, tij, dij, th = c[i][j], t[i][j], d[i][j], t[j][i].conjugate()
             cp, cm, wp, wm = cij + th, cij - th, tij + dij, tij - dij
             # each cell is set once, with its mirror
@@ -570,8 +557,7 @@ def _chiral_exp(x, tol: float):
         out[ri][ri], out[qi][qi] = (complex(out[ri][ri].real),
                                     complex(out[qi][qi].real))
     if k:
-        back = 2.0 ** k
-        out = [[z * back for z in row] for row in out]
+        out = [[z * 2.0 ** k for z in row] for row in out]
     if not _all_finite(out):
         raise NonFiniteInput("exponential overflows binary64")
     return out
@@ -624,13 +610,12 @@ def standard_spinor() -> list:
 
 def hermiticity_defect(e) -> float:
     """max |e - e^H| over the entries."""
-    n = len(e)
-    return max(abs(e[i][j] - e[j][i].conjugate())
-               for i in range(n) for j in range(n))
+    return max(abs(u - v)
+               for r, s in zip(e, _adjoint(e)) for u, v in zip(r, s))
 
 
 def unitarity_defect(e) -> float:
     """max |e^H e - I| over the entries."""
-    eh = [[v.conjugate() for v in col] for col in zip(*e)]
-    return max(abs(v - (i == j)) for i, row in enumerate(_matmul(eh, e))
+    return max(abs(v - (i == j))
+               for i, row in enumerate(_matmul(_adjoint(e), e))
                for j, v in enumerate(row))

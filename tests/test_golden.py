@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import cross_version
 from octo_so8 import parse_cdyadic, parse_dyadic, parse_linear_form
 from octo_so8.cli import main
 from octo_so8.fixtures import FIXTURE_FILES
@@ -162,6 +163,18 @@ def test_spinor_grid_matches_digests():
 
 def test_audit_grid_matches_digests():
     check_grid(AUDIT_GRID, audit_grid())
+
+
+def test_cross_version_check_reads_the_same_grids():
+    # tests/cross_version.py takes each argv back from its grid key and
+    # digests it as cli_digest does
+    for name, build in (("spinor-grid.json", spinor_grid),
+                        ("rotate-grid.json", rotate_grid),
+                        ("audit-grid.json", audit_grid)):
+        argvs = [argv for argv, _ in cross_version.grid(name).values()]
+        assert sorted(argvs) == sorted(build())
+    for argv in (spinor_grid()[1], rotate_grid()[2], audit_grid()[5]):
+        assert cross_version.digest(argv) == cli_digest(argv)
 
 
 def test_spinor_grid_exits():
