@@ -533,8 +533,8 @@ def _chiral_exp(x, tol: float):
     fc, fs, fg = zip(*funcs)
     b = _matmul(vh, a)                                          # V^H A
     c = _matmul([[z * f for z, f in zip(r, fc)] for r in v], vh, True)
-    d = _matmul([[z * g for z, g in zip(r, fg)] for r in _adjoint(b)], b,
-                True)
+    d = _matmul([[z * g for z, g in zip(r, fg)] for r in _adjoint(b)],
+                b, True)
     t = _matmul([[z * f for z, f in zip(r, fs)] for r in v], b)
     out = [[0j] * 8 for _ in range(8)]
     for i, ri in enumerate(_R):
