@@ -12,8 +12,9 @@ Everything the checkers derive without reading a fixture lives on
 ``context(bs)``, built on first use, once per generator reading in a
 process: X and its blocks, Y1 = [[A, A], [B, B]], [beta1 beta2, X] and
 its half, E with its table and alternates, the Gram matrix, the eq 14
-map of plane (1,2) or why it is degenerate, the plane classes, the eq
-18 and eq 19 records, the beta_8 cells of the two readings, the
+map of plane (1,2) (the rotations.symbolic_map record that rotate
+reads too) or why it is degenerate, the plane classes, the eq 18 and
+eq 19 records, the beta_8 cells of the two readings, the
 oriented triples and the exp-action numbers (read off the sigma
 context).  The checkers read X's Hermitian and traceless flags, the
 readings' beta_1..beta_7 equalities, Tr(beta_1 beta_8) and the Gram
@@ -42,10 +43,9 @@ from .rotations import (DEFAULT_TOL, SYMBOLS, ZERO_FORM, DegenerateBasis,
                         assemble_X, block_decompose, commutator_terms,
                         duplicate_rotation_scan, generator_exp,
                         hermiticity_defect, numeric_X, plane_product,
-                        rotation_component_map, spinor_transform,
-                        standard_spinor, unitarity_defect)
+                        spinor_transform, standard_spinor, symbolic_map,
+                        unitarity_defect)
 from .splitrep import audit_Y_blocks
-from .symbolic import render_linear_form
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -87,10 +87,10 @@ class _Context:
 
     @cached_property
     def eq14(self):
-        """The (lines, residual) component map of plane (1,2), or the
-        DegenerateBasis message when the Gram matrix is not 8*I."""
+        """Plane (1,2)'s symbolic_map record, the one rotate reads, or
+        the DegenerateBasis message when the Gram matrix is not 8*I."""
         try:
-            return rotation_component_map(1, 2, self.bs)
+            return symbolic_map(self.bs, plane_product(1, 2, self.bs))
         except DegenerateBasis as exc:
             return str(exc)
 
@@ -151,15 +151,15 @@ context = lru_cache(maxsize=8)(_Context)
 def map_line(a: int, derived, stated) -> dict:
     """Component a + 1 of a first-order map, against the stated line;
     "stated" and "match" are None when there is none to compare."""
-    return {"component": a + 1, "derived": render_linear_form(derived),
-            "stated": None if stated is None else render_linear_form(stated),
+    return {"component": a + 1, "derived": str(derived),
+            "stated": None if stated is None else str(stated),
             "match": None if stated is None else derived == stated}
 
 
-def form_cells(m: SquareMatrix) -> list:
-    """{"row", "col", "entry"} for each nonzero cell of a form matrix."""
-    return [{"row": i, "col": j, "entry": render_linear_form(e)}
-            for i, j, e in m.nonzero_cells()]
+def form_cells(cells) -> list:
+    """{"row", "col", "entry"} for each (row, col, form) nonzero cell;
+    a LinearForm keeps its str once rendered."""
+    return [{"row": i, "col": j, "entry": str(e)} for i, j, e in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def _check_eq13_increment(fx, ctx):
 def _check_eq14_map(fx, ctx):
     if isinstance(cm := ctx.eq14, str):
         return DEGENERATE, {"reason": cm}
-    derived, residual = cm
+    derived, _, residual = cm
     lines = [{**map_line(a, d, stated),
               "stated_has_imaginary_coeff": stated.has_imaginary_coeff()}
              for a, (d, stated) in enumerate(zip(derived, fx.eq14))]
@@ -260,7 +260,8 @@ def _check_eq22_blocks(fx, ctx):
     audits, b_minus_c = audit_Y_blocks(fx, dec.b, ctx.y1)
     ok = all(a["ok"] for a in audits)
     return _status(ok), {"audits": audits,
-                         "b_minus_c_cells": form_cells(b_minus_c)}
+                         "b_minus_c_cells": form_cells(
+                             b_minus_c.nonzero_cells())}
 
 
 def _check_eq6_fixture(fx, ctx):

@@ -30,7 +30,7 @@ from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
                         rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor,
-                        substitute_terms)
+                        substitute_terms, symbolic_map)
 from .octonion import build_split_basis
 
 _FORMATS = ("md", "json")
@@ -214,7 +214,10 @@ def cmd_rotate(args) -> int:
     fvals = (None if args.f is None else _flag_value(
         "--f", args.f, lambda t: _f_values(t, parse_dyadic)))
     try:     # the lines once per command: both rotations below use them
-        derived, per_theta = rotation_component_map(k, l, bs, fvals)
+        if fvals is None:    # the plane's record, built on its first call
+            derived, per_theta, cells = symbolic_map(bs, n)
+        else:
+            derived, per_theta = rotation_component_map(k, l, bs, fvals)
     except DegenerateBasis as exc:
         raise DegenerateBasis(
             f"plane ({k},{l}) under the {bs.variant} reading: {exc}") from None
@@ -226,7 +229,7 @@ def cmd_rotate(args) -> int:
                   if n == plane_product(1, 2, bs) else (None,) * 8)
         lines = [map_line(a, line, stated[a])
                  for a, line in enumerate(derived)]
-        residual = form_cells(per_theta)
+        residual = form_cells(cells)
         if args.format == "json":
             print(dump_json({"plane": [k, l], "mode": "symbolic",
                              "lines": lines, "residual_cells": residual}))

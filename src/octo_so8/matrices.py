@@ -125,16 +125,12 @@ def from_blocks(tl: SquareMatrix, tr: SquareMatrix,
                          for a, b in zip(left.rows, right.rows)])
 
 
-def diff_cells(a: SquareMatrix, b: SquareMatrix):
-    """1-indexed cells where the matrices differ, with both renderings."""
-    out = []
-    for i in range(a.n):
-        for j in range(a.n):
-            if not a.at(i, j) == b.at(i, j):
-                out.append({"row": i + 1, "col": j + 1,
-                            "left": str(a.at(i, j)),
-                            "right": str(b.at(i, j))})
-    return out
+def diff_cells(a, b):
+    """1-indexed cells where two matrices, each a SquareMatrix or a
+    Pauli code, differ, with both renderings."""
+    return [{"row": i, "col": j, "left": str(u), "right": str(v)}
+            for i, (ra, rb) in enumerate(zip(a.rows, b.rows), start=1)
+            for j, (u, v) in enumerate(zip(ra, rb), start=1) if not u == v]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +179,13 @@ class Pauli(NamedTuple):
         c, q = self.cell(i)
         return PHASES[q] if c == j else _ZERO
 
+    @property
+    def rows(self) -> list:
+        """The dense rows, as SquareMatrix.rows; each row's cell is read
+        once."""
+        return [[PHASES[q] if j == c else _ZERO for j in range(8)]
+                for c, q in map(self.cell, range(8))]
+
     # products build with tuple.__new__: NamedTuple's __new__ is Python
     def __matmul__(self, other):
         if not isinstance(other, Pauli):
@@ -204,8 +207,7 @@ class Pauli(NamedTuple):
     def trace(self) -> CRational:
         return _ZERO if self.x or self.z else 8 * PHASES[self.q]
 
-    def render(self):
-        return [[str(self.at(i, j)) for j in range(8)] for i in range(8)]
+    render = SquareMatrix.render
 
 
 def monomial_sum(terms, zero) -> SquareMatrix:

@@ -9,13 +9,16 @@ anticommutes with each beta_B, so [N, beta_B] is 0 or the single code
 its (x, z), N beta_B's place in the generator table; the rotations act
 on the components f_A by reading it, once matrices.gram_fault has found
 the Gram matrix to be 8*I, with no dense conjugation, trace projection,
-Gram matrix or repeated N beta_B product.  The module provides the
-first-order map and the exact rotation of f, at the f symbols or at
-exact f, the symbolic X, the duplicate-plane scan, and the numeric
-exponentials used for spinor transport: e^X through Gamma = I (x) X
-(x) I, which anticommutes with every generator, as one 4x4 Hermitian
-eigenproblem (generator_exp), and the general Taylor series
-(matrix_exp) for Y and for readings without Gamma.
+Gram matrix or repeated N beta_B product.  Beside it, a second record
+per N, also built on first use, holds the first-order map at the f
+symbols, which reads no fixture: its lines, its residual and the
+residual's nonzero cells.  The module provides the first-order map and
+the exact rotation of f, at the f symbols or at exact f, the symbolic
+X, the duplicate-plane scan, and the numeric exponentials used for
+spinor transport: e^X through Gamma = I (x) X (x) I, which
+anticommutes with every generator, as one 4x4 Hermitian eigenproblem
+(generator_exp), and the general Taylor series (matrix_exp) for Y and
+for readings without Gamma.
 
 Only the numeric section uses floats, on plain lists of rows of Python
 ``complex`` with one product, _matmul; X(f) and Y(f) both come from
@@ -172,6 +175,16 @@ def extract_components(n: Pauli, f: Sequence,
     return tuple(lines), monomial_sum(outside, zero)
 
 
+@functools.lru_cache(maxsize=128)   # as _plane_record
+def symbolic_map(bs: BetaSet, n: Pauli) -> tuple:
+    """(lines, residual, cells) of a plane product N at the f symbols:
+    extract_components' pair and the residual's nonzero_cells.  It reads
+    no fixture, so it is built on first use, once per reading and N; a
+    DegenerateBasis is raised on every call."""
+    lines, residual = extract_components(n, SYMBOLS, bs)
+    return lines, residual, tuple(residual.nonzero_cells())
+
+
 def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
                  betas: Optional[BetaSet] = None, extracted=None):
     """(f', residual): R X(f) R^-1 on the generator span, with
@@ -208,10 +221,13 @@ def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
     """extract_components of beta_k beta_l at f, by default at the f
     symbols: the first-order action of the (k, l) rotation, the flow
     f_A -> f_A + theta * lines[A] and the per-theta residual outside
-    the span, as the pair (lines, residual)."""
+    the span, as the pair (lines, residual); at the f symbols, the pair
+    of the plane's symbolic_map record."""
     bs = betas or beta_set()
-    return extract_components(plane_product(k, l, bs),
-                              SYMBOLS if f is None else f, bs)
+    n = plane_product(k, l, bs)
+    if f is None:
+        return symbolic_map(bs, n)[:2]
+    return extract_components(n, f, bs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +389,12 @@ def matrix_exp(m, tol: float = DEFAULT_TOL) -> list:
     is not finite (no later square would be); ToleranceNotMet when tol
     < 2^-53.
     """
-    a, norm, table = _checked(m, tol)
+    return _series(*_checked(m, tol))
+
+
+def _series(a, norm: float, table) -> list:
+    """matrix_exp of a matrix that _checked has passed, from _checked's
+    rows of complex, max row sum and theta table."""
     choices, (x, e) = [], math.frexp(norm)
     for (deg, p), theta in zip(_DEGREES, table):
         y, f = math.frexp(theta)
@@ -566,12 +587,13 @@ def _chiral_exp(x, tol: float):
 def generator_exp(x_num, betas: BetaSet, tol: float = DEFAULT_TOL) -> list:
     """e^X for X = numeric_X(f, betas) at real f, as rows of complex:
     through Gamma's chirality (_chiral_exp) when chiral(betas), and by
-    matrix_exp where betas is not chiral or the chirality route's check
-    of tol fails.  Raises as matrix_exp does, with its messages."""
-    a, _, _ = _checked(x_num, tol)
+    matrix_exp's series where betas is not chiral or the chirality
+    route's check of tol fails, with X converted, scanned and normed
+    once.  Raises as matrix_exp does, with its messages."""
+    a, norm, table = _checked(x_num, tol)
     if chiral(betas) and (e := _chiral_exp(a, tol)) is not None:
         return e
-    return matrix_exp(a, tol)
+    return _series(a, norm, table)
 
 
 def spinor_transform(psi: Sequence[Octonion], x_num,

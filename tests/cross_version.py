@@ -5,13 +5,16 @@ Runs, under the Python that runs this file, the four ``verify`` goldens
 and every argv of the ``spinor``, ``rotate`` and audit digest grids
 (``tests/golden/*-grid.json``, each argv against the sha256 of its exit
 code, stdout and stderr, as ``test_golden.cli_digest`` takes it).  It
-uses only the standard library, so it runs on a CPython without the
-test dependencies, and it is not part of the test suite:
+runs all of them twice in one process, so that a cache which carries
+state from one call into the next shows as a difference on the second
+pass.  It uses only the standard library, so it runs on a CPython
+without the test dependencies, and it is not part of the test suite:
 
     python3.12 tests/cross_version.py
 
-Prints one summary line per golden file, then each argv whose bytes
-differ; exits 0 when everything matches and 1 otherwise.
+Prints one summary line per pass and golden file, then each argv whose
+bytes differ; exits 0 when everything matches on both passes and 1
+otherwise.
 """
 
 import contextlib
@@ -32,6 +35,7 @@ VERIFY = tuple((f"verify-{reading}.{fmt}",
                 ["verify", "--beta-variant", reading, "--format", fmt])
                for reading in ("sigma", "tensor") for fmt in ("md", "json"))
 GRIDS = ("spinor-grid.json", "rotate-grid.json", "audit-grid.json")
+PASSES = 2
 
 
 def run(argv) -> tuple:
@@ -72,11 +76,13 @@ def check() -> list:
 def main_entry() -> int:
     print(f"CPython {platform.python_version()}")
     failed = 0
-    for name, checked, differ in check():
-        print(f"{name}: {checked - len(differ)} of {checked} match")
-        for key in differ:
-            print(f"  differs: {key}")
-        failed += len(differ)
+    for n in range(1, PASSES + 1):
+        for name, checked, differ in check():
+            print(f"pass {n}, {name}: {checked - len(differ)} of {checked}"
+                  " match")
+            for key in differ:
+                print(f"  differs: {key}")
+            failed += len(differ)
     return 1 if failed else 0
 
 

@@ -160,26 +160,47 @@ def test_a_reading_without_gamma_takes_matrix_exp_bit_for_bit(name):
 def test_the_tol_check_takes_the_route_or_the_series(monkeypatch):
     # at 2^-53 the check, which asks the eigensystem's residual and the
     # unitarity defect of V to be under tol |P|, fails on a generic X, and
-    # the series' result comes back bit for bit; at the default it holds
+    # matrix_exp's series, with the 2^-53 theta table, gives the result
+    # bit for bit; at the default it holds
     series = []
-    real = rotations.matrix_exp
-    monkeypatch.setattr(rotations, "matrix_exp",
-                        lambda *a: series.append(a[1]) or real(*a))
+    real = rotations._series
+    monkeypatch.setattr(rotations, "_series",
+                        lambda *a: series.append(a[2]) or real(*a))
     rng = random.Random("tol branches")
     tiny = 2.0 ** -53
+    tiny_table = dict(rotations._THETA)[tiny]
     for reading in READINGS:
         bs = beta_set(reading)
         for _ in range(10):
             x = numeric_X([rng.gauss(0, 2) for _ in range(8)], bs)
-            series.clear()
             assert rotations._chiral_exp(x, tiny) is None
-            assert bits(generator_exp(x, bs, tiny)) == bits(real(x, tiny))
-            assert series == [tiny]
+            want = bits(matrix_exp(x, tiny))
+            series.clear()
+            assert bits(generator_exp(x, bs, tiny)) == want
+            assert series == [tiny_table]
             series.clear()
             e = generator_exp(x, bs)
             assert series == []
             assert bits(e) == bits(rotations._chiral_exp(x, DEFAULT_TOL))
             assert relative_error(e, x) <= bound(x)
+
+
+def test_the_series_branch_checks_x_once(monkeypatch):
+    # where the route's check fails, or the reading has no Gamma, the
+    # series takes the rows, norm and table that generator_exp's one
+    # _checked call gave
+    checked = []
+    real = rotations._checked
+    monkeypatch.setattr(rotations, "_checked",
+                        lambda *a: checked.append(a[1]) or real(*a))
+    rng = random.Random("one check")
+    no_gamma = BetaSet("sigma", _SIGMA[:7] + (OFF_SET["IXX"][0],))
+    for bs, tol in ((beta_set("sigma"), 2.0 ** -53),
+                    (beta_set("tensor"), 2.0 ** -53), (no_gamma, DEFAULT_TOL)):
+        x = numeric_X([rng.gauss(0, 2) for _ in range(8)], bs)
+        checked.clear()
+        generator_exp(x, bs, tol)
+        assert checked == [tol]
 
 
 # f along a non-axis direction, scaled so that scipy's largest entry of

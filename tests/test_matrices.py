@@ -17,6 +17,7 @@ from octo_so8 import (
 )
 from octo_so8.matrices import (
     SIGMA_TERMS,
+    Pauli,
     beta_sigma_expansion,
     beta_tensor_text,
     diff_cells,
@@ -176,3 +177,26 @@ class TestBlockHelpers:
             {"row": 1, "col": 1, "left": "1", "right": "0"},
             {"row": 2, "col": 2, "left": "1", "right": "0"},
         ]
+
+    def test_diff_cells_reads_a_code_as_its_dense_form(self, fx):
+        # every (x, z, q) code, as either side, against eq12's two parts
+        # and seeded matrices of phases and zeros, and against the code
+        # with some cells redrawn
+        rng = random.Random("diff cells codes")
+        phases = [CDyadic(0), CDyadic(1), CDyadic(-1), I, -I, CDyadic(1, 1)]
+        drawn = [SquareMatrix([[rng.choice(phases) for _ in range(8)]
+                               for _ in range(8)]) for _ in range(3)]
+        for x in range(8):
+            for z in range(8):
+                for q in range(4):
+                    code = Pauli(x, z, q)
+                    dense = to_dense(code)
+                    rows = [list(r) for r in dense.rows]
+                    for _ in range(3):
+                        rows[rng.randrange(8)][rng.randrange(8)] = \
+                            rng.choice(phases)
+                    near = SquareMatrix(rows)
+                    for m in (fx.eq12_const, fx.eq12_theta, near, *drawn):
+                        assert diff_cells(m, code) == diff_cells(m, dense)
+                        assert diff_cells(code, m) == diff_cells(dense, m)
+                    assert code.rows == [list(r) for r in dense.rows]

@@ -43,6 +43,7 @@ from octo_so8 import (
     standard_spinor,
     substitute_matrix,
 )
+from octo_so8 import claims, rotations, symbolic
 from octo_so8.cli import main
 from octo_so8.matrices import Pauli, gram_fault, monomial_sum
 from octo_so8.rotations import (
@@ -53,6 +54,7 @@ from octo_so8.rotations import (
     commutator_terms,
     hermiticity_defect,
     numeric_X,
+    symbolic_map,
     unitarity_defect,
 )
 from oracles import (UNITS, as_monomial, commutator_terms_by_products,
@@ -61,6 +63,7 @@ from oracles import (UNITS, as_monomial, commutator_terms_by_products,
                      is_hermitian, is_traceless, octonion_transport,
                      reassemble, reference_betas, substitute_numeric,
                      to_dense, trace)
+from test_golden import ROTATE_GRID, cli_digest, rotate_grid
 
 ONES = [Dyadic(1)] * 8
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
@@ -493,6 +496,76 @@ class TestGeneratorTable:
             runs.append((codes, capsys.readouterr()))
         assert runs[0] == runs[1]
         assert runs[0][0] == [0, 0, 0, 0, 2, 0]
+
+    def test_symbolic_map_is_derived_and_rendered_once(self, monkeypatch,
+                                                       capsys):
+        # over the 56 ordered sigma planes, twice and in both formats, the
+        # first-order map at the f symbols is extracted once per distinct
+        # N, and a call renders forms only when it extracted one
+        calls = Counter()
+        extract, render = rotations.extract_components, \
+            symbolic.render_linear_form
+
+        def counted_extract(n, f, bs=None):
+            calls["extract"] += f is SYMBOLS
+            return extract(n, f, bs)
+
+        def counted_render(form):
+            calls["render"] += 1
+            return render(form)
+
+        symbolic_map.cache_clear()
+        _plane_record.cache_clear()
+        monkeypatch.setattr(rotations, "extract_components", counted_extract)
+        monkeypatch.setattr(symbolic, "render_linear_form", counted_render)
+        bs = beta_set("sigma")
+        runs = []
+        for fmt in ("md", "json", "md"):
+            for k, l in ORDERED_PLANES:
+                before = Counter(calls)
+                assert main(["rotate", str(k), str(l), "--format", fmt]) == 0
+                runs.append(calls - before)
+        capsys.readouterr()
+        distinct = {plane_product(k, l, bs) for k, l in ORDERED_PLANES}
+        assert calls["extract"] == len(distinct) == 32
+        for made in runs:
+            assert made["extract"] in (0, 1)
+            assert bool(made["render"]) == bool(made["extract"])
+        assert not any(runs[len(ORDERED_PLANES):])
+
+    def test_symbolic_grid_twice_in_one_process(self):
+        symbolic_map.cache_clear()
+        want = json.loads(ROTATE_GRID.read_text("utf-8"))
+        argvs = [a for a in rotate_grid()
+                 if not any(t.startswith("--theta") for t in a)]
+        assert len(argvs) == 2 * 56 * 2
+        for _ in range(2):
+            for argv in argvs:
+                assert cli_digest(argv) == want[" ".join(argv)], argv
+
+    def test_degenerate_symbolic_map_is_not_kept(self, capsys):
+        symbolic_map.cache_clear()
+        errs = []
+        for _ in range(3):
+            assert main(["rotate", "3", "7", "--beta-variant", "tensor"]) == 2
+            out, err = capsys.readouterr()
+            errs.append((out, err))
+        assert errs == [("", "error: plane (3,7) under the tensor reading: "
+                             "generator Gram matrix is singular\n")] * 3
+        assert symbolic_map.cache_info().currsize == 0
+
+    def test_eq14_context_reads_the_record(self):
+        claims.context.cache_clear()
+        symbolic_map.cache_clear()
+        bs, tensor = beta_set("sigma"), beta_set("tensor")
+        record = symbolic_map(bs, plane_product(1, 2, bs))
+        assert claims.context(bs).eq14 is record
+        assert rotation_component_map(1, 2, bs) == record[:2]
+        assert all(u is v for u, v in zip(rotation_component_map(5, 6, bs),
+                                          record))
+        assert record[2] == tuple(record[1].nonzero_cells())
+        assert claims.context(tensor).eq14 == \
+            "generator Gram matrix is singular"
 
     def test_gram_checked_before_theta(self):
         # N_18 = I under tensor, so 1 - s theta^2 = 0 at theta = 1 although
