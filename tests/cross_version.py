@@ -2,9 +2,10 @@
 
 Runs, under the Python that runs this file, the four ``verify`` goldens
 (``tests/golden/verify-<reading>.<format>``, compared byte for byte)
-and every argv of the ``spinor``, ``rotate`` and audit digest grids
-(``tests/golden/*-grid.json``, each argv against the sha256 of its exit
-code, stdout and stderr, as ``test_golden.cli_digest`` takes it).  It
+and every argv of the ``spinor``, ``rotate``, rotate edge and audit
+digest grids (``tests/golden/*-grid.json``, each argv against the sha256
+of its exit code, stdout and stderr, as ``test_golden.cli_digest`` takes
+it).  It
 runs all of them twice in one process, so that a cache which carries
 state from one call into the next shows as a difference on the second
 pass.  It uses only the standard library, so it runs on a CPython
@@ -22,6 +23,7 @@ import hashlib
 import io
 import json
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -34,8 +36,10 @@ from octo_so8.cli import main  # noqa: E402  (after the path is set)
 VERIFY = tuple((f"verify-{reading}.{fmt}",
                 ["verify", "--beta-variant", reading, "--format", fmt])
                for reading in ("sigma", "tensor") for fmt in ("md", "json"))
-GRIDS = ("spinor-grid.json", "rotate-grid.json", "audit-grid.json")
+GRIDS = ("spinor-grid.json", "rotate-grid.json", "audit-grid.json",
+         "rotate-edge-grid.json")
 PASSES = 2
+POWER = re.compile(r"2\^(-?)(\d+)")
 
 
 def run(argv) -> tuple:
@@ -51,10 +55,17 @@ def digest(argv) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def argv(key) -> list:
+    """The argv of a grid key: its words, split at spaces, with 2^n
+    written out as the digits of 2**n and 2^-n as 1/ before them."""
+    return POWER.sub(lambda m: ("1/" if m[1] else "") + str(2 ** int(m[2])),
+                     key).split(" ")
+
+
 def grid(name) -> dict:
     """argv (a list) keyed by its grid entry, with the entry's digest."""
     want = json.loads((GOLDEN / name).read_text("utf-8"))
-    return {key: (key.split(" "), value) for key, value in want.items()}
+    return {key: (argv(key), value) for key, value in want.items()}
 
 
 def check() -> list:

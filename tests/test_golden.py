@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -87,10 +88,12 @@ def test_float_pinning_rejects_drift_beyond_bound():
 #
 # tests/golden/rotate-grid.json, spinor-grid.json and audit-grid.json
 # map each argv of their grid (joined by spaces) to the sha256 of its
-# exit code, stdout and stderr.  Rewrite one of them, or the token grid
-# below, with ``PYTHONPATH=src python tests/test_golden.py NAME ...``
-# (NAME one of rotate, spinor, audit, token) only when a change to those
-# bytes is intended and recorded; the grids not named stay as they are.
+# exit code, stdout and stderr; rotate-edge-grid.json does the same for
+# the keys of edge_grid, in which 2^n stands for the digits of 2**n.
+# Rewrite one of them, or the token grid below, with
+# ``PYTHONPATH=src python tests/test_golden.py NAME ...`` (NAME one of
+# rotate, spinor, audit, token, edge) only when a change to those bytes
+# is intended and recorded; the grids not named stay as they are.
 
 ROTATE_GRID = GOLDEN / "rotate-grid.json"
 GRID_F = "--f=1,-1/2,3/4,0,2,-3,1/8,5"
@@ -113,6 +116,13 @@ SPINOR_F = ("0,0,0,0,0,0,0,0", "0.25,0,0,0,0,0,0,-0.5",
 SPINOR_OVERFLOW_F = SPINOR_F[-3:]
 SPLIT_OVERFLOW_F = SPINOR_F[-4:]
 AUDIT_GRID = GOLDEN / "audit-grid.json"
+EDGE_GRID = GOLDEN / "rotate-edge-grid.json"
+# theta and f entries at the edges of exact and binary64 arithmetic:
+# zero, the units and halves, and +-2^+-1100, past binary64's range
+EDGE_THETAS = ("0", "1", "-1", "1/2", "-1/2",
+               "2^1100", "-2^1100", "2^-1100", "-2^-1100")
+EDGE_ENTRIES = ("2^1100", "-2^1100", "2^-1100", "-2^-1100", "1", "-1/2")
+EDGE_SIZE = 1500
 
 
 def rotate_grid() -> list:
@@ -135,6 +145,34 @@ def audit_grid() -> list:
             for cmd in [["tables"], ["gram"]]
             + [["dump-beta", str(a)] for a in range(1, 9)]
             for reading in ("sigma", "tensor") for fmt in ("md", "json")]
+
+
+def _edge_key(k, l, reading, theta, f, fmt) -> str:
+    return (f"rotate {k} {l} --beta-variant {reading} --theta={theta} "
+            f"--f={','.join(f)} --format {fmt}")
+
+
+def edge_grid() -> list:
+    """Keys of numeric rotations at extreme theta and f, under both
+    readings and in both formats: first a huge theta on zero residuals,
+    then seeded draws, in which each f entry is 0 with probability 1/2,
+    up to EDGE_SIZE distinct keys."""
+    zero = ["0"] * 8
+    keys = [_edge_key(k, l, "sigma", "2^1100", f, fmt)
+            for k, l, f in ((1, 2, zero), (5, 6, zero),
+                            (1, 2, ["1"] + zero[1:]))
+            for fmt in ("md", "json")]
+    rng = random.Random("rotate edge grid")
+    while len(keys) < EDGE_SIZE:
+        k, l = rng.sample(range(1, 9), 2)
+        reading = rng.choice(("sigma", "sigma", "sigma", "tensor"))
+        theta = rng.choice(EDGE_THETAS)
+        f = [rng.choice(EDGE_ENTRIES) if rng.random() < 0.5 else "0"
+             for _ in range(8)]
+        key = _edge_key(k, l, reading, theta, f, rng.choice(("md", "json")))
+        if key not in keys:
+            keys.append(key)
+    return keys
 
 
 def cli_digest(argv) -> str:
@@ -165,6 +203,15 @@ def test_audit_grid_matches_digests():
     check_grid(AUDIT_GRID, audit_grid())
 
 
+def test_rotate_edge_grid_matches_digests():
+    want = json.loads(EDGE_GRID.read_text("utf-8"))
+    keys = edge_grid()
+    assert sorted(want) == sorted(keys)
+    for key in keys:
+        assert cli_digest(cross_version.argv(key)) == want[key], \
+            f"bytes differ for: {key}"
+
+
 def test_cross_version_check_reads_the_same_grids():
     # tests/cross_version.py takes each argv back from its grid key and
     # digests it as cli_digest does
@@ -173,7 +220,11 @@ def test_cross_version_check_reads_the_same_grids():
                         ("audit-grid.json", audit_grid)):
         argvs = [argv for argv, _ in cross_version.grid(name).values()]
         assert sorted(argvs) == sorted(build())
-    for argv in (spinor_grid()[1], rotate_grid()[2], audit_grid()[5]):
+    edge = cross_version.grid("rotate-edge-grid.json")
+    assert sorted(edge) == sorted(edge_grid())
+    assert cross_version.argv("a --f=2^3,-2^-2,0") == ["a", "--f=8,-1/4,0"]
+    for argv in (spinor_grid()[1], rotate_grid()[2], audit_grid()[5],
+                 cross_version.argv(edge_grid()[0])):
         assert cross_version.digest(argv) == cli_digest(argv)
 
 
@@ -346,7 +397,9 @@ def _digests(grid):
 GRIDS = {"rotate": (ROTATE_GRID, _digests(rotate_grid)),
          "spinor": (SPINOR_GRID, _digests(spinor_grid)),
          "audit": (AUDIT_GRID, _digests(audit_grid)),
-         "token": (TOKEN_GRID, token_grid)}
+         "token": (TOKEN_GRID, token_grid),
+         "edge": (EDGE_GRID, lambda: {key: cli_digest(cross_version.argv(key))
+                                     for key in edge_grid()})}
 
 
 def regenerate(names) -> int:
@@ -378,7 +431,8 @@ def test_regenerate_without_a_grid_name_writes_nothing(names, scratch_grids,
     assert regenerate(names) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(
-        "usage: python tests/test_golden.py rotate|spinor|audit|token ...")
+        "usage: python tests/test_golden.py rotate|spinor|audit|token|edge "
+        "...")
     assert not any(scratch_grids.iterdir())
 
 
