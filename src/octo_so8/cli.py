@@ -28,7 +28,7 @@ from .fixtures import (FixtureError, load_files, load_fixtures, load_y_terms,
 from .matrices import beta_set, compare_tables, render_table
 from .rotations import (DEFAULT_TOL, DegenerateBasis, NonFiniteInput,
                         ToleranceNotMet, numeric_X, plane_product,
-                        rotate_exact, rotation_component_map,
+                        residual_max, rotate_exact, rotation_component_map,
                         spinor_transform, standard_spinor,
                         substitute_terms, symbolic_map)
 from .octonion import build_split_basis
@@ -201,11 +201,6 @@ def _clip(text: str) -> str:
     return f"{text[:60]}<...{len(text)} chars, sha256 {digest}...>{text[-60:]}"
 
 
-def _max_abs_cells(m) -> float:
-    cells = {id(e): e for row in m.rows for e in row}   # shared per term
-    return max((abs(complex(e)) for e in cells.values() if e), default=0.0)
-
-
 def cmd_rotate(args) -> int:
     bs = beta_set(args.beta_variant)
     k, l = args.k, args.l
@@ -251,9 +246,10 @@ def cmd_rotate(args) -> int:
     first = [f + theta * d for f, d in zip(fvals, derived)]
     exact, residual = rotate_exact(fvals, k, l, theta, bs,
                                    (derived, per_theta))
-    try:
-        first_residual = abs(float(theta)) * _max_abs_cells(per_theta)
-        exact_residual = _max_abs_cells(residual)
+    try:     # a zero residual is 0 at every theta, even past binary64
+        first_residual = (abs(float(theta)) * residual_max(per_theta)
+                          if any(c for c, _ in per_theta) else 0.0)
+        exact_residual = residual_max(residual)
         if first_residual == math.inf:     # finite factors, infinite product
             raise OverflowError
     except OverflowError:

@@ -14,7 +14,10 @@ second name for ``CRational``, and ``Dyadic(num, exp)`` builds
 num / 2**exp with no arithmetic of its own.
 
 A ``CRational`` is built from ints only.  Arithmetic and ``==`` also
-take int operands, and an integral value hashes like the equal int.
+take int operands (never bools), and an integral value hashes like the
+equal int.  The public constructor checks its arguments; arithmetic,
+whose denominators are positive by construction, builds its results
+through the private ``_scalar``, which only reduces by the gcd.
 
 ``CoeffTuple`` is the shared core of the two fixed coefficient tuples
 built over these scalars, ``symbolic.LinearForm`` and
@@ -64,7 +67,7 @@ class CRational:
         if o is None:
             return NotImplemented
         d, f = self.d, o.d
-        return CRational(self.a * f + o.a * d, self.b * f + o.b * d, d * f)
+        return _scalar(self.a * f + o.a * d, self.b * f + o.b * d, d * f)
 
     __radd__ = __add__
 
@@ -73,7 +76,7 @@ class CRational:
         if o is None:
             return NotImplemented
         d, f = self.d, o.d
-        return CRational(self.a * f - o.a * d, self.b * f - o.b * d, d * f)
+        return _scalar(self.a * f - o.a * d, self.b * f - o.b * d, d * f)
 
     def __rsub__(self, other):
         o = as_scalar(other)
@@ -82,11 +85,12 @@ class CRational:
         return o - self
 
     def __mul__(self, other):
-        o = as_scalar(other)
-        if o is None:
+        if type(other) is int:
+            return _scalar(self.a * other, self.b * other, self.d)
+        if not isinstance(other, CRational):
             return NotImplemented
-        a, b, c, e = self.a, self.b, o.a, o.b
-        return CRational(a * c - b * e, a * e + b * c, self.d * o.d)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _scalar(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -100,13 +104,13 @@ class CRational:
         a, b = self.a, self.b
         if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero")
-        return CRational(self.d * a, -self.d * b, a * a + b * b)
+        return _scalar(self.d * a, -self.d * b, a * a + b * b)
 
     def __neg__(self):
-        return CRational(-self.a, -self.b, self.d)
+        return _scalar(-self.a, -self.b, self.d)
 
     def conj(self) -> "CRational":
-        return CRational(self.a, -self.b, self.d)
+        return _scalar(self.a, -self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, CRational):
@@ -156,6 +160,25 @@ class CRational:
         return f"CRational({self.a}, {self.b}, {self.d})"
 
 
+_NEW = object.__new__
+# the slots' own setters: CRational.__setattr__ refuses every write
+_SET_A, _SET_B, _SET_D = (CRational.__dict__[k].__set__ for k in "abd")
+
+
+def _scalar(a: int, b: int, d: int) -> CRational:
+    """(a + b*i)/d for ints with d > 0, reduced by gcd(a, b, d), with no
+    check of its arguments: the constructor of every arithmetic result."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = _NEW(CRational)
+    _SET_A(z, a)
+    _SET_B(z, b)
+    _SET_D(z, d)
+    return z
+
+
 def _ratio_token(n: int, d: int) -> str:
     g = gcd(n, d)
     n, d = n // g, d // g
@@ -168,7 +191,7 @@ def as_scalar(value):
     if isinstance(value, CRational):
         return value
     if type(value) is int:
-        return CRational(value) if value else ZERO
+        return _scalar(value, 0, 1) if value else ZERO
     return None
 
 

@@ -9,16 +9,18 @@ anticommutes with each beta_B, so [N, beta_B] is 0 or the single code
 its (x, z), N beta_B's place in the generator table; the rotations act
 on the components f_A by reading it, once matrices.gram_fault has found
 the Gram matrix to be 8*I, with no dense conjugation, trace projection,
-Gram matrix or repeated N beta_B product.  Beside it, a second record
-per N, also built on first use, holds the first-order map at the f
-symbols, which reads no fixture: its lines, its residual and the
-residual's nonzero cells.  The module provides the first-order map and
-the exact rotation of f, at the f symbols or at exact f, the symbolic
-X, the duplicate-plane scan, and the numeric exponentials used for
-spinor transport: e^X through Gamma = I (x) X (x) I, which
-anticommutes with every generator, as one 4x4 Hermitian eigenproblem
-(generator_exp), and the general Taylor series (matrix_exp) for Y and
-for readings without Gamma.
+Gram matrix or repeated N beta_B product.  The residual outside the
+span stays a tuple of its (coefficient, Pauli code) terms, which
+monomial_sum densifies and residual_max reads its largest entry off.
+Beside the record, a second one per N, also built on first use, holds
+the first-order map at the f symbols, which reads no fixture: its
+lines, its residual and the residual's nonzero cells.  The module
+provides the first-order map and the exact rotation of f, at the f
+symbols or at exact f, the symbolic X, the duplicate-plane scan, and
+the numeric exponentials used for spinor transport: e^X through
+Gamma = I (x) X (x) I, which anticommutes with every generator, as one
+4x4 Hermitian eigenproblem (generator_exp), and the general Taylor
+series (matrix_exp) for Y and for readings without Gamma.
 
 Only the numeric section uses floats, on plain lists of rows of Python
 ``complex`` with one product, _matmul; X(f) and Y(f) both come from
@@ -153,7 +155,8 @@ def extract_components(n: Pauli, f: Sequence,
     """(lines, residual): [N, X(f)] on the generator span, for a plane
     product N.  A commutator term 2 f_B N beta_B of N's record with
     N beta_B = i**k beta_A, found by its (x, z), adds 2 i**k f_B to
-    lines[A]; the other terms sum to the residual.  Both keep f's entry
+    lines[A]; the other terms, (2 f_B, N beta_B) in the record's order,
+    are the residual, which monomial_sum densifies.  Both keep f's entry
     type (LinearForm at the f symbols, CRational at exact f).  Under the
     sigma reading, whose Gram matrix G[A][B] = Tr(beta_A beta_B) is 8*I,
     the products outside the span have zero trace against every beta_A,
@@ -172,17 +175,42 @@ def extract_components(n: Pauli, f: Sequence,
         else:
             a, q = entry
             lines[a] = lines[a] + 2 * PHASES[(m.q - q) % 4] * f[b]
-    return tuple(lines), monomial_sum(outside, zero)
+    return tuple(lines), tuple(outside)
+
+
+def residual_max(terms) -> float:
+    """The largest abs(complex(e)) over the nonzero entries e of
+    sum c M, for (c, M) terms of a residual at exact f; 0.0 when there
+    are none.  A term whose code shares its x with no other term owns
+    its cells, each +-i**q c for the code's phase q, so one is read; the
+    cells of terms that share an x coincide and are summed exactly, row
+    by row.  These are monomial_sum's cells, so the floats are too."""
+    by_x: dict = {}
+    for c, m in terms:
+        by_x.setdefault(m.x, []).append((c, m))
+    top = 0.0
+    for group in by_x.values():
+        if len(group) == 1:
+            (c, m), = group
+            cells = (PHASES[m.q] * c,)
+        else:
+            cells = (sum(PHASES[m.cell(r)[1]] * c for c, m in group)
+                     for r in range(8))
+        for e in cells:
+            if e:
+                top = max(top, abs(complex(e)))
+    return top
 
 
 @functools.lru_cache(maxsize=128)   # as _plane_record
 def symbolic_map(bs: BetaSet, n: Pauli) -> tuple:
     """(lines, residual, cells) of a plane product N at the f symbols:
-    extract_components' pair and the residual's nonzero_cells.  It reads
-    no fixture, so it is built on first use, once per reading and N; a
-    DegenerateBasis is raised on every call."""
+    extract_components' pair and the nonzero_cells of the residual's
+    monomial_sum.  It reads no fixture, so it is built on first use,
+    once per reading and N; a DegenerateBasis is raised on every call."""
     lines, residual = extract_components(n, SYMBOLS, bs)
-    return lines, residual, tuple(residual.nonzero_cells())
+    cells = monomial_sum(residual, ZERO_FORM).nonzero_cells()
+    return lines, residual, tuple(cells)
 
 
 def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
@@ -194,9 +222,11 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
     and the anticommuting beta_B come from N's record, which forms the
     N beta_B only on the plane's first call, and the N beta_B
     terms are extract_components' lines and residual, or the given
-    (lines, residual) pair of this plane at f.  Raises DegenerateBasis, as
-    extract_components does, before it looks at theta, then
-    SingularRotation, naming the plane and theta, when 1 - s theta^2 = 0.
+    (lines, residual) pair of this plane at f; the residual's terms come
+    back with each coefficient times theta / (1 - s theta^2).  Raises
+    DegenerateBasis, as extract_components does, before it looks at
+    theta, then SingularRotation, naming the plane and theta, when
+    1 - s theta^2 = 0.
     """
     bs = betas or beta_set()
     n = plane_product(k, l, bs)
@@ -208,21 +238,18 @@ def rotate_exact(f: Sequence, k: int, l: int, theta: CRational,
             f"rotation of plane ({k},{l}) with theta={theta} is singular")
     stretch, step = (2 - det) / det, theta / det    # 2 - det = 1 + s theta^2
     anti = {b for b, _, _ in terms}
-    # once per cell object: monomial_sum shares one across a term's cells
-    cells = {id(e): e for e in chain.from_iterable(residual.rows)}
-    scaled = {k: e if e.is_zero() else e * step for k, e in cells.items()}
     return (tuple((fb * stretch if b in anti else fb) + d * step
                   for b, (fb, d) in enumerate(zip(f, lines))),
-            residual.map(lambda e: scaled[id(e)]))
+            tuple((c * step, m) for c, m in residual))
 
 
 def rotation_component_map(k: int, l: int, betas: Optional[BetaSet] = None,
                            f: Optional[Sequence] = None) -> tuple:
     """extract_components of beta_k beta_l at f, by default at the f
     symbols: the first-order action of the (k, l) rotation, the flow
-    f_A -> f_A + theta * lines[A] and the per-theta residual outside
-    the span, as the pair (lines, residual); at the f symbols, the pair
-    of the plane's symbolic_map record."""
+    f_A -> f_A + theta * lines[A] and the per-theta residual terms
+    outside the span, as the pair (lines, residual); at the f symbols,
+    the pair of the plane's symbolic_map record."""
     bs = betas or beta_set()
     n = plane_product(k, l, bs)
     if f is None:

@@ -16,7 +16,8 @@ import numpy as np
 
 from octo_so8 import (CRational, Octonion, SquareMatrix, beta_set, gram,
                       invert_exact, matrix_exp, plane_product)
-from octo_so8.matrices import SIGMA_TERMS, TENSOR_ASSIGNMENTS, from_blocks
+from octo_so8.matrices import (SIGMA_TERMS, TENSOR_ASSIGNMENTS, from_blocks,
+                               monomial_sum)
 from octo_so8.rotations import _DEGREES, _THETA, DEFAULT_TOL, _matmul
 
 
@@ -218,6 +219,21 @@ def components_by_products(n, f, reading="sigma"):
         else:
             residual = residual + m.to_dense().map(lambda e, c=c: e * c)
     return tuple(lines), residual
+
+
+def dense_residual_max(terms) -> float:
+    """The largest |entry| of residual terms at exact f as numeric
+    rotate read it before it kept the terms: their dense monomial_sum,
+    then abs(complex(e)) over its distinct nonzero cells, 0.0 for none.
+    An entry past binary64 raises OverflowError."""
+    return cell_max(monomial_sum(terms, _EXACT_ZERO))
+
+
+def cell_max(m) -> float:
+    """The largest abs(complex(e)) over the nonzero cells of a dense
+    exact matrix, 0.0 when it has none."""
+    cells = {id(e): e for row in m.rows for e in row}   # shared per term
+    return max((abs(complex(e)) for e in cells.values() if e), default=0.0)
 
 
 def _sum(terms):

@@ -149,7 +149,8 @@ def test_criterion_05_rotation_machinery(fx):
 
     def deviation(t):
         f_prime, residual = rotate_exact(ones, 1, 2, t)
-        exact = monomial_sum(zip(f_prime, mats), Dyadic(0)) + residual
+        exact = monomial_sum(zip(f_prime, mats), Dyadic(0)) + \
+            monomial_sum(residual, Dyadic(0))
         first = x_num + comm.scale(t)
         return max(abs(complex(e)) for row in (exact - first).rows
                    for e in row)

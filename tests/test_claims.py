@@ -341,7 +341,7 @@ class TestDumpJson:
             dump_json({"claims": [{"x": value}]})
 
     def test_cli_exits_2_on_a_non_finite_float(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_max_abs_cells", lambda m: math.nan)
+        monkeypatch.setattr(cli, "residual_max", lambda terms: math.nan)
         rc = cli.main(["rotate", "1", "2", "--theta=1/4",
                        "--f=1,0,0,0,0,0,0,0", "--format", "json"])
         out, err = capsys.readouterr()

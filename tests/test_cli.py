@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -285,7 +286,7 @@ class TestRotate:
 
     @pytest.mark.parametrize("fmt", ["md", "json"])
     @pytest.mark.parametrize("theta, f", [
-        (str(2 ** 1100), "1,0,0,0,0,0,0,0"),
+        (str(2 ** 1100), "0,0,0,1,0,0,0,0"),
         ("1/4", f"0,0,0,{2 ** 1100},0,0,0,0"),
         (str(2 ** 1000), f"0,0,0,{2 ** 1000},0,0,0,0"),
     ], ids=["huge-theta", "huge-f4", "huge-product"])
@@ -295,6 +296,34 @@ class TestRotate:
         assert (rc, out) == (2, "")
         assert err == (f"error: --theta={theta} --f={f}: residual max-entry "
                        "overflows binary64\n")
+
+    @pytest.mark.parametrize("theta", [str(2 ** 1100), f"-{2 ** 1100}"],
+                             ids=["huge", "minus-huge"])
+    @pytest.mark.parametrize("k, l, f", [
+        ("1", "2", "1,0,0,0,0,0,0,0"),    # beta_1 beta_2 beta_1 is in the span
+        ("1", "2", "0,0,0,0,0,0,0,0"),
+        ("5", "6", "0,0,0,0,0,0,0,0"),
+    ])
+    def test_zero_residual_past_binary64(self, capsys, k, l, f, theta):
+        # a zero residual has maximum 0.0 at every theta, so a theta
+        # past binary64 is never converted; f' is still exact.  N_56 =
+        # N_12 = beta_1 beta_2 squares to -I and maps f_1 to -2 f_1 beta_2
+        rc, out, err = run(capsys, "rotate", k, l, f"--theta={theta}",
+                           f"--f={f}", "--format", "json")
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        t, f1 = Fraction(theta), int(f[0])
+        assert doc["first_order"] == {
+            "f_prime": [str(f1), str(-2 * t * f1)] + ["0"] * 6,
+            "residual_max": 0.0}
+        assert doc["exact"] == {
+            "f_prime": [str(f1 * (1 - t * t) / (1 + t * t)),
+                        str(-2 * t * f1 / (1 + t * t))] + ["0"] * 6,
+            "residual_max": 0.0}
+        rc, out, err = run(capsys, "rotate", k, l, f"--theta={theta}",
+                           f"--f={f}", "--format", "md")
+        assert (rc, err) == (0, "")
+        assert out.count(" residual max-entry: 0.0\n") == 2
 
     def test_singular_rotation_names_plane_and_theta(self, capsys):
         rc, out, err = run(capsys, "rotate", "3", "7", "--theta", "1",

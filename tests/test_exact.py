@@ -2,6 +2,7 @@
 built from ints only.  ``Fraction`` serves here as an oracle only."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,75 @@ class TestEquality:
                       LinearForm([1] + [0] * 8)):
             assert (one == other) is False and (other == one) is False
             assert one != other and other != one
+
+
+def _times(p, q) -> tuple:
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
+
+
+def _over(p, q) -> tuple:
+    (a, b), (c, d) = p, q
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+PAIR_OPS = {"+": (operator.add, lambda p, q: (p[0] + q[0], p[1] + q[1])),
+            "-": (operator.sub, lambda p, q: (p[0] - q[0], p[1] - q[1])),
+            "*": (operator.mul, _times)}
+operands = st.one_of(wide, wide_ints)
+
+
+class TestKernel:
+    """Every arithmetic result, which the private constructor builds
+    with no check, against the Fraction-pair oracle: it must hold the
+    oracle's value in normal form (d > 0, gcd(a, b, d) == 1), be of
+    exact type CRational, be immutable, and compare and hash like an
+    equal int.  Ints, 0, negatives and past 2**64 included, stand on
+    either side of +, - and *, and on the right of /."""
+
+    @staticmethod
+    def check(z, want):
+        assert type(z) is CRational
+        assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+        assert _pair(z) == want
+        with pytest.raises(AttributeError):
+            z.a = 0
+        re, im = want
+        if im == 0 and re.denominator == 1:
+            assert z == int(re) and int(re) == z
+            assert hash(z) == hash(int(re))
+        else:
+            assert z != int(re)
+        assert hash(z) == hash(CRational(z.a, z.b, z.d))
+
+    @given(operands, operands)
+    def test_binary(self, x, y):
+        for name, (op, oracle) in PAIR_OPS.items():
+            if type(x) is int and type(y) is int:
+                continue
+            self.check(op(x, y), oracle(_pair(x), _pair(y)))
+        if type(x) is not int and y != 0:
+            self.check(x / y, _over(_pair(x), _pair(y)))
+
+    @given(wide)
+    def test_unary(self, x):
+        re, im = _pair(x)
+        self.check(-x, (-re, -im))
+        self.check(x.conj(), (re, -im))
+        if x != 0:
+            self.check(x.inv(), _over((Fraction(1), Fraction(0)), (re, im)))
+
+    @given(wide)
+    def test_bools_are_refused(self, x):
+        for flag in (True, False):
+            for op, _ in PAIR_OPS.values():
+                with pytest.raises(TypeError):
+                    op(x, flag)
+                with pytest.raises(TypeError):
+                    op(flag, x)
+            with pytest.raises(TypeError):
+                x / flag
 
 
 class TestFloatConversion:

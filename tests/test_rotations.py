@@ -45,7 +45,7 @@ from octo_so8 import (
 )
 from octo_so8 import claims, rotations, symbolic
 from octo_so8.cli import main
-from octo_so8.matrices import Pauli, gram_fault, monomial_sum
+from octo_so8.matrices import BetaSet, Pauli, gram_fault, monomial_sum
 from octo_so8.rotations import (
     DEFAULT_TOL,
     SYMBOLS,
@@ -54,18 +54,22 @@ from octo_so8.rotations import (
     commutator_terms,
     hermiticity_defect,
     numeric_X,
+    residual_max,
     symbolic_map,
     unitarity_defect,
 )
-from oracles import (UNITS, as_monomial, commutator_terms_by_products,
-                     complex_array, components_by_products, dense_rotate,
+from oracles import (UNITS, as_monomial, cell_max,
+                     commutator_terms_by_products, complex_array,
+                     components_by_products, dense_residual_max, dense_rotate,
                      dense_rotation_operator, gram_inverse_projection,
                      is_hermitian, is_traceless, octonion_transport,
                      reassemble, reference_betas, substitute_numeric,
                      to_dense, trace)
+from test_claim_context import OFF_SET_BETA8, SWEEP
 from test_golden import ROTATE_GRID, cli_digest, rotate_grid
 
 ONES = [Dyadic(1)] * 8
+SIGMA_MATS = beta_set("sigma").mats
 PLANES = [(k, l) for k in range(1, 9) for l in range(k + 1, 9)]
 # (l, k) too: N_lk = -N_kl, a record of its own
 ORDERED_PLANES = [(k, l) for k in range(1, 9) for l in range(1, 9) if k != l]
@@ -104,9 +108,17 @@ def span_combination(forms, bs):
         for a in range(8)))
 
 
+def densify(pair):
+    """(lines, residual) with the residual's terms summed into a dense
+    matrix by monomial_sum, for extract_components' and rotate_exact's
+    pairs."""
+    lines, residual = pair
+    return lines, monomial_sum(residual, 0 * lines[0])
+
+
 def rebuild(rotated, bs=None):
     """sum_A f'_A beta_A + residual for rotate_exact's (f', residual)."""
-    forms, residual = rotated
+    forms, residual = densify(rotated)
     return span_combination(forms, bs or beta_set()) + residual
 
 
@@ -164,7 +176,7 @@ class TestExactRotation:
         # conjugating f = e_1 in the (1,2) plane at theta = 1/4 must land
         # on ((1-t^2)/(1+t^2), -2t/(1+t^2)) = (15/17, -8/17)
         fvals = [Dyadic(1)] + [Dyadic(0)] * 7
-        comps, residual = rotate_exact(fvals, 1, 2, Dyadic(1, 2))
+        comps, residual = densify(rotate_exact(fvals, 1, 2, Dyadic(1, 2)))
         assert comps[0] == CRational(15, 0, 17)
         assert comps[1] == CRational(-8, 0, 17)
         assert all(c.is_zero() for c in comps[2:])
@@ -224,7 +236,8 @@ class TestClosedFormAgainstGaussJordan:
                     rotate_exact(fvals, k, l, theta, bs)
                 continue
             got = rotate_exact(fvals, k, l, theta, bs)
-            assert got == gram_inverse_projection(want, bs), (k, l, theta)
+            assert densify(got) == gram_inverse_projection(want, bs), \
+                (k, l, theta)
             assert rebuild(got, bs) == want
             for m in (rebuild(got, bs), want):
                 assert trace(m) == tr
@@ -246,7 +259,7 @@ class TestClosedFormAgainstGaussJordan:
                 continue
             want = dense_rotate(x, k, l, theta, bs)
             got = rotate_exact(SYMBOLS, k, l, theta, bs)
-            assert got == gram_inverse_projection(want, bs), (k, l)
+            assert densify(got) == gram_inverse_projection(want, bs), (k, l)
 
     def test_scalar_plane_product_under_tensor(self):
         # beta_8 repeats beta_1 in the tensor reading, so N_18 = I and
@@ -287,13 +300,14 @@ class TestComponentExtraction:
         forms, residual = gram_inverse_projection(assemble_X())
         assert forms == symbols and residual.is_zero()
         for k, l in PLANES:
-            forms, residual = rotate_exact(symbols, k, l, Dyadic(0))
+            forms, residual = densify(rotate_exact(symbols, k, l, Dyadic(0)))
             assert forms == symbols and residual.is_zero()
 
     def test_reconstruction_is_exact(self):
         bs = beta_set()
         comm = commutator(assemble_X(), 1, 2)
-        forms, residual = extract_components(plane_product(1, 2), SYMBOLS)
+        forms, residual = densify(extract_components(plane_product(1, 2),
+                                                     SYMBOLS))
         assert span_combination(forms, bs) + residual == comm
 
     def test_component_map_lines(self):
@@ -303,7 +317,7 @@ class TestComponentExtraction:
                             "2*f6", "-2*f5", "2*f8", "-2*f7"]
 
     def test_component_map_residual_cells(self):
-        _, residual = rotation_component_map(1, 2)
+        _, residual = densify(rotation_component_map(1, 2))
         cells = [(i, j, render_linear_form(e))
                  for i, j, e in residual.nonzero_cells()]
         assert cells == [
@@ -326,13 +340,17 @@ class TestComponentExtraction:
         for vals, m, kind in ((SYMBOLS, x, LinearForm),
                               (f, x_num, CRational)):
             for k, l in ((1, 2), (3, 7)):
-                forms, residual = extract_components(plane_product(k, l), vals)
+                pair = extract_components(plane_product(k, l), vals)
+                assert all(type(c) is kind for c, _ in pair[1])
+                forms, residual = densify(pair)
                 assert all(type(v) is kind for v in forms)
                 assert all(type(e) is kind
                            for row in residual.rows for e in row)
                 assert span_combination(forms, bs) + residual == \
                     commutator(m, k, l)
-                forms, residual = rotate_exact(vals, k, l, Dyadic(3, 3))
+                pair = rotate_exact(vals, k, l, Dyadic(3, 3))
+                assert all(type(c) is kind for c, _ in pair[1])
+                forms, residual = densify(pair)
                 assert all(type(v) is kind for v in forms)
                 assert all(type(e) is kind
                            for row in residual.rows for e in row)
@@ -343,11 +361,11 @@ class TestComponentExtraction:
         x_num = substitute_matrix(x, ONES)
         for k, l in PLANES:
             n = plane_product(k, l, bs)
-            assert extract_components(n, SYMBOLS, bs) == \
+            assert densify(extract_components(n, SYMBOLS, bs)) == \
                 gram_inverse_projection(commutator(x, k, l, bs), bs), (k, l)
-            assert extract_components(n, ONES, bs) == \
+            assert densify(extract_components(n, ONES, bs)) == \
                 gram_inverse_projection(commutator(x_num, k, l, bs), bs)
-        assert rotate_exact(ONES, 3, 7, Dyadic(3, 3), bs) == \
+        assert densify(rotate_exact(ONES, 3, 7, Dyadic(3, 3), bs)) == \
             gram_inverse_projection(dense_rotate(x_num, 3, 7, Dyadic(3, 3),
                                                  bs), bs)
 
@@ -362,7 +380,7 @@ class TestComponentExtraction:
         assert main(["rotate", str(k), str(l), f"--theta={theta}",
                      "--f=" + ",".join(map(str, f)), "--format", "json"]) == 0
         got = json.loads(capsys.readouterr().out)["first_order"]
-        lines, residual = rotation_component_map(k, l)
+        lines, residual = densify(rotation_component_map(k, l))
         assert got["f_prime"] == [str(f[a] + theta * lines[a].substitute(f))
                                   for a in range(8)]
         assert got["residual_max"] == abs(float(theta)) * max(
@@ -378,6 +396,124 @@ class TestComponentExtraction:
             with pytest.raises(DegenerateBasis,
                                match=r"^generator Gram matrix is singular$"):
                 call()
+
+
+# exact f entries past binary64 either way, a complex one, and complex
+# ones whose parts fit binary64 but whose modulus does not
+BIG = 2 ** 1100
+EXTREME_ENTRIES = (CRational(0), CRational(BIG), CRational(-BIG),
+                   CRational(1, 0, BIG), CRational(-1, 0, BIG),
+                   CRational(3, -5, 4), CRational(2 ** 1023, 2 ** 1023),
+                   CRational(3 * 2 ** 1022, -3 * 2 ** 1022), Dyadic(-7, 2))
+RESIDUAL_THETAS = (Dyadic(0), Dyadic(1, 1), Dyadic(-3, 3), Dyadic(5, 2),
+                   Dyadic(1), CRational(BIG), CRational(1, 0, BIG),
+                   CRational(1, 1, 2))
+
+
+def _cells(m) -> list:
+    """(i, j, m[i][j]) of the nonzero cells of a Monomial, 0-indexed."""
+    return [(i, j, m.at(i, j)) for i in range(m.n) for j in range(m.n)
+            if not m.at(i, j).is_zero()]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(bs):
+    """A reading's generators as Monomials, and the cells of each."""
+    refs = [as_monomial(b) for b in bs.mats]
+    return refs, [_cells(b) for b in refs]
+
+
+def _dense_sum(coeffs, cells) -> SquareMatrix:
+    """sum_A coeffs[A] M_A, cell by cell, for the cell lists of M_A."""
+    rows = [[CRational(0)] * 8 for _ in range(8)]
+    for c, m in zip(coeffs, cells):
+        for i, j, e in m:
+            rows[i][j] = rows[i][j] + e * c
+    return SquareMatrix(rows)
+
+
+def _float_or_overflow(read) -> str:
+    try:
+        return read().hex()
+    except OverflowError:
+        return "overflow"
+
+
+class TestResidualTerms:
+    """extract_components' and rotate_exact's residual terms, and
+    residual_max over them, against the dense path: the commutator
+    [N, X(f)] by dense products, its trace projection Tr(beta_A C) / 8
+    on a reading whose Gram matrix is 8I, the dense residual left over,
+    and the scan of its cells (oracles.dense_residual_max)."""
+
+    @staticmethod
+    def check_plane(bs, k, l, fs, thetas):
+        n = plane_product(k, l, bs)
+        nm, (refs, cells) = as_monomial(n), _reference(bs)
+        square = (nm @ nm).at(0, 0)
+        anti = [nm @ b != b @ nm for b in refs]
+        n_cells = _cells(nm)
+        for f in fs:
+            x = _dense_sum(f, cells)
+            nx, xn = [None] * 8, [[None] * 8 for _ in range(8)]
+            for i, j, e in n_cells:
+                nx[i] = [e * v for v in x.rows[j]]
+                for r in range(8):
+                    xn[r][j] = x.rows[r][i] * e
+            comm = SquareMatrix(nx) - SquareMatrix(xn)
+            want = tuple(sum((e * comm.at(j, i) for i, j, e in c),
+                             CRational(0)) / 8 for c in cells)
+            rest = comm - _dense_sum(want, cells)
+            lines, terms = extract_components(n, f, bs)
+            assert lines == want, (k, l)
+            assert monomial_sum(terms, CRational(0)) == rest, (k, l)
+            assert _float_or_overflow(lambda: residual_max(terms)) == \
+                _float_or_overflow(lambda: cell_max(rest)) == \
+                _float_or_overflow(lambda: dense_residual_max(terms))
+            for theta in thetas:
+                det = 1 - square * theta * theta
+                if det.is_zero():
+                    with pytest.raises(SingularRotation):
+                        rotate_exact(f, k, l, theta, bs)
+                    continue
+                stretch, step = (1 + square * theta * theta) / det, \
+                    theta / det
+                got, scaled = rotate_exact(f, k, l, theta, bs)
+                assert got == tuple(
+                    (fb * stretch if a else fb) + d * step
+                    for fb, a, d in zip(f, anti, want)), (k, l, theta)
+                rest_theta = rest.map(lambda e: e * step)
+                assert [m for _, m in scaled] == [m for _, m in terms]
+                assert monomial_sum(scaled, CRational(0)) == rest_theta
+                assert _float_or_overflow(lambda: residual_max(scaled)) == \
+                    _float_or_overflow(lambda: cell_max(rest_theta))
+
+    def test_sigma_planes(self):
+        bs = beta_set("sigma")
+        rng = random.Random("residual terms sigma")
+        shared = 0
+        for k, l in ORDERED_PLANES:
+            _, terms = extract_components(plane_product(k, l, bs), ONES, bs)
+            shared += len({m.x for _, m in terms}) < len(terms)
+            fs = [[CRational(0)] * 8, ONES] + [
+                [rng.choice(EXTREME_ENTRIES) for _ in range(8)]
+                for _ in range(3)]
+            self.check_plane(bs, k, l, fs, RESIDUAL_THETAS)
+        # the planes whose outside terms share cells are all checked
+        assert shared == 10
+
+    def test_other_readings_with_gram_8I(self):
+        readings = [BetaSet("sigma", SIGMA_MATS[:7] + (OFF_SET_BETA8[name],))
+                    for name in ("IXX", "III")]
+        rng = random.Random("residual terms readings")
+        readings += rng.sample([bs for bs in SWEEP if gram_fault(bs) is None],
+                               4)
+        for bs in readings:
+            assert gram_fault(bs) is None
+            for k, l in ORDERED_PLANES:
+                fs = [[rng.choice(EXTREME_ENTRIES) for _ in range(8)]]
+                self.check_plane(bs, k, l, fs,
+                                 rng.sample(RESIDUAL_THETAS, 3))
 
 
 class TestGeneratorTable:
@@ -462,7 +598,7 @@ class TestGeneratorTable:
                     with pytest.raises(DegenerateBasis):
                         extract_components(n, f, bs)
                     continue
-                assert extract_components(n, f, bs) == \
+                assert densify(extract_components(n, f, bs)) == \
                     components_by_products(nm, f, reading), (k, l)
 
     def test_plane_record_is_derived_once(self, monkeypatch, capsys):
@@ -563,7 +699,7 @@ class TestGeneratorTable:
         assert rotation_component_map(1, 2, bs) == record[:2]
         assert all(u is v for u, v in zip(rotation_component_map(5, 6, bs),
                                           record))
-        assert record[2] == tuple(record[1].nonzero_cells())
+        assert record[2] == tuple(densify(record[:2])[1].nonzero_cells())
         assert claims.context(tensor).eq14 == \
             "generator Gram matrix is singular"
 
