@@ -160,7 +160,6 @@ class CRational:
         return f"CRational({self.a}, {self.b}, {self.d})"
 
 
-_NEW = object.__new__
 # the slots' own setters: CRational.__setattr__ refuses every write
 _SET_A, _SET_B, _SET_D = (CRational.__dict__[k].__set__ for k in "abd")
 
@@ -172,7 +171,7 @@ def _scalar(a: int, b: int, d: int) -> CRational:
         g = gcd(a, b, d)
         if g != 1:
             a, b, d = a // g, b // g, d // g
-    z = _NEW(CRational)
+    z = object.__new__(CRational)
     _SET_A(z, a)
     _SET_B(z, b)
     _SET_D(z, d)

@@ -5,10 +5,9 @@ Runs, under the Python that runs this file, the four ``verify`` goldens
 and every argv of the ``spinor``, ``rotate``, rotate edge and audit
 digest grids (``tests/golden/*-grid.json``, each argv against the sha256
 of its exit code, stdout and stderr, as ``test_golden.cli_digest`` takes
-it).  It
-runs all of them twice in one process, so that a cache which carries
-state from one call into the next shows as a difference on the second
-pass.  It uses only the standard library, so it runs on a CPython
+it).  It runs all of them twice in one process, so that a cache which
+carries state from one call into the next shows as a difference on the
+second pass.  It uses only the standard library, so it runs on a CPython
 without the test dependencies, and it is not part of the test suite:
 
     python3.12 tests/cross_version.py

@@ -224,7 +224,7 @@ def components_by_products(n, f, reading="sigma"):
 def dense_residual_max(terms) -> float:
     """The largest |entry| of residual terms at exact f as numeric
     rotate read it before it kept the terms: their dense monomial_sum,
-    then abs(complex(e)) over its distinct nonzero cells, 0.0 for none.
+    then abs(complex(e)) over its nonzero cells, 0.0 for none.
     An entry past binary64 raises OverflowError."""
     return cell_max(monomial_sum(terms, _EXACT_ZERO))
 
@@ -232,8 +232,8 @@ def dense_residual_max(terms) -> float:
 def cell_max(m) -> float:
     """The largest abs(complex(e)) over the nonzero cells of a dense
     exact matrix, 0.0 when it has none."""
-    cells = {id(e): e for row in m.rows for e in row}   # shared per term
-    return max((abs(complex(e)) for e in cells.values() if e), default=0.0)
+    return max((abs(complex(e)) for row in m.rows for e in row if e),
+               default=0.0)
 
 
 def _sum(terms):
